@@ -35,6 +35,8 @@ HOP_WIRELESS_TWO_WAY = "wireless_two_way"
 HOP_WIRELESS_ONE_WAY = "wireless_one_way"
 HOP_CDC = "cdc"
 _KINDS = (HOP_ETHERNET, HOP_WIRELESS_TWO_WAY, HOP_WIRELESS_ONE_WAY, HOP_CDC)
+_WIRELESS_KINDS = {"two_way": HOP_WIRELESS_TWO_WAY, "ftm_burst": HOP_WIRELESS_TWO_WAY,
+                   "one_way": HOP_WIRELESS_ONE_WAY}
 
 ETHERNET_TS_NS = 8.0
 WIRELESS_TS_NS = 50.0
@@ -79,12 +81,11 @@ def chain_max_error(hops) -> float:
 def wireless_link_budget(pdp, scheme: str, ts_ns: float = WIRELESS_TS_NS,
                          t_ms_ns: float = 0.0) -> float:
     """Worst-case wireless-link error for a profile and messaging scheme."""
-    pdp = build_pdp(pdp)
-    if scheme in ("two_way", "ftm_burst"):
-        return ts_ns / 2.0 + pdp.max_excess_delay_ns / 2.0
-    if scheme == "one_way":
-        return ts_ns / 2.0 + pdp.max_excess_delay_ns + t_ms_ns
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme not in _WIRELESS_KINDS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    excess = build_pdp(pdp).max_excess_delay_ns
+    return hop_max_error(HopBudget(_WIRELESS_KINDS[scheme], ts_ns=ts_ns,
+                                   max_excess_ns=excess, t_ms_ns=t_ms_ns))
 
 
 def _eth() -> HopBudget:
@@ -98,11 +99,7 @@ def _cdc() -> HopBudget:
 def _wireless(channel: str, scheme: str, t_ms_ns: float = 0.0) -> HopBudget:
     name = canonical_channel_name(channel)
     excess = CHANNEL_CATALOG[name][2]
-    if scheme == "one_way":
-        kind = HOP_WIRELESS_ONE_WAY
-    else:
-        kind = HOP_WIRELESS_TWO_WAY
-    return HopBudget(kind, ts_ns=WIRELESS_TS_NS, max_excess_ns=excess,
+    return HopBudget(_WIRELESS_KINDS[scheme], ts_ns=WIRELESS_TS_NS, max_excess_ns=excess,
                      t_ms_ns=t_ms_ns, label=f"wireless {name}")
 
 

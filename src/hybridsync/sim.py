@@ -23,10 +23,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .budget import (
+    CDC_T_SRC_NS,
+    ETHERNET_TS_NS,
     HOP_CDC,
     HOP_ETHERNET,
     HOP_WIRELESS_ONE_WAY,
     HOP_WIRELESS_TWO_WAY,
+    WIRELESS_TS_NS,
     HopBudget,
     chain_max_error,
 )
@@ -63,10 +66,6 @@ __all__ = [
     "topology_budget",
 ]
 
-ETHERNET_TS_NS = 8.0
-WIRELESS_TS_NS = 50.0
-CDC_T_SRC_NS = 32.0
-CDC_T_DST_NS = 6.25
 EMULATOR_BASE_DELAY_NS = 1135.0
 PS_PER_NS = 1000
 HIST_BINS = 64
@@ -391,16 +390,20 @@ def topology_budget(topo: Topology) -> list[HopBudget]:
 
     Hops shared by both probes' upstream paths carry common-mode error and
     cancel; every remaining hop contributes its own worst case, with CDC
-    stages listed separately per translating port.
+    stages listed separately per translating port.  Each hop's timestamp
+    grid comes from its ports: the mean of both for Ethernet and two-way
+    hops, whose estimates use both ends' stamps, and the slave's alone for
+    one-way hops, which quantize only on receive.
     """
     measured = set(topo.upstream_path(topo.measured_node))
     reference = set(topo.upstream_path(topo.reference_node))
     entries: list[HopBudget] = []
     for i in sorted(measured.symmetric_difference(reference)):
         hop = topo.hops[i]
+        label = f"{hop.master}->{hop.slave}"
+        ts_ns = (hop.master_port.sample_period_ns + hop.slave_port.sample_period_ns) / 2.0
         if hop.medium == "ethernet":
-            entries.append(HopBudget(HOP_ETHERNET, ts_ns=hop.master_port.sample_period_ns,
-                                     label=f"{hop.master}->{hop.slave}"))
+            entries.append(HopBudget(HOP_ETHERNET, ts_ns=ts_ns, label=label))
             continue
         for port in (hop.master_port, hop.slave_port):
             if port.cdc_t_src_ns:
@@ -409,13 +412,12 @@ def topology_budget(topo: Topology) -> list[HopBudget]:
         if hop.protocol.scheme == SCHEME_ONE_WAY:
             residual = abs(propagation_delay_ns(hop.geometry)
                            - hop.protocol.calibrated_delay_ns)
-            entries.append(HopBudget(HOP_WIRELESS_ONE_WAY, ts_ns=WIRELESS_TS_NS,
-                                     max_excess_ns=excess, t_ms_ns=residual,
-                                     label=f"{hop.master}->{hop.slave}"))
+            entries.append(HopBudget(HOP_WIRELESS_ONE_WAY,
+                                     ts_ns=hop.slave_port.sample_period_ns,
+                                     max_excess_ns=excess, t_ms_ns=residual, label=label))
         else:
-            entries.append(HopBudget(HOP_WIRELESS_TWO_WAY, ts_ns=WIRELESS_TS_NS,
-                                     max_excess_ns=excess,
-                                     label=f"{hop.master}->{hop.slave}"))
+            entries.append(HopBudget(HOP_WIRELESS_TWO_WAY, ts_ns=ts_ns,
+                                     max_excess_ns=excess, label=label))
     return entries
 
 
@@ -474,26 +476,27 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
     h.prop_ns = propagation_delay_ns(hop.geometry)
     h.reply_ns = hop.reply_delay_s * 1e9
     h.calib_ns = hop.protocol.calibrated_delay_ns
-    h.burst = hop.protocol.burst_length
+    # Only FTM repeats the exchange within a period; only one-way sends no reply.
+    h.burst = hop.protocol.burst_length if h.scheme == SCHEME_FTM_BURST else 1
     h.spacing_ns = hop.intra_burst_spacing_s * 1e9
+    replies = h.scheme != SCHEME_ONE_WAY
     count = int((duration_ps - h.next_ps) // period_ps) + 2
-    positions = h.burst if h.scheme == SCHEME_FTM_BURST else 1
-    h.dmf = [[0.0] * count for _ in range(positions)]
-    h.dmr = [[0.0] * count for _ in range(positions)]
+    h.dmf = [[0.0] * count for _ in range(h.burst)]
+    h.dmr = [[0.0] * count for _ in range(h.burst)] if replies else []
     if hop.medium == "wireless" and hop.channel is not None:
         pdp = build_pdp(hop.channel)
         if pdp.n_taps > 1:
             fading = FadingConfig(spectrum=hop.spectrum, doppler_hz=hop.doppler_hz)
             fwd_rng, rev_rng = fading_seeds
             period_s = hop.protocol.sync_period_s
-            for b in range(positions):
+            for b in range(h.burst):
                 h.dmf[b] = detected_excess_series(
                     pdp, fading, period_s, count,
                     hop.stagger_s + b * hop.intra_burst_spacing_s,
                     fwd_rng, hop.detector_policy, hop.detector_threshold_db).tolist()
-            if h.scheme != SCHEME_ONE_WAY:
+            if replies:
                 rev_offset = hop.stagger_s + h.prop_ns * 1e-9 + hop.reply_delay_s
-                for b in range(positions):
+                for b in range(h.burst):
                     h.dmr[b] = detected_excess_series(
                         pdp, fading, period_s, count,
                         rev_offset + b * hop.intra_burst_spacing_s,
@@ -505,8 +508,16 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
     """Process every exchange of one hop up to the barrier.
 
     Other streams cannot fire inside the window, so the master clock state is
-    constant here and only the slave evolves.  The math mirrors the protocol
-    module's exchange functions; a unit test keeps the two in lockstep.
+    constant here and only the slave evolves.  There are two loops, each
+    mirroring the protocol module and held to it by a lockstep test in
+    ``TestEngineProtocolLockstep``:
+
+    * the one-way loop stamps a beacon and subtracts the calibrated delay
+      (``one_way_beacon``; ``test_one_way_wireless_hop_with_cdc``);
+    * the burst loop runs ``h.burst`` two-way exchanges per period and
+      averages their estimates; two-way hops are bursts of one
+      (``two_way_exchange`` and ``ftm_burst``; ``test_two_way_ethernet_hop``
+      and ``test_ftm_burst_hop``).
     """
     ceil = math.ceil
     t_ps = h.next_ps
@@ -521,12 +532,10 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
     cmT, cmR, cmP = h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase
     csT, csR, csP = h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase
     prop, reply, calib = h.prop_ns, h.reply_ns, h.calib_ns
-    egress_quant = h.egress_quant
-    scheme = h.scheme
-    dmf0, dmr0 = h.dmf[0], h.dmr[0]
     n = h.n
 
-    if scheme == SCHEME_ONE_WAY:
+    if h.scheme == SCHEME_ONE_WAY:
+        dmf0 = h.dmf[0]
         while t_ps <= barrier_ps:
             t0 = t_ps * 1e-3
             t1 = mo + mr * t0
@@ -554,52 +563,10 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
                 sr -= fstep * 1e-6
             n += 1
             t_ps += period_ps
-    elif h.burst == 1 or scheme != SCHEME_FTM_BURST:
-        while t_ps <= barrier_ps:
-            t0 = t_ps * 1e-3
-            v = mo + mr * t0
-            if cmT:
-                v += 0.5 * cmT - ((t0 * cmR + cmP) % cmT)
-            if egress_quant:
-                v = ts_m * (ceil(v / ts_m - ph_m - 0.5) + ph_m)
-            t1 = v
-            ta = t0 + prop + dmf0[n]
-            v = so + sr * ta
-            if csT:
-                v += 0.5 * csT - ((ta * csR + csP) % csT)
-            t2 = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
-            tr = ta + reply
-            v = so + sr * tr
-            if csT:
-                v += 0.5 * csT - ((tr * csR + csP) % csT)
-            if egress_quant:
-                v = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
-            t3 = v
-            tb = tr + prop + dmr0[n]
-            v = mo + mr * tb
-            if cmT:
-                v += 0.5 * cmT - ((tb * cmR + cmP) % cmT)
-            t4 = ts_m * (ceil(v / ts_m - ph_m - 0.5) + ph_m)
-            est = ((t2 - t1) - (t4 - t3)) * 0.5
-            if locked:
-                step = kp * est
-                raw = integ + ki * est / k3
-                new = windup if raw > windup else (-windup if raw < -windup else raw)
-                fstep = new - integ
-                integ = new
-            else:
-                step = est
-                fstep = 0.0
-                locked = True
-            so -= step
-            if fstep:
-                so += fstep * 1e-6 * tb
-                sr -= fstep * 1e-6
-            n += 1
-            t_ps += period_ps
     else:
         dmf, dmr = h.dmf, h.dmr
         burst, spacing = h.burst, h.spacing_ns
+        egress_quant = h.egress_quant
         while t_ps <= barrier_ps:
             t0 = t_ps * 1e-3
             acc = 0.0

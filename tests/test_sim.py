@@ -1,5 +1,7 @@
 """Discrete-event engine: topologies, determinism and engine/protocol lockstep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,14 @@ from hybridsync.channel import LinkGeometry
 from hybridsync.clocks import ClockModel, PhcState, ServoState, servo_update
 from hybridsync.protocol import (
     PROTOCOL_PRESETS,
+    SCHEME_FTM_BURST,
     SCHEME_ONE_WAY,
     SCHEME_TWO_WAY,
     LinkPath,
     PortModel,
     ProtocolConfig,
     estimate_offset,
+    ftm_burst,
     one_way_beacon,
     two_way_exchange,
 )
@@ -27,6 +31,7 @@ from hybridsync.sim import (
     Topology,
     TopologyError,
     _HopRuntime,
+    _prepare_hop,
     build_topology,
     compute_stats,
     pps_error,
@@ -60,6 +65,29 @@ def make_runtime(**overrides) -> _HopRuntime:
     for key, value in overrides.items():
         setattr(h, key, value)
     return h
+
+
+class ScriptedLink(LinkPath):
+    """Link that replays a fixed list of excess delays in emission order."""
+
+    def __init__(self, excess, **kwargs):
+        super().__init__(**kwargs)
+        self._excess = iter(excess)
+
+    def excess_delay_ns(self, emit_true_ns):
+        return next(self._excess)
+
+
+def wireless_grid_topology(preset: str, sample_period_ns: float) -> Topology:
+    """A preset chain whose wireless ports stamp on a custom grid."""
+    base = build_topology(ExperimentConfig(preset=preset, channel="AWGN"))
+    hops = tuple(
+        replace(hop,
+                master_port=replace(hop.master_port, sample_period_ns=sample_period_ns),
+                slave_port=replace(hop.slave_port, sample_period_ns=sample_period_ns))
+        if hop.medium == "wireless" else hop
+        for hop in base.hops)
+    return replace(base, name=f"{preset}-{sample_period_ns:g}ns", hops=hops)
 
 
 class TestEngineProtocolLockstep:
@@ -130,6 +158,76 @@ class TestEngineProtocolLockstep:
             probe = 3e9
             assert off[1] + rate[1] * probe == pytest.approx(
                 slave.time_at(probe), abs=1e-6)
+
+    @pytest.mark.parametrize("medium", ["ethernet", "wireless"])
+    def test_ftm_burst_hop(self, medium):
+        burst, periods = 3, 4
+        # Quarter-ns excess delays keep every arrival time exact in both models.
+        dmf = [[0.25 * ((3 * b + 5 * n) % 7) for n in range(periods)] for b in range(burst)]
+        dmr = [[0.25 * ((2 * b + 3 * n) % 5) for n in range(periods)] for b in range(burst)]
+        if medium == "ethernet":
+            port_m = PortModel("ethernet", 8.0, 0.3)
+            port_s = PortModel("ethernet", 8.0, 0.7)
+            h = make_runtime(scheme=SCHEME_FTM_BURST, burst=burst, dmf=dmf, dmr=dmr)
+        else:
+            stage_m = CdcStage(t_src_ns=32.0, rel_drift_ppm=3.0, phase0=0.4)
+            stage_s = CdcStage(t_src_ns=32.0, rel_drift_ppm=-2.0, phase0=0.1)
+            port_m = PortModel("wireless", 50.0, 0.0, cdc=stage_m)
+            port_s = PortModel("wireless", 50.0, 0.45, cdc=stage_s)
+            h = make_runtime(
+                scheme=SCHEME_FTM_BURST, burst=burst, dmf=dmf, dmr=dmr, egress_quant=False,
+                ts_m=50.0, ph_m=0.0, ts_s=50.0, ph_s=0.45,
+                cdc_m_T=32.0, cdc_m_rate=1.0 + 3.0 * 1e-6, cdc_m_phase=0.4 * 32.0,
+                cdc_s_T=32.0, cdc_s_rate=1.0 - 2.0 * 1e-6, cdc_s_phase=0.1 * 32.0,
+                period_ps=125 * 10**9, k3=125.0)
+        interval_s = h.period_ps * 1e-12
+        off, rate = [15.0, 40.0], [1.0 - 1.5e-6, 1.0 + 2e-6]
+
+        master = PhcState(base_clock=ClockModel(15.0, -1.5))
+        slave = PhcState(base_clock=ClockModel(40.0, 2.0))
+        geom = LinkGeometry(base_delay_ns=250.5)
+        fwd = ScriptedLink([dmf[b][n] for n in range(periods) for b in range(burst)],
+                           geometry=geom, egress_port=port_m, ingress_port=port_s)
+        rev = ScriptedLink([dmr[b][n] for n in range(periods) for b in range(burst)],
+                           geometry=geom, egress_port=port_s, ingress_port=port_m)
+        servo = ServoState(kp=0.7, ki=0.3)
+        config = ProtocolConfig(scheme=SCHEME_FTM_BURST, burst_length=burst)
+
+        for n in range(periods):
+            t0 = h.next_ps * 1e-3
+            _run_hop_until(h, off, rate, h.next_ps)
+
+            sample = ftm_burst(master, slave, fwd, rev, burst, t0)
+            est = estimate_offset(sample, config)
+            last = burst - 1
+            reply_arrival = t0 + last * 1e6 + 250.5 + dmf[last][n] + 1e6 + 250.5 + dmr[last][n]
+            step, fstep = servo_update(servo, est, interval_s)
+            slave.step_phase(-step)
+            if fstep:
+                slave.slew_frequency(reply_arrival, -fstep)
+
+            # The reference averages timestamps before estimating and the
+            # kernel averages estimates, so they agree to rounding only.
+            probe = 10e9 + n
+            assert off[1] + rate[1] * probe == pytest.approx(slave.time_at(probe), rel=1e-14)
+            assert h.integ == pytest.approx(servo.integrator_ppm, abs=1e-9)
+        assert h.n == periods
+
+
+class TestPrepareHop:
+    @pytest.mark.parametrize("scheme, positions, replies", [
+        ("one_way", 1, False), ("two_way", 1, True), ("ftm_burst", 4, True)])
+    def test_excess_series_shape(self, scheme, positions, replies):
+        # burst_length only counts for FTM; one-way hops get no reverse series
+        config = ExperimentConfig(preset="emulator-80211", channel="IWLAN_A",
+                                  scheme=scheme, burst_length=4)
+        topo = build_topology(config)
+        node_index = {n.node_id: i for i, n in enumerate(topo.nodes)}
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        h = _prepare_hop(topo.hops[-1], node_index, config, rngs[0], rngs[1:], 10**13)
+        assert h.burst == positions
+        assert len(h.dmf) == positions
+        assert len(h.dmr) == (positions if replies else 0)
 
 
 class TestPpsError:
@@ -317,6 +415,27 @@ class TestRunExperiment:
                                    duration_s=40.0, warmup_s=6.0, replicas=1)
         stats = run_experiment(config)
         assert not stats.converged
+
+    @pytest.mark.parametrize("preset", ["emulator-wsharp", "emulator-80211"])
+    def test_budget_follows_wireless_port_grid(self, preset):
+        topo = wireless_grid_topology(preset, 200.0)
+        budget = chain_max_error(topology_budget(topo))
+        assert budget == 148.0
+        config = ExperimentConfig(topology=topo, drift_free=True, seed=7, replicas=8,
+                                  duration_s=60.0, warmup_s=15.0, pps_interval_s=0.5)
+        _, arrays = run_experiment(config, return_samples=True)
+        worst = max(float(np.abs(a).max()) for a in arrays)
+        assert worst <= budget
+
+    def test_two_way_ignores_burst_length(self):
+        # Only FTM repeats the exchange; a two-way hop fires once per period.
+        base = dict(preset="emulator-80211", channel="IWLAN_A", speed_kmh=10.0,
+                    duration_s=20.0, warmup_s=5.0, replicas=1, drift_free=False)
+        _, single = run_experiment(self.quick_config(**base), return_samples=True)
+        _, burst = run_experiment(self.quick_config(**base, scheme="two_way",
+                                                    burst_length=4),
+                                  return_samples=True)
+        assert np.array_equal(single[0], burst[0])
 
     def test_ftm_scheme_runs(self):
         config = self.quick_config(preset="emulator-80211", channel="IWLAN_A",
