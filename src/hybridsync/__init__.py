@@ -23,7 +23,6 @@ from .channel import (
     CHANNEL_CATALOG,
     ChannelRealization,
     FadingConfig,
-    FadingProcess,
     LinkGeometry,
     PowerDelayProfile,
     build_pdp,
@@ -86,7 +85,6 @@ __all__ = [
     "Direction",
     "ExperimentConfig",
     "FadingConfig",
-    "FadingProcess",
     "HopBudget",
     "HopSpec",
     "LinkGeometry",

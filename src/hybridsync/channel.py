@@ -7,6 +7,11 @@ Doppler shape (Jakes by default, so the tap autocorrelation is
 ``J0(2 * pi * f_d * tau)``).  A preamble-style detector locks onto a single
 replica, typically the instantaneous strongest tap, which is what injects
 multipath error into receive timestamps.
+
+Tap gains are sampled on regular combs with period ``T``, and the synthesis
+route follows from ``f_d * T`` alone: a zero Doppler freezes each tap to one
+draw, ``f_d * T >= 0.5`` gives independent draws, and every other comb is an
+inverse DFT of the Doppler spectrum.  A single instant is a one-sample comb.
 """
 
 from __future__ import annotations
@@ -17,14 +22,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import erfinv
 
 __all__ = [
     "CHANNEL_CATALOG",
     "ChannelRealization",
     "ChannelSpecError",
     "FadingConfig",
-    "FadingProcess",
     "LinkGeometry",
     "PowerDelayProfile",
     "SPEED_OF_LIGHT_M_PER_NS",
@@ -105,7 +108,7 @@ class PowerDelayProfile:
 class FadingConfig:
     """Fading statistics of every tap.
 
-    ``doppler_hz`` of zero freezes the channel: one draw per process, constant
+    ``doppler_hz`` of zero freezes the channel: one draw per tap, constant
     over time.  ``spectrum`` selects the Doppler power spectrum shape used to
     correlate successive realizations.
     """
@@ -120,7 +123,7 @@ class FadingConfig:
             raise ChannelSpecError(f"unknown fading distribution {self.distribution!r}")
         if self.spectrum not in ("jakes", "bell", "gaussian"):
             raise ChannelSpecError(f"unknown Doppler spectrum {self.spectrum!r}")
-        if self.doppler_hz < 0:
+        if not self.doppler_hz >= 0:
             raise ChannelSpecError("doppler_hz must be >= 0")
 
 
@@ -151,7 +154,7 @@ def propagation_delay_ns(geometry: LinkGeometry) -> float:
 
 def doppler_from_speed(speed_kmh: float, carrier_hz: float = DEFAULT_CARRIER_HZ) -> float:
     """Maximum Doppler shift for a scatterer speed in km/h."""
-    if speed_kmh < 0:
+    if not speed_kmh >= 0:
         raise ChannelSpecError("speed must be >= 0")
     c_m_per_s = SPEED_OF_LIGHT_M_PER_NS * 1e9
     return speed_kmh / 3.6 * carrier_hz / c_m_per_s
@@ -252,9 +255,8 @@ def build_pdp(spec) -> PowerDelayProfile:
 # --- Doppler spectrum shapes -------------------------------------------------
 #
 # All shapes are normalized to the band [-f_d, +f_d] and expressed through
-# their CDF on x = f / f_d, which gives exact band-limited bin masses and
-# inverse-CDF frequency sampling without special handling of the band-edge
-# singularity of the Jakes shape.
+# their CDF on x = f / f_d, which gives exact band-limited bin masses without
+# special handling of the band-edge singularity of the Jakes shape.
 
 _BELL_SLOPE = 3.0  # classic bell shape 1 / (1 + 9 (f/f_d)^2)
 _GAUSS_SIGMA = 1.0 / math.sqrt(2.0)
@@ -271,16 +273,6 @@ def _spectrum_cdf(spectrum: str, x: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.vectorize(math.erf)(x / (_GAUSS_SIGMA * math.sqrt(2.0))) / norm
 
 
-def _spectrum_inverse_cdf(spectrum: str, q: np.ndarray) -> np.ndarray:
-    if spectrum == "jakes":
-        return np.sin(math.pi * (q - 0.5))
-    if spectrum == "bell":
-        norm = 2.0 * math.atan(_BELL_SLOPE)
-        return np.tan((q - 0.5) * norm) / _BELL_SLOPE
-    norm = math.erf(1.0 / (_GAUSS_SIGMA * math.sqrt(2.0)))
-    return _GAUSS_SIGMA * math.sqrt(2.0) * erfinv((2.0 * q - 1.0) * norm)
-
-
 def _rice_split(pdp: PowerDelayProfile, fading: FadingConfig):
     """Split tap powers into diffuse power and a static first-tap LOS term."""
     diffuse = pdp.linear_powers.copy()
@@ -292,59 +284,10 @@ def _rice_split(pdp: PowerDelayProfile, fading: FadingConfig):
     return diffuse, los
 
 
-class FadingProcess:
-    """Stationary tap-gain process evaluable at arbitrary instants.
-
-    Each tap is a sum of ``components`` complex exponentials whose
-    frequencies are drawn by stratified inverse-CDF sampling of the Doppler
-    spectrum and whose amplitudes are independent complex Gaussians.  The
-    ensemble autocorrelation therefore matches the configured spectrum
-    exactly, and a zero Doppler collapses to one frozen draw per process.
-    """
-
-    def __init__(
-        self,
-        pdp: PowerDelayProfile,
-        fading: FadingConfig,
-        rng: np.random.Generator,
-        components: int = 128,
-    ):
-        self.pdp = pdp
-        self.fading = fading
-        diffuse, self._los = _rice_split(pdp, fading)
-        n = pdp.n_taps
-        if fading.doppler_hz == 0.0:
-            self._freqs = np.zeros((n, 1))
-            scale = np.sqrt(diffuse / 2.0)[:, None]
-            self._coeffs = scale * (
-                rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
-            )
-            return
-        strata = (np.arange(components) + rng.random((n, components))) / components
-        self._freqs = fading.doppler_hz * _spectrum_inverse_cdf(fading.spectrum, strata)
-        scale = np.sqrt(diffuse / (2.0 * components))[:, None]
-        self._coeffs = scale * (
-            rng.standard_normal((n, components)) + 1j * rng.standard_normal((n, components))
-        )
-
-    def gains_at(self, true_time_ns: float) -> np.ndarray:
-        phases = np.exp(2j * math.pi * self._freqs * (true_time_ns * 1e-9))
-        return (self._coeffs * phases).sum(axis=1) + self._los
-
-    def realize(self, true_time_ns: float) -> ChannelRealization:
-        return ChannelRealization(self.gains_at(true_time_ns), float(true_time_ns))
-
-
-def realize_channel(pdp, fading, true_time_ns, rng_stream) -> ChannelRealization:
-    """Draw instantaneous tap gains at one instant.
-
-    ``rng_stream`` may be a ``FadingProcess`` (successive calls are then
-    time-correlated per the Doppler spectrum) or a ``numpy`` generator, in
-    which case a fresh process is drawn and sampled once.
-    """
-    if isinstance(rng_stream, FadingProcess):
-        return rng_stream.realize(true_time_ns)
-    return FadingProcess(pdp, fading, rng_stream).realize(true_time_ns)
+def realize_channel(pdp, fading, true_time_ns, rng) -> ChannelRealization:
+    """Draw instantaneous tap gains at one instant: a one-sample comb."""
+    gains = tap_gain_series(pdp, fading, 1.0, 1, true_time_ns * 1e-9, rng)[:, 0]
+    return ChannelRealization(gains, float(true_time_ns))
 
 
 def detect_arrival(
@@ -373,30 +316,24 @@ def detect_arrival(
 
 # --- Series synthesis for periodic sampling ----------------------------------
 
-_DIRECT_COUNT_LIMIT = 65536
-
 
 def _tap_series(power, fading, period_s, count, offset_s, rng) -> np.ndarray:
-    """One tap's complex gains at instants ``offset_s + n * period_s``."""
+    """One tap's complex gains at instants ``offset_s + n * period_s``.
+
+    The route depends only on the Doppler frequency ``f_d`` and the period
+    ``T``: ``f_d = 0`` is one frozen draw, ``f_d * T >= 0.5`` (sampling far
+    coarser than the coherence time) gives independent draws, and anything
+    else is band-limited spectral synthesis by one inverse FFT.
+    """
     f_d = fading.doppler_hz
     if f_d == 0.0:
         gain = math.sqrt(power / 2.0) * complex(rng.standard_normal(), rng.standard_normal())
         return np.full(count, gain, dtype=complex)
-    if count <= _DIRECT_COUNT_LIMIT:
-        k = 128
-        strata = (np.arange(k) + rng.random(k)) / k
-        freqs = f_d * _spectrum_inverse_cdf(fading.spectrum, strata)
-        coeffs = math.sqrt(power / (2.0 * k)) * (
-            rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        )
-        times = offset_s + np.arange(count) * period_s
-        return np.exp(2j * math.pi * times[:, None] * freqs[None, :]) @ coeffs
     if f_d * period_s >= 0.5:
-        # Sampling far coarser than the coherence time: draws are independent.
         return math.sqrt(power / 2.0) * (
             rng.standard_normal(count) + 1j * rng.standard_normal(count)
         )
-    # Long regular combs: exact band-limited spectral synthesis via one IFFT.
+    # Inverse DFT of the Doppler spectrum (Young & Beaulieu 2000).
     n_fft = 1 << max(4, (count - 1).bit_length())
     df = 1.0 / (n_fft * period_s)
     kmax = int(math.floor(f_d / df)) + 1
@@ -410,7 +347,8 @@ def _tap_series(power, fading, period_s, count, offset_s, rng) -> np.ndarray:
     )
     coeffs = coeffs * np.exp(2j * math.pi * k * df * offset_s)
     spectrum = np.zeros(n_fft, dtype=complex)
-    spectrum[k % n_fft] = coeffs
+    # Bins -n_fft/2 and +n_fft/2 alias when f_d * T nears 0.5; sum them.
+    np.add.at(spectrum, k % n_fft, coeffs)
     return (np.fft.ifft(spectrum) * n_fft)[:count]
 
 

@@ -214,15 +214,14 @@ def _cmd_sweep(args) -> int:
         base.pop("inline_topology")
         if param not in base:
             raise ValueError(f"unknown sweep parameter {param!r}")
+        point_configs = [ExperimentConfig.from_dict({**base, param: value})
+                         for value in values]
     except (ValueError, TypeError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return EXIT_USAGE
     points = []
     all_converged = True
-    for value in values:
-        doc = dict(base)
-        doc[param] = value
-        point_config = ExperimentConfig.from_dict(doc)
+    for value, point_config in zip(values, point_configs):
         stats = run_experiment(point_config, workers=args.workers)
         all_converged = all_converged and stats.converged
         points.append((value, stats))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .cdc import CdcStage
 from .channel import (
+    ChannelRealization,
     LinkGeometry,
     PowerDelayProfile,
     detect_arrival,
@@ -110,22 +111,21 @@ class PortModel:
 
 @dataclass
 class LinkPath:
-    """One propagation direction: geometry, channel state and the two ports."""
+    """One propagation direction: geometry, frozen tap gains and the two ports."""
 
     geometry: LinkGeometry = field(default_factory=LinkGeometry)
     egress_port: PortModel = field(default_factory=PortModel)
     ingress_port: PortModel = field(default_factory=PortModel)
     pdp: PowerDelayProfile | None = None
-    fading_process: object | None = None
+    realization: ChannelRealization | None = None
     detector_policy: str = "strongest_tap"
     detector_threshold_db: float = 6.0
 
     def excess_delay_ns(self, emit_true_ns: float) -> float:
-        if self.pdp is None or self.pdp.n_taps == 1 or self.fading_process is None:
+        if self.pdp is None or self.pdp.n_taps == 1 or self.realization is None:
             return 0.0
-        realization = self.fading_process.realize(emit_true_ns)
         return detect_arrival(
-            realization, self.pdp, self.detector_policy, self.detector_threshold_db
+            self.realization, self.pdp, self.detector_policy, self.detector_threshold_db
         )
 
     def total_delay_ns(self, emit_true_ns: float) -> float:

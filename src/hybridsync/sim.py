@@ -43,6 +43,7 @@ from .channel import (
 )
 from .clocks import PhcState
 from .protocol import (
+    _SCHEMES,
     PROTOCOL_PRESETS,
     SCHEME_FTM_BURST,
     SCHEME_ONE_WAY,
@@ -269,6 +270,11 @@ class ExperimentConfig:
             raise ValueError("cdc_stages must be 1 or 2")
         if self.topology is None and self.preset not in SIM_PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
+        if not (math.isfinite(self.speed_kmh) and self.speed_kmh >= 0):
+            raise ValueError(f"speed_kmh must be finite and >= 0, got {self.speed_kmh!r}")
+        build_pdp(self.channel)
+        if self.scheme is not None and self.scheme not in _SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     def as_dict(self) -> dict:
         doc = {}
@@ -281,6 +287,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """Inverse of ``as_dict`` for configs without an inline topology."""
+        doc = dict(doc)
+        name = doc.pop("inline_topology", None)
+        if name is not None:
+            raise ValueError(f"inline topology {name!r} cannot be rebuilt from a name")
         known = {f.name for f in fields(cls)} - {"topology"}
         unknown = set(doc) - known
         if unknown:

@@ -14,7 +14,6 @@ from hybridsync.channel import (
     ChannelRealization,
     ChannelSpecError,
     FadingConfig,
-    FadingProcess,
     LinkGeometry,
     PowerDelayProfile,
     build_pdp,
@@ -98,9 +97,10 @@ class TestCatalogProfiles:
 class TestFadingStatistics:
     def test_frozen_process_is_constant(self):
         pdp = build_pdp("IWLAN_A")
-        proc = FadingProcess(pdp, FadingConfig(doppler_hz=0.0), np.random.default_rng(3))
-        a = proc.gains_at(0.0)
-        b = proc.gains_at(5e9)
+        gains = tap_gain_series(pdp, FadingConfig(doppler_hz=0.0), 5.0, 2, 0.0,
+                                np.random.default_rng(3))
+        a = gains[:, 0]
+        b = gains[:, 1]
         assert np.allclose(a, b)
 
     def test_rayleigh_amplitudes(self):
@@ -151,7 +151,7 @@ class TestFadingStatistics:
         assert np.max(np.abs(emp - theory)) <= 0.05
 
     def test_spectral_routes_agree_on_power(self):
-        # long comb triggers FFT synthesis; short comb uses direct evaluation
+        # f_d * T = 0.011: both lengths take the IFFT route, at two transform sizes
         pdp = build_pdp("WLAN_A")
         fading = FadingConfig(doppler_hz=22.24)
         direct = tap_gain_series(pdp, fading, 5e-4, 60000, 0.0,
@@ -163,11 +163,24 @@ class TestFadingStatistics:
         assert np.allclose(p_direct, p_fft, rtol=0.35)
         assert np.allclose(p_direct, pdp.linear_powers, rtol=0.35)
 
-    def test_fast_sampling_draws_are_independent(self):
-        # period far beyond coherence time: successive gains decorrelate
+    def test_one_sample_power_near_nyquist(self):
+        # f_d * T = 0.49 on a one-sample comb: the band edge folds onto the
+        # 16-point transform's Nyquist bin and must keep its power
+        pdp = build_pdp("AWGN")
+        fading = FadingConfig(doppler_hz=0.49)
+        rng = np.random.default_rng(37)
+        draws = np.array([
+            tap_gain_series(pdp, fading, 1.0, 1, 0.0, rng)[0, 0] for _ in range(20000)
+        ])
+        assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.04)
+
+    @pytest.mark.parametrize("count", [65_536, 100_000])
+    def test_fast_sampling_draws_are_independent(self, count):
+        # period far beyond coherence time: successive gains decorrelate,
+        # whatever the comb length
         pdp = build_pdp("IWLAN_A")
         fading = FadingConfig(doppler_hz=60.0)
-        g = tap_gain_series(pdp, fading, 0.1, 100_000, 0.0,
+        g = tap_gain_series(pdp, fading, 0.1, count, 0.0,
                             np.random.default_rng(13))[0]
         r1 = np.mean(g[1:] * np.conj(g[:-1])) / np.mean(np.abs(g) ** 2)
         assert abs(r1) < 0.02

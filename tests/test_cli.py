@@ -16,15 +16,19 @@ FAST = [
 
 # One drifting single-tap config per kernel loop.  AWGN keeps FFT synthesis
 # and complex exponentials out of the samples, so each digest rests only on
-# numpy's bit generators and Python float arithmetic.
+# numpy's bit generators and Python float arithmetic.  ``one_way_fading``
+# pins the inverse-FFT fading route: 79,994 beacons on IWLAN_B at 10 km/h.
 PINNED_SAMPLES = {
-    "one_way": (["--preset", "emulator-wsharp"],
+    "one_way": (["--preset", "emulator-wsharp", "--set", 'channel="AWGN"'],
                 "335b820216f1e81963d12c1473521f927f6d8e1203b401c081959d703caf6441"),
-    "two_way": (["--preset", "calnex"],
+    "two_way": (["--preset", "calnex", "--set", 'channel="AWGN"'],
                 "adf6f44c210da8e548bf2deaa3c6dda6d1d300c9fb556ddea8cad84178d5e2e8"),
-    "ftm_burst": (["--preset", "calnex", "--set", 'scheme="ftm_burst"',
-                   "--set", "burst_length=4"],
+    "ftm_burst": (["--preset", "calnex", "--set", 'channel="AWGN"',
+                   "--set", 'scheme="ftm_burst"', "--set", "burst_length=4"],
                   "76b3281588829a7c09bb0edca665ee2356172db3cd046c83f0b7fbd7ef4c3d12"),
+    "one_way_fading": (["--preset", "emulator-wsharp", "--set", 'channel="IWLAN_B"',
+                        "--set", "speed_kmh=10"],
+                       "e09ccc8175896b12f44c29c70af38c995765824d36e9cb7e65779fdeaafce09a"),
 }
 
 
@@ -105,12 +109,40 @@ class TestSimulateCommand:
                       "--set", "cdc_stages=7")
         assert code == 2
 
+    @pytest.mark.parametrize("override", [
+        "speed_kmh=NaN", 'channel="BOGUS"', 'scheme="bogus"',
+    ], ids=["nan_speed", "unknown_channel", "unknown_scheme"])
+    def test_bad_config_value_exits_2(self, capsys, override):
+        code, _ = run(capsys, "simulate", "--preset", "calnex", "--set", override)
+        assert code == 2
+
+    def test_summary_config_round_trips(self, capsys, tmp_path):
+        argv = ["simulate", "--preset", "emulator-80211", "--seed", "4",
+                "--replicas", "1", "--set", 'channel="IWLAN_A"',
+                "--set", "speed_kmh=10", *FAST]
+        code, _ = run(capsys, *argv, "--out", str(tmp_path / "a"))
+        assert code == 0
+        summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(summary["config"]))
+        code, _ = run(capsys, "simulate", "--config", str(cfg),
+                      "--out", str(tmp_path / "b"))
+        assert code == 0
+        assert (tmp_path / "a" / "samples.csv").read_bytes() == \
+            (tmp_path / "b" / "samples.csv").read_bytes()
+
+    def test_inline_topology_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"preset": "calnex", "inline_topology": "custom"}))
+        code, _ = run(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+
     @pytest.mark.parametrize("loop", sorted(PINNED_SAMPLES))
     def test_samples_digest_pinned(self, capsys, tmp_path, loop):
         preset_args, digest = PINNED_SAMPLES[loop]
         code, _ = run(capsys, "simulate", *preset_args, "--seed", "11",
-                      "--replicas", "2", "--set", 'channel="AWGN"',
-                      "--set", "duration_s=40", "--set", "warmup_s=10",
+                      "--replicas", "2", "--set", "duration_s=40",
+                      "--set", "warmup_s=10",
                       "--set", "pps_interval_s=0.5", "--format", "csv",
                       "--out", str(tmp_path))
         assert code == 0
@@ -178,6 +210,12 @@ class TestSweepCommand:
         code, _ = run(capsys, "sweep", "--preset", "calnex-eth3",
                       "--axis", "warp_factor=1,2")
         assert code == 2
+
+    def test_invalid_point_exits_2_before_running(self, capsys):
+        code, out = run(capsys, "sweep", "--preset", "calnex-eth3",
+                        "--axis", "speed_kmh=0,-1", *FAST)
+        assert code == 2
+        assert out == ""
 
     def test_malformed_axis_exits_2(self, capsys):
         code, _ = run(capsys, "sweep", "--preset", "calnex-eth3",

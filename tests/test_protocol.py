@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridsync.cdc import CdcStage
-from hybridsync.channel import FadingConfig, FadingProcess, LinkGeometry, build_pdp
+from hybridsync.channel import FadingConfig, LinkGeometry, build_pdp, realize_channel
 from hybridsync.clocks import ClockModel, PhcState
 from hybridsync.protocol import (
     PROTOCOL_PRESETS,
@@ -151,11 +151,11 @@ class TestExchanges:
 
     def test_multipath_excess_delays_arrival(self):
         pdp = build_pdp("IWLAN_B")
-        proc = FadingProcess(pdp, FadingConfig(doppler_hz=0.0),
-                             np.random.default_rng(8))
+        realization = realize_channel(pdp, FadingConfig(doppler_hz=0.0), 0.0,
+                                      np.random.default_rng(8))
         port = PortModel(medium="wireless", sample_period_ns=FINE)
         link = LinkPath(egress_port=port, ingress_port=port, pdp=pdp,
-                        fading_process=proc)
+                        realization=realization)
         excess = link.excess_delay_ns(0.0)
         assert 0.0 <= excess <= pdp.max_excess_delay_ns
         sample = one_way_beacon(make_phc(0.0), make_phc(0.0), link, 1e9)
