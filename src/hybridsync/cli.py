@@ -124,14 +124,13 @@ def _replica_doc(stats) -> dict:
     }
 
 
-def _samples_csv(sample_arrays) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["replica", "index", "error_ns"])
-    for r, arr in enumerate(sample_arrays):
-        for i, value in enumerate(arr):
-            writer.writerow([r, i, repr(float(value))])
-    return buf.getvalue()
+def _write_samples_csv(path: Path, sample_arrays) -> None:
+    """Stream one ``replica,index,error_ns`` row per sample; floats use ``repr``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write("replica,index,error_ns\n")
+        for r, arr in enumerate(sample_arrays):
+            fh.writelines(f"{r},{i},{v!r}\n" for i, v in enumerate(arr.tolist()))
 
 
 # --- budget --------------------------------------------------------------------
@@ -175,7 +174,7 @@ def _cmd_budget(args) -> int:
 def _cmd_simulate(args) -> int:
     try:
         config = _resolve_config(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_USAGE
     stats, sample_arrays = run_experiment(config, workers=args.workers,
@@ -196,7 +195,7 @@ def _cmd_simulate(args) -> int:
         if args.format in ("json", "both"):
             _write(out / "summary.json", text)
         if args.format in ("csv", "both"):
-            _write(out / "samples.csv", _samples_csv(sample_arrays))
+            _write_samples_csv(out / "samples.csv", sample_arrays)
     return EXIT_OK if stats.converged else EXIT_FAIL
 
 
@@ -216,7 +215,7 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"unknown sweep parameter {param!r}")
         point_configs = [ExperimentConfig.from_dict({**base, param: value})
                          for value in values]
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return EXIT_USAGE
     points = []

@@ -3,15 +3,18 @@
 True time is carried as integer picoseconds so periodic schedules never
 accumulate rounding drift.  Every node owns a PHC modeled affinely between
 servo events (displayed = offset + rate * true_time); exchanges, servo
-updates and PPS-edge measurements are merged chronologically, with ties
-broken by stream declaration order.  Each replica draws its randomness from
-an independently spawned seed stream, so results do not depend on how
-replicas are distributed over workers.
+updates, drift-walk steps and PPS edges are merged chronologically.  At a
+tie the PPS edge comes first, then the walk, then hops in declaration
+order.  Each replica draws its randomness from an independently spawned
+seed stream, so results do not depend on how replicas are distributed over
+workers.
 
 The per-sample synchronization error follows PPS semantics: it is the
 difference of the true times at which the reference and the measured node's
 counters cross the next whole pulse boundary, positive when the measured
-clock runs ahead.
+clock runs ahead.  Clocks change only at hop and walk events, so PPS edges
+are recorded per affine clock segment (every edge up to the next such
+event) and evaluated in one vectorized pass after the event loop.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -223,6 +227,18 @@ def pps_error(
     return t_ref - t_slave
 
 
+def _recorded_pps_edges(duration_ps: int, warmup_ps: int, pps_ps: int) -> tuple[int, int]:
+    """First and last index k of the recorded PPS edges; edge k is at k * pps_ps."""
+    return max(warmup_ps // pps_ps, 0) + 1, duration_ps // pps_ps
+
+
+def _period_ps(name: str, seconds: float) -> int:
+    """A period in whole picoseconds; refuses one that rounds below 1 ps."""
+    if not (math.isfinite(seconds) and round(seconds * 1e12) >= 1):
+        raise ValueError(f"{name} must be at least 1 ps, got {seconds!r}")
+    return round(seconds * 1e12)
+
+
 # --- Experiment configuration -------------------------------------------------
 
 
@@ -260,10 +276,20 @@ class ExperimentConfig:
     topology: Topology | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.duration_s) and math.isfinite(self.warmup_s)):
+            raise ValueError("duration_s and warmup_s must be finite")
         if self.duration_s <= self.warmup_s:
             raise ValueError("duration_s must exceed warmup_s")
-        if self.pps_interval_s <= 0:
-            raise ValueError("pps_interval_s must be positive")
+        pps_ps = _period_ps("pps_interval_s", self.pps_interval_s)
+        if self.sync_period_s is not None:
+            _period_ps("sync_period_s", self.sync_period_s)
+        first_k, last_k = _recorded_pps_edges(round(self.duration_s * 1e12),
+                                              round(self.warmup_s * 1e12), pps_ps)
+        if last_k - first_k < 1:
+            raise ValueError(f"pps_interval_s={self.pps_interval_s!r} leaves fewer "
+                             "than two PPS edges after warm-up")
+        if not isinstance(self.seed, Integral) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.cdc_stages not in (1, 2):
@@ -668,26 +694,33 @@ def _run_replica(topo: Topology, config: ExperimentConfig,
 
     budget_ns = chain_max_error(topology_budget(topo))
     diverged_limit = DIVERGENCE_FACTOR * budget_ns if budget_ns > 0 else math.inf
-    converged = True
 
     pps_ps = round(config.pps_interval_s * 1e12)
-    pps_interval_ns = config.pps_interval_s * 1e9
-    next_pps = pps_ps
-    pps_k = 1
+    first_k, _ = _recorded_pps_edges(duration_ps, warmup_ps, pps_ps)
+    next_pps = first_k * pps_ps
     walk_period_ps = 10 ** 12
     next_walk = walk_period_ps if any(s > 0 for s in walk_sigma) else duration_ps + 1
     mi_ref = node_index[topo.reference_node]
     mi_slv = node_index[topo.measured_node]
-    samples: list[float] = []
+    # One entry per affine clock segment: (edge count, reference and measured
+    # offset/rate).  Warm-up edges record nothing, so they are not scheduled.
+    segments: list[tuple] = []
 
     while True:
-        best_ps = next_pps
-        best = -1  # -1 pps, -2 walk, >=0 hop index
-        if next_walk < best_ps:
-            best_ps, best = next_walk, -2
+        # Ties go to the PPS edge, then the walk, then the lowest hop index.
+        best_ps, best = next_walk, -2  # -2 walk, >=0 hop index
         for i, h in enumerate(hops):
             if h.next_ps < best_ps:
                 best_ps, best = h.next_ps, i
+        if next_pps <= best_ps:
+            if next_pps > duration_ps:
+                break
+            # Every edge up to the next walk or hop event sees these clocks.
+            last = best_ps if best_ps < duration_ps else duration_ps
+            count = (last - next_pps) // pps_ps + 1
+            segments.append((count, off[mi_ref], rate[mi_ref], off[mi_slv], rate[mi_slv]))
+            next_pps += count * pps_ps
+            continue
         if best_ps > duration_ps:
             break
         if best >= 0:
@@ -698,15 +731,6 @@ def _run_replica(topo: Topology, config: ExperimentConfig,
             if barrier > duration_ps:
                 barrier = duration_ps
             _run_hop_until(hops[best], off, rate, barrier)
-        elif best == -1:
-            target = pps_k * pps_interval_ns
-            err = (target - off[mi_ref]) / rate[mi_ref] - (target - off[mi_slv]) / rate[mi_slv]
-            if next_pps > warmup_ps:
-                samples.append(err)
-                if err > diverged_limit or err < -diverged_limit:
-                    converged = False
-            pps_k += 1
-            next_pps += pps_ps
         else:
             t_ns = next_walk * 1e-3
             for i in range(len(off)):
@@ -717,7 +741,26 @@ def _run_replica(topo: Topology, config: ExperimentConfig,
                     off[i] -= delta_ppm * 1e-6 * t_ns
             next_walk += walk_period_ps
 
-    return np.array(samples), converged
+    return _pps_samples(segments, first_k, config.pps_interval_s * 1e9, diverged_limit)
+
+
+def _pps_samples(segments: list[tuple], first_k: int, interval_ns: float,
+                 diverged_limit: float) -> tuple[np.ndarray, bool]:
+    """Errors at consecutive PPS edges from ``first_k`` on, and a converged flag.
+
+    Each segment is (edge count, reference offset, reference rate, measured
+    offset, measured rate).  Edge k is where both counters read
+    k * interval.  The expression is the scalar one applied elementwise, and
+    k stays far below 2**53, so each sample is bitwise what a per-edge
+    evaluation gives.  NaN never counts as diverged.
+    """
+    table = np.array(segments).T
+    counts = table[0].astype(np.int64)
+    off_ref, rate_ref, off_slv, rate_slv = (np.repeat(row, counts) for row in table[1:])
+    target = np.arange(first_k, first_k + counts.sum()) * interval_ns
+    samples = (target - off_ref) / rate_ref - (target - off_slv) / rate_slv
+    converged = not np.any((samples > diverged_limit) | (samples < -diverged_limit))
+    return samples, converged
 
 
 def _replica_job(args):

@@ -1,11 +1,14 @@
 """Command line interface: subcommands, precedence, exit codes, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 
+import numpy as np
 import pytest
 
-from hybridsync.cli import main
+from hybridsync.cli import _write_samples_csv, main
 
 FAST = [
     "--set", "duration_s=20",
@@ -109,12 +112,22 @@ class TestSimulateCommand:
                       "--set", "cdc_stages=7")
         assert code == 2
 
-    @pytest.mark.parametrize("override", [
-        "speed_kmh=NaN", 'channel="BOGUS"', 'scheme="bogus"',
-    ], ids=["nan_speed", "unknown_channel", "unknown_scheme"])
-    def test_bad_config_value_exits_2(self, capsys, override):
-        code, _ = run(capsys, "simulate", "--preset", "calnex", "--set", override)
+    # Each is refused before running; the degenerate PPS periods would
+    # otherwise loop forever or fail late.
+    @pytest.mark.parametrize("argv", [
+        ["--set", "speed_kmh=NaN"], ["--set", 'channel="BOGUS"'],
+        ["--set", 'scheme="bogus"'], ["--config", "missing.json"], ["--seed", "-1"],
+        ["--set", "pps_interval_s=1e-13"], ["--set", "sync_period_s=1e-13"],
+        ["--set", "pps_interval_s=600"],
+    ], ids=["nan_speed", "unknown_channel", "unknown_scheme", "missing_config",
+            "negative_seed", "sub_ps_pps", "sub_ps_sync", "one_pps_edge"])
+    def test_bad_config_value_exits_2(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code = main(["simulate", "--preset", "calnex", *argv])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("simulate: ") and captured.err.count("\n") == 1
 
     def test_summary_config_round_trips(self, capsys, tmp_path):
         argv = ["simulate", "--preset", "emulator-80211", "--seed", "4",
@@ -148,6 +161,34 @@ class TestSimulateCommand:
         assert code == 0
         data = (tmp_path / "samples.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_dense_pps_digest_pinned(self, capsys, tmp_path):
+        # A 0.1 ms PPS grid ties with every exchange (staggers 0.3/2.0/3.7 ms,
+        # periods 1 s and 0.125 s), and the warm-up ends between two edges.
+        code, _ = run(capsys, "simulate", "--preset", "calnex", "--seed", "11",
+                      "--replicas", "2", "--set", 'channel="AWGN"',
+                      "--set", "duration_s=12", "--set", "warmup_s=10.00005",
+                      "--set", "pps_interval_s=0.0001", "--format", "csv",
+                      "--out", str(tmp_path))
+        assert code == 0
+        data = (tmp_path / "samples.csv").read_bytes()
+        assert data.count(b"\n") == 1 + 40_000
+        assert hashlib.sha256(data).hexdigest() == \
+            "0ea3932abf63d1df8e852d93ccaefd00f673ae34be2d3c17c7c8f371796327ce"
+
+
+def test_samples_writer_matches_csv_module(tmp_path):
+    arrays = [np.array([np.nan, np.inf, -np.inf, -0.0, 1e-05, 1e16, 5e-324]),
+              np.array([], dtype=float), np.array([-12.25])]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["replica", "index", "error_ns"])
+    for r, arr in enumerate(arrays):
+        for i, value in enumerate(arr):
+            writer.writerow([r, i, repr(float(value))])
+    path = tmp_path / "out" / "samples.csv"
+    _write_samples_csv(path, arrays)
+    assert path.read_bytes() == buf.getvalue().encode()
 
 
 class TestSeedPrecedence:

@@ -31,6 +31,7 @@ from hybridsync.sim import (
     Topology,
     TopologyError,
     _HopRuntime,
+    _pps_samples,
     _prepare_hop,
     build_topology,
     compute_stats,
@@ -344,6 +345,37 @@ class TestTopologies:
             ExperimentConfig(preset="testbed-9000")
 
 
+class TestPpsSegments:
+    def test_matches_per_edge_evaluation_bitwise(self):
+        rng = np.random.default_rng(5)
+        segments = [(int(rng.integers(1, 50)), rng.uniform(-1e6, 1e6),
+                     1.0 + rng.uniform(-2e-6, 2e-6), rng.uniform(-1e6, 1e6),
+                     1.0 + rng.uniform(-2e-6, 2e-6)) for _ in range(40)]
+        first_k, interval_ns = 12_345, 2e6
+        samples, converged = _pps_samples(segments, first_k, interval_ns, np.inf)
+        expected, k = [], first_k
+        for count, off_ref, rate_ref, off_slv, rate_slv in segments:
+            for _ in range(count):
+                target = k * interval_ns
+                expected.append((target - off_ref) / rate_ref - (target - off_slv) / rate_slv)
+                k += 1
+        assert samples.tolist() == expected
+        assert converged
+
+    def test_divergence_inside_a_segment(self):
+        # The measured clock runs 1 ppb fast: errors 1, 2, 3, 4 ns at edges 1-4.
+        segments = [(4, 0.0, 1.0, 0.0, 1.0 + 1e-9), (2, 0.0, 1.0, 0.0, 1.0)]
+        samples, converged = _pps_samples(segments, 1, 1e9, 2.5)
+        assert abs(samples[0]) < 2.5 < abs(samples[2])
+        assert not converged
+        _, converged = _pps_samples(segments, 1, 1e9, 4.5)
+        assert converged
+
+    def test_nan_never_diverges(self):
+        _, converged = _pps_samples([(3, np.nan, 1.0, 0.0, 1.0)], 1, 1e9, 1.0)
+        assert converged
+
+
 class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -354,6 +386,30 @@ class TestExperimentConfig:
             ExperimentConfig(replicas=0)
         with pytest.raises(ValueError):
             ExperimentConfig(pps_interval_s=0.0)
+
+    # Never run these: at 0 ps the PPS schedule would not advance.
+    @pytest.mark.parametrize("overrides", [
+        dict(pps_interval_s=1e-13),
+        dict(pps_interval_s=float("inf")),
+        dict(sync_period_s=1e-13),
+        dict(sync_period_s=-1.0),
+        dict(duration_s=float("inf")),
+        dict(duration_s=20.0, warmup_s=5.0, pps_interval_s=20.0),
+        dict(duration_s=20.0, warmup_s=5.0, pps_interval_s=12.0),
+        dict(seed=-1),
+        dict(seed=1.5),
+        dict(seed=True),
+    ], ids=["sub_ps_pps", "inf_pps", "sub_ps_sync", "negative_sync", "inf_duration",
+            "no_pps_edge", "one_pps_edge", "negative_seed", "float_seed", "bool_seed"])
+    def test_refuses_degenerate_periods_and_seeds(self, overrides):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**overrides)
+
+    def test_two_pps_edges_after_warmup_suffice(self):
+        config = ExperimentConfig(preset="calnex-eth3", duration_s=20.0, warmup_s=5.0,
+                                  pps_interval_s=10.0, drift_free=True, seed=np.int64(3))
+        stats = run_experiment(config)
+        assert stats.n_samples == 2
 
     def test_dict_round_trip_rejects_unknown_keys(self):
         config = ExperimentConfig(preset="calnex", channel="WLAN_A", seed=9)
@@ -414,6 +470,15 @@ class TestRunExperiment:
                                    drift_walk_sigma_ppm_per_s=5.0,
                                    duration_s=40.0, warmup_s=6.0, replicas=1)
         stats = run_experiment(config)
+        assert not stats.converged
+
+    def test_divergence_caught_inside_a_clock_segment(self):
+        # At 100 Hz PPS and 1 s hop periods each clock segment holds ~100 edges.
+        config = self.quick_config(preset="calnex-eth3", drift_free=False,
+                                   drift_walk_sigma_ppm_per_s=5.0, pps_interval_s=0.01,
+                                   duration_s=40.0, warmup_s=6.0, replicas=1)
+        stats = run_experiment(config)
+        assert stats.n_samples == 3400
         assert not stats.converged
 
     @pytest.mark.parametrize("preset", ["emulator-wsharp", "emulator-80211"])
