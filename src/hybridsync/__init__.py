@@ -18,7 +18,7 @@ from .budget import (
     hop_max_error,
     wireless_link_budget,
 )
-from .cdc import CdcConfig, CdcFeasibilityError, CdcStage, phc_translation_bounds, translate_time
+from .cdc import CdcConfig, CdcFeasibilityError, translate_time
 from .channel import (
     CHANNEL_CATALOG,
     ChannelRealization,
@@ -35,27 +35,13 @@ from .channel import (
     rms_delay_spread,
     tap_gain_series,
 )
-from .clocks import (
-    ClockModel,
-    Direction,
-    PhcState,
-    ServoState,
-    Timestamp,
-    advance_drift,
-    quantize_timestamp,
-    quantize_value,
-    read_clock,
-    servo_update,
-)
+from .clocks import quantize_value
 from .protocol import (
     PROTOCOL_PRESETS,
     ProtocolConfig,
     SyncSample,
     estimate_offset,
     estimate_path_delay,
-    ftm_burst,
-    one_way_beacon,
-    two_way_exchange,
 )
 from .sim import (
     ExperimentConfig,
@@ -67,7 +53,6 @@ from .sim import (
     Topology,
     build_topology,
     compute_stats,
-    pps_error,
     run_experiment,
     topology_budget,
 )
@@ -79,10 +64,7 @@ __all__ = [
     "CHANNEL_CATALOG",
     "CdcConfig",
     "CdcFeasibilityError",
-    "CdcStage",
     "ChannelRealization",
-    "ClockModel",
-    "Direction",
     "ExperimentConfig",
     "FadingConfig",
     "HopBudget",
@@ -90,17 +72,13 @@ __all__ = [
     "LinkGeometry",
     "NodeSpec",
     "PROTOCOL_PRESETS",
-    "PhcState",
     "PortSpec",
     "PowerDelayProfile",
     "ProtocolConfig",
     "RunStats",
     "SIM_PRESETS",
-    "ServoState",
     "SyncSample",
-    "Timestamp",
     "Topology",
-    "advance_drift",
     "budget_report",
     "build_pdp",
     "build_topology",
@@ -113,23 +91,15 @@ __all__ = [
     "doppler_from_speed",
     "estimate_offset",
     "estimate_path_delay",
-    "ftm_burst",
     "hop_max_error",
-    "one_way_beacon",
-    "phc_translation_bounds",
-    "pps_error",
     "propagation_delay_ns",
-    "quantize_timestamp",
     "quantize_value",
-    "read_clock",
     "realize_channel",
     "rms_delay_spread",
     "run_experiment",
-    "servo_update",
     "tap_gain_series",
     "topology_budget",
     "translate_time",
-    "two_way_exchange",
     "wireless_link_budget",
     "__version__",
 ]

@@ -7,6 +7,13 @@ one source period.  Adding half a source period recentres the error so the
 translated reading deviates from the instantaneous counter by at most
 ``T_src / 2`` in either direction.  A synchronizer ratio of at least four
 destination ticks per source tick keeps the latch metastability-safe.
+
+Seen in continuous time, the error of a reading at true time ``t`` depends
+only on where the destination's sampling train sits within the source
+period: ``T_src/2 - (u mod T_src)``, with ``u = t * rate + phase`` the
+reading instant mapped through the relative drift and initial phase of the
+two oscillators.  A relative drift lets that phase slide slowly, as it does
+between asynchronous oscillators.  The simulator applies this law inline.
 """
 
 from __future__ import annotations
@@ -18,8 +25,6 @@ import numpy as np
 __all__ = [
     "CdcConfig",
     "CdcFeasibilityError",
-    "CdcStage",
-    "phc_translation_bounds",
     "translate_time",
 ]
 
@@ -75,29 +80,3 @@ def translate_time(cdc: CdcConfig, src_time_ns, dst_sample_index):
         return float(read), float(delta)
     return read, delta
 
-
-def phc_translation_bounds(t_src_ns: float) -> tuple[float, float]:
-    """Minimum and maximum of ``|delta_phc|`` over all phase alignments."""
-    if t_src_ns <= 0:
-        raise ValueError("t_src_ns must be positive")
-    return 0.0, t_src_ns / 2.0
-
-
-@dataclass
-class CdcStage:
-    """Continuous-time view of a domain crossing used by the simulator.
-
-    The error seen by a reading at true time ``t`` depends only on where the
-    destination's sampling train sits within the source period:
-    ``t_src/2 - (u mod t_src)`` with ``u`` the reading instant mapped through
-    the relative drift and initial phase.  ``rel_drift_ppm`` lets the phase
-    relation slide slowly, as it does between asynchronous oscillators.
-    """
-
-    t_src_ns: float = 32.0
-    rel_drift_ppm: float = 0.0
-    phase0: float = 0.0
-
-    def read_error_ns(self, true_time_ns: float) -> float:
-        u = true_time_ns * (1.0 + self.rel_drift_ppm * 1e-6) + self.phase0 * self.t_src_ns
-        return 0.5 * self.t_src_ns - (u % self.t_src_ns)

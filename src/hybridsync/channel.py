@@ -37,7 +37,6 @@ __all__ = [
     "detect_arrival",
     "detected_excess_series",
     "doppler_from_speed",
-    "load_channel_dict",
     "propagation_delay_ns",
     "realize_channel",
     "rms_delay_spread",
@@ -48,6 +47,7 @@ SPEED_OF_LIGHT_M_PER_NS = 0.2998
 DEFAULT_CARRIER_HZ = 2.4e9
 DEFAULT_TAP_SPACING_NS = 25.0
 MAX_TAPS = 10
+_DETECTOR_POLICIES = ("strongest_tap", "first_above_threshold")
 
 
 class ChannelSpecError(ValueError):
@@ -143,8 +143,8 @@ class LinkGeometry:
     base_delay_ns: float = 0.0
 
     def __post_init__(self):
-        if self.distance_m < 0 or self.base_delay_ns < 0:
-            raise ChannelSpecError("distance and base delay must be >= 0")
+        if not (0 <= self.distance_m < math.inf and 0 <= self.base_delay_ns < math.inf):
+            raise ChannelSpecError("distance and base delay must be finite and >= 0")
 
 
 def propagation_delay_ns(geometry: LinkGeometry) -> float:
@@ -406,46 +406,3 @@ def detected_excess_series(
         return delays[idx] - delays[0]
     raise ChannelSpecError(f"unknown detector policy {policy!r}")
 
-
-# --- JSON channel descriptions ------------------------------------------------
-
-_CHANNEL_KEYS = {"name", "taps", "fading"}
-_TAP_KEYS = {"delay_ns", "power_db"}
-_FADING_KEYS = {"distribution", "spectrum", "doppler_hz", "rice_k_db"}
-
-
-def load_channel_dict(doc: dict) -> tuple[PowerDelayProfile, FadingConfig]:
-    """Parse a channel description dict, rejecting unknown keys."""
-    unknown = set(doc) - _CHANNEL_KEYS
-    if unknown:
-        raise ChannelSpecError(f"unknown channel keys: {sorted(unknown)}")
-    try:
-        taps = doc["taps"]
-        fading_doc = doc["fading"]
-    except KeyError as exc:
-        raise ChannelSpecError(f"missing channel key: {exc}") from None
-    parsed = []
-    for tap in taps:
-        unknown = set(tap) - _TAP_KEYS
-        if unknown:
-            raise ChannelSpecError(f"unknown tap keys: {sorted(unknown)}")
-        parsed.append((tap["delay_ns"], tap["power_db"]))
-    unknown = set(fading_doc) - _FADING_KEYS
-    if unknown:
-        raise ChannelSpecError(f"unknown fading keys: {sorted(unknown)}")
-    pdp = PowerDelayProfile.from_taps(parsed, name=doc.get("name", ""))
-    fading = FadingConfig(**fading_doc)
-    return pdp, fading
-
-
-def channel_to_dict(pdp: PowerDelayProfile, fading: FadingConfig) -> dict:
-    return {
-        "name": pdp.name,
-        "taps": [{"delay_ns": d, "power_db": p} for d, p in pdp.taps],
-        "fading": {
-            "distribution": fading.distribution,
-            "spectrum": fading.spectrum,
-            "doppler_hz": fading.doppler_hz,
-            "rice_k_db": fading.rice_k_db,
-        },
-    }

@@ -1,81 +1,16 @@
-"""Free-running clock and disciplined PHC models.
+"""Hardware timestamp quantization.
 
 A hardware clock is affine in true time: ``C(t) = t * (1 + rho) + t_o`` with
-``rho`` the fractional frequency error and ``t_o`` the time offset.  A PTP
-hardware clock (PHC) adds servo corrections (phase steps and frequency slews)
-on top of the free-running counter.  Hardware timestamping units latch the
-counter on a fixed sampling grid, so a timestamp carries a rounding error
-bounded by half the sampling period.
+``rho`` the fractional frequency error and ``t_o`` the time offset.
+Hardware timestamping units latch the counter on a fixed sampling grid, so a
+timestamp carries a rounding error bounded by half the sampling period.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-__all__ = [
-    "ClockModel",
-    "Direction",
-    "PhcState",
-    "ServoState",
-    "Timestamp",
-    "advance_drift",
-    "quantize_timestamp",
-    "quantize_value",
-    "read_clock",
-    "servo_update",
-]
-
-
-class Direction(str, enum.Enum):
-    """Whether a timestamp was taken on transmit or on receive."""
-
-    EGRESS = "egress"
-    INGRESS = "ingress"
-
-
-@dataclass(frozen=True)
-class Timestamp:
-    """A hardware timestamp value in nanoseconds plus its port direction.
-
-    ``value_ns`` always sits on the owning port's sampling grid, i.e. it is an
-    integer multiple of the sampling period offset by the port phase.
-    """
-
-    value_ns: float
-    direction: Direction = Direction.INGRESS
-
-
-@dataclass
-class ClockModel:
-    """Free-running oscillator state.
-
-    drift_ppm is the constant (or slowly walking) fractional frequency error
-    in parts per million.  ``phase`` places the clock's sampling grid within
-    one period, as a fraction in [0, 1).
-    """
-
-    offset_ns: float = 0.0
-    drift_ppm: float = 0.0
-    phase: float = 0.0
-    sample_period_ns: float = 1.0
-    drift_walk_sigma_ppm_per_s: float = 0.0
-
-    def __post_init__(self):
-        if self.sample_period_ns <= 0:
-            raise ValueError("sample_period_ns must be positive")
-        if not 0.0 <= self.phase < 1.0:
-            raise ValueError("phase must lie in [0, 1)")
-        if self.drift_walk_sigma_ppm_per_s < 0:
-            raise ValueError("drift_walk_sigma_ppm_per_s must be >= 0")
-
-
-def read_clock(clock: ClockModel, true_time_ns: float) -> float:
-    """Value the free-running clock displays at the given true time."""
-    return true_time_ns * (1.0 + clock.drift_ppm * 1e-6) + clock.offset_ns
+__all__ = ["quantize_value"]
 
 
 def quantize_value(clock_time_ns, sample_period_ns, phase=0.0):
@@ -88,128 +23,3 @@ def quantize_value(clock_time_ns, sample_period_ns, phase=0.0):
     x = clock_time_ns / sample_period_ns - phase
     n = np.ceil(x - 0.5)
     return sample_period_ns * (n + phase)
-
-
-def quantize_timestamp(
-    clock_time_ns: float,
-    sample_period_ns: float,
-    phase: float = 0.0,
-    direction: Direction = Direction.INGRESS,
-) -> Timestamp:
-    """Quantize a clock reading onto the timestamping grid of a port."""
-    if sample_period_ns <= 0:
-        raise ValueError("sample_period_ns must be positive")
-    if not 0.0 <= phase < 1.0:
-        raise ValueError("phase must lie in [0, 1)")
-    value = float(quantize_value(clock_time_ns, sample_period_ns, phase))
-    return Timestamp(value_ns=value, direction=direction)
-
-
-@dataclass
-class ServoState:
-    """PI servo that disciplines one PHC within one time domain.
-
-    The proportional term is applied as an immediate phase step; the integral
-    term accumulates (clamped to ``+-anti_windup_ppm``) and is applied as a
-    frequency correction.  The very first valid estimate is applied as a full
-    phase step (clock jam) before PI operation begins.
-    """
-
-    kp: float = 0.7
-    ki: float = 0.3
-    integrator_ppm: float = 0.0
-    locked: bool = False
-    anti_windup_ppm: float = 100.0
-
-    def __post_init__(self):
-        if self.kp < 0 or self.ki < 0:
-            raise ValueError("servo gains must be non-negative")
-        if self.anti_windup_ppm <= 0:
-            raise ValueError("anti_windup_ppm must be positive")
-
-
-def servo_update(
-    servo: ServoState, estimated_offset_ns: float, interval_s: float
-) -> tuple[float, float]:
-    """One servo iteration for a fresh offset estimate.
-
-    Returns ``(offset_step_ns, freq_step_ppm)``.  Both carry the sign of the
-    estimate: a positive estimate (slave ahead of master) yields positive
-    steps which the caller subtracts from the slave clock.  The frequency
-    step is the change of the clamped integrator; one ppm of correction moves
-    the clock by ``1000 * interval_s`` ns over the next interval.
-    """
-    if not math.isfinite(estimated_offset_ns):
-        raise ValueError("offset estimate must be finite")
-    if interval_s <= 0:
-        raise ValueError("interval_s must be positive")
-    if not servo.locked:
-        servo.locked = True
-        return estimated_offset_ns, 0.0
-    offset_step = servo.kp * estimated_offset_ns
-    previous = servo.integrator_ppm
-    raw = previous + servo.ki * estimated_offset_ns / (1000.0 * interval_s)
-    bound = servo.anti_windup_ppm
-    servo.integrator_ppm = min(bound, max(-bound, raw))
-    return offset_step, servo.integrator_ppm - previous
-
-
-def advance_drift(clock: ClockModel, dt_s: float, rng: np.random.Generator) -> ClockModel:
-    """Advance the oscillator's drift by one Gaussian random-walk step."""
-    if dt_s < 0:
-        raise ValueError("dt_s must be >= 0")
-    sigma = clock.drift_walk_sigma_ppm_per_s
-    if sigma == 0.0 or dt_s == 0.0:
-        return replace(clock)
-    step = rng.normal(0.0, sigma * math.sqrt(dt_s))
-    return replace(clock, drift_ppm=clock.drift_ppm + step)
-
-
-@dataclass
-class PhcState:
-    """A PHC counter: free-running base clock plus servo corrections.
-
-    The continuous disciplined time is
-    ``read_clock(base, t) + servo_offset_ns + servo_freq_ppm * 1e-6 * (t - anchor)``.
-    ``read_time`` reports it truncated to the counter resolution.  The
-    timestamping path latches the pre-truncation counter phase onto the port
-    sampling grid, so the counter resolution does not add to the timestamp
-    error on top of the grid rounding.
-    """
-
-    base_clock: ClockModel
-    servo_offset_ns: float = 0.0
-    servo_freq_ppm: float = 0.0
-    resolution_ns: float = 1.0
-    freq_anchor_ns: float = 0.0
-
-    def __post_init__(self):
-        if self.resolution_ns <= 0:
-            raise ValueError("resolution_ns must be positive")
-
-    def rate(self) -> float:
-        """Instantaneous disciplined rate in displayed ns per true ns."""
-        return 1.0 + (self.base_clock.drift_ppm + self.servo_freq_ppm) * 1e-6
-
-    def time_at(self, true_time_ns: float) -> float:
-        """Continuous disciplined time, before counter truncation."""
-        value = read_clock(self.base_clock, true_time_ns) + self.servo_offset_ns
-        return value + self.servo_freq_ppm * 1e-6 * (true_time_ns - self.freq_anchor_ns)
-
-    def read_time(self, true_time_ns: float) -> float:
-        """Counter value as reported, truncated to the resolution."""
-        return math.floor(self.time_at(true_time_ns) / self.resolution_ns) * self.resolution_ns
-
-    def step_phase(self, delta_ns: float) -> None:
-        self.servo_offset_ns += delta_ns
-
-    def slew_frequency(self, true_time_ns: float, delta_ppm: float) -> None:
-        """Change the servo frequency correction, keeping time continuous."""
-        self.servo_offset_ns += self.servo_freq_ppm * 1e-6 * (true_time_ns - self.freq_anchor_ns)
-        self.freq_anchor_ns = true_time_ns
-        self.servo_freq_ppm += delta_ppm
-
-    def crossing_true_time(self, target_ns: float, from_true_ns: float) -> float:
-        """True time at which the disciplined counter reaches ``target_ns``."""
-        value = self.time_at(from_true_ns)
-        return from_true_ns + (target_ns - value) / self.rate()

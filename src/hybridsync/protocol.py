@@ -1,39 +1,28 @@
-"""Synchronization messaging schemes and offset estimators.
+"""Synchronization messaging configs and offset/delay estimators.
 
 Three schemes are modeled.  A two-way exchange collects the classic four
 timestamps (t1 sent, t2 received, t3 reply sent, t4 reply received) and
 estimates path delay as ``(t2 - t1 + t4 - t3) / 2`` and the slave offset as
-``t2 - t1`` minus that delay.  An FTM-style burst averages the per-position
-timestamps of several back-to-back exchanges before estimating.  A one-way
-beacon carries only t1/t2 and subtracts a pre-calibrated path delay, so any
-uncalibrated propagation shows up fully as offset bias.
+``t2 - t1`` minus that delay.  An FTM-style burst repeats the exchange
+back to back and averages over its positions.  A one-way beacon carries only
+t1/t2 and subtracts a pre-calibrated path delay, so any uncalibrated
+propagation shows up fully as offset bias.
 
 Ethernet ports quantize both egress and ingress timestamps onto their
 sampling grid; wireless ports quantize only ingress (receive) timestamps,
 since transmissions launch on the modem's own grid.  Ports that read their
 PHC across a clock domain boundary add the translation error of that stage.
+The simulator's exchange kernel stamps and estimates inline; the estimators
+here state the same arithmetic on one ``SyncSample``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-from .cdc import CdcStage
-from .channel import (
-    ChannelRealization,
-    LinkGeometry,
-    PowerDelayProfile,
-    detect_arrival,
-    propagation_delay_ns,
-)
-from .clocks import PhcState, quantize_value
+from dataclasses import dataclass
+from numbers import Integral
 
 __all__ = [
-    "ETHERNET",
-    "WIRELESS",
-    "LinkPath",
-    "PortModel",
     "ProtocolConfig",
     "PROTOCOL_PRESETS",
     "SCHEME_FTM_BURST",
@@ -43,13 +32,7 @@ __all__ = [
     "UnsupportedSchemeError",
     "estimate_offset",
     "estimate_path_delay",
-    "ftm_burst",
-    "one_way_beacon",
-    "two_way_exchange",
 ]
-
-ETHERNET = "ethernet"
-WIRELESS = "wireless"
 
 SCHEME_TWO_WAY = "two_way"
 SCHEME_ONE_WAY = "one_way"
@@ -86,10 +69,16 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise UnsupportedSchemeError(f"unknown scheme {self.scheme!r}")
-        if self.sync_period_s <= 0:
-            raise ValueError("sync_period_s must be positive")
-        if self.burst_length < 1:
-            raise ValueError("burst_length must be >= 1")
+        if not (math.isfinite(self.sync_period_s) and self.sync_period_s >= 1e-12):
+            raise ValueError(f"sync_period_s must be finite and at least 1 ps, "
+                             f"got {self.sync_period_s!r}")
+        if (not isinstance(self.burst_length, Integral) or isinstance(self.burst_length, bool)
+                or self.burst_length < 1):
+            raise ValueError(f"burst_length must be an integer >= 1, got {self.burst_length!r}")
+        for name in ("kp", "ki"):
+            gain = getattr(self, name)
+            if not (math.isfinite(gain) and gain >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {gain!r}")
 
 
 PROTOCOL_PRESETS = {
@@ -97,121 +86,6 @@ PROTOCOL_PRESETS = {
     "80211-ptp": ProtocolConfig(SCHEME_TWO_WAY, sync_period_s=0.125, kp=0.7, ki=0.3),
     "wsharp-beacon": ProtocolConfig(SCHEME_ONE_WAY, sync_period_s=500e-6, kp=0.1, ki=0.01),
 }
-
-
-@dataclass
-class PortModel:
-    """Timestamping behavior of one interface."""
-
-    medium: str = ETHERNET
-    sample_period_ns: float = 8.0
-    phase: float = 0.0
-    cdc: CdcStage | None = None
-
-
-@dataclass
-class LinkPath:
-    """One propagation direction: geometry, frozen tap gains and the two ports."""
-
-    geometry: LinkGeometry = field(default_factory=LinkGeometry)
-    egress_port: PortModel = field(default_factory=PortModel)
-    ingress_port: PortModel = field(default_factory=PortModel)
-    pdp: PowerDelayProfile | None = None
-    realization: ChannelRealization | None = None
-    detector_policy: str = "strongest_tap"
-    detector_threshold_db: float = 6.0
-
-    def excess_delay_ns(self, emit_true_ns: float) -> float:
-        if self.pdp is None or self.pdp.n_taps == 1 or self.realization is None:
-            return 0.0
-        return detect_arrival(
-            self.realization, self.pdp, self.detector_policy, self.detector_threshold_db
-        )
-
-    def total_delay_ns(self, emit_true_ns: float) -> float:
-        return propagation_delay_ns(self.geometry) + self.excess_delay_ns(emit_true_ns)
-
-
-def _read_port(phc: PhcState, port: PortModel, true_time_ns: float) -> float:
-    value = phc.time_at(true_time_ns)
-    if port.cdc is not None:
-        value += port.cdc.read_error_ns(true_time_ns)
-    return value
-
-
-def _egress_stamp(phc: PhcState, port: PortModel, true_time_ns: float) -> float:
-    value = _read_port(phc, port, true_time_ns)
-    if port.medium == ETHERNET:
-        return float(quantize_value(value, port.sample_period_ns, port.phase))
-    return value
-
-
-def _ingress_stamp(phc: PhcState, port: PortModel, true_time_ns: float) -> float:
-    value = _read_port(phc, port, true_time_ns)
-    return float(quantize_value(value, port.sample_period_ns, port.phase))
-
-
-def two_way_exchange(
-    master_phc: PhcState,
-    slave_phc: PhcState,
-    fwd_link: LinkPath,
-    rev_link: LinkPath,
-    true_time_ns: float,
-    reply_delay_ns: float = 1e6,
-) -> SyncSample:
-    """One request/response exchange launched at the given true time.
-
-    The reply leaves a fixed turnaround after the request arrives, so both
-    frames sample their direction's fading at their own emission instants.
-    """
-    t1 = _egress_stamp(master_phc, fwd_link.egress_port, true_time_ns)
-    arrival = true_time_ns + fwd_link.total_delay_ns(true_time_ns)
-    t2 = _ingress_stamp(slave_phc, fwd_link.ingress_port, arrival)
-    reply_emit = arrival + reply_delay_ns
-    t3 = _egress_stamp(slave_phc, rev_link.egress_port, reply_emit)
-    reply_arrival = reply_emit + rev_link.total_delay_ns(reply_emit)
-    t4 = _ingress_stamp(master_phc, rev_link.ingress_port, reply_arrival)
-    return SyncSample(t1, t2, t3, t4, SCHEME_TWO_WAY)
-
-
-def one_way_beacon(
-    master_phc: PhcState,
-    slave_phc: PhcState,
-    fwd_link: LinkPath,
-    true_time_ns: float,
-) -> SyncSample:
-    """One broadcast beacon: only the departure and arrival timestamps."""
-    t1 = _egress_stamp(master_phc, fwd_link.egress_port, true_time_ns)
-    arrival = true_time_ns + fwd_link.total_delay_ns(true_time_ns)
-    t2 = _ingress_stamp(slave_phc, fwd_link.ingress_port, arrival)
-    return SyncSample(t1, t2, None, None, SCHEME_ONE_WAY)
-
-
-def ftm_burst(
-    master_phc: PhcState,
-    slave_phc: PhcState,
-    fwd_link: LinkPath,
-    rev_link: LinkPath,
-    burst_length: int,
-    true_time_ns: float,
-    intra_burst_spacing_ns: float = 1e6,
-    reply_delay_ns: float = 1e6,
-) -> SyncSample:
-    """Burst of back-to-back exchanges averaged position by position."""
-    if burst_length < 1:
-        raise ValueError("burst_length must be >= 1")
-    acc = [0.0, 0.0, 0.0, 0.0]
-    for k in range(burst_length):
-        s = two_way_exchange(
-            master_phc, slave_phc, fwd_link, rev_link,
-            true_time_ns + k * intra_burst_spacing_ns, reply_delay_ns,
-        )
-        acc[0] += s.t1_ns
-        acc[1] += s.t2_ns
-        acc[2] += s.t3_ns
-        acc[3] += s.t4_ns
-    mean = [v / burst_length for v in acc]
-    return SyncSample(mean[0], mean[1], mean[2], mean[3], SCHEME_FTM_BURST)
 
 
 def _check_sample(sample: SyncSample, need_reply: bool) -> None:

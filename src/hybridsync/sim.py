@@ -38,6 +38,7 @@ from .budget import (
     chain_max_error,
 )
 from .channel import (
+    _DETECTOR_POLICIES,
     FadingConfig,
     LinkGeometry,
     build_pdp,
@@ -45,7 +46,6 @@ from .channel import (
     doppler_from_speed,
     propagation_delay_ns,
 )
-from .clocks import PhcState
 from .protocol import (
     _SCHEMES,
     PROTOCOL_PRESETS,
@@ -66,7 +66,6 @@ __all__ = [
     "TopologyError",
     "build_topology",
     "compute_stats",
-    "pps_error",
     "run_experiment",
     "topology_budget",
 ]
@@ -104,6 +103,11 @@ class PortSpec:
     sample_period_ns: float = ETHERNET_TS_NS
     cdc_t_src_ns: float = 0.0  # 0 means the port reads its PHC natively
 
+    def __post_init__(self):
+        if not (0 < self.sample_period_ns < math.inf and 0 <= self.cdc_t_src_ns < math.inf):
+            raise ValueError("sample_period_ns must be finite and positive, "
+                             "cdc_t_src_ns finite and >= 0")
+
 
 @dataclass(frozen=True)
 class HopSpec:
@@ -124,6 +128,10 @@ class HopSpec:
     reply_delay_s: float = 1e-3
     intra_burst_spacing_s: float = 1e-3
     stagger_s: float = 0.0
+
+    def __post_init__(self):
+        if self.detector_policy not in _DETECTOR_POLICIES:
+            raise ValueError(f"unknown detector policy {self.detector_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -209,24 +217,6 @@ def compute_stats(samples) -> RunStats:
     )
 
 
-def pps_error(
-    slave_phc: PhcState,
-    reference_phc: PhcState,
-    true_time_ns: float,
-    edge_interval_ns: float = 1e9,
-) -> float:
-    """Error at the next pulse edge, positive when the slave runs ahead.
-
-    Both counters are extrapolated to their next crossing of the same whole
-    pulse boundary; the result is the true-time lead of the slave's edge.
-    """
-    k = math.floor(reference_phc.time_at(true_time_ns) / edge_interval_ns) + 1
-    target = k * edge_interval_ns
-    t_ref = reference_phc.crossing_true_time(target, true_time_ns)
-    t_slave = slave_phc.crossing_true_time(target, true_time_ns)
-    return t_ref - t_slave
-
-
 def _recorded_pps_edges(duration_ps: int, warmup_ps: int, pps_ps: int) -> tuple[int, int]:
     """First and last index k of the recorded PPS edges; edge k is at k * pps_ps."""
     return max(warmup_ps // pps_ps, 0) + 1, duration_ps // pps_ps
@@ -281,8 +271,6 @@ class ExperimentConfig:
         if self.duration_s <= self.warmup_s:
             raise ValueError("duration_s must exceed warmup_s")
         pps_ps = _period_ps("pps_interval_s", self.pps_interval_s)
-        if self.sync_period_s is not None:
-            _period_ps("sync_period_s", self.sync_period_s)
         first_k, last_k = _recorded_pps_edges(round(self.duration_s * 1e12),
                                               round(self.warmup_s * 1e12), pps_ps)
         if last_k - first_k < 1:
@@ -290,8 +278,9 @@ class ExperimentConfig:
                              "than two PPS edges after warm-up")
         if not isinstance(self.seed, Integral) or isinstance(self.seed, bool) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
+        if (not isinstance(self.replicas, Integral) or isinstance(self.replicas, bool)
+                or self.replicas < 1):
+            raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
         if self.cdc_stages not in (1, 2):
             raise ValueError("cdc_stages must be 1 or 2")
         if self.topology is None and self.preset not in SIM_PRESETS:
@@ -301,6 +290,9 @@ class ExperimentConfig:
         build_pdp(self.channel)
         if self.scheme is not None and self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        # Hop settings are checked where they are used: in the hop specs and
+        # their protocol configs.
+        build_topology(self)
 
     def as_dict(self) -> dict:
         doc = {}
@@ -366,7 +358,8 @@ def build_topology(config: ExperimentConfig) -> Topology:
         base = PROTOCOL_PRESETS["wsharp-beacon" if scheme == SCHEME_ONE_WAY else "80211-ptp"]
         proto = ProtocolConfig(
             scheme=scheme,
-            sync_period_s=config.sync_period_s or base.sync_period_s,
+            sync_period_s=(base.sync_period_s if config.sync_period_s is None
+                           else config.sync_period_s),
             burst_length=config.burst_length,
             calibrated_delay_ns=calibrated_delay_ns if scheme == SCHEME_ONE_WAY else 0.0,
             kp=config.kp if config.kp is not None else base.kp,
@@ -546,15 +539,16 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
 
     Other streams cannot fire inside the window, so the master clock state is
     constant here and only the slave evolves.  There are two loops, each
-    mirroring the protocol module and held to it by a lockstep test in
-    ``TestEngineProtocolLockstep``:
+    held exchange by exchange to the test oracle in ``tests/test_sim.py``
+    by ``TestEngineProtocolLockstep``:
 
     * the one-way loop stamps a beacon and subtracts the calibrated delay
-      (``one_way_beacon``; ``test_one_way_wireless_hop_with_cdc``);
+      (``test_one_way_wireless_hop_with_cdc``);
     * the burst loop runs ``h.burst`` two-way exchanges per period and
       averages their estimates; two-way hops are bursts of one
-      (``two_way_exchange`` and ``ftm_burst``; ``test_two_way_ethernet_hop``
-      and ``test_ftm_burst_hop``).
+      (``test_two_way_ethernet_hop`` and ``test_ftm_burst_hop``).
+
+    ``test_integrator_windup`` drives the anti-windup clamp in both loops.
     """
     ceil = math.ceil
     t_ps = h.next_ps

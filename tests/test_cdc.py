@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from hybridsync.cdc import (
-    CdcConfig,
-    CdcFeasibilityError,
-    CdcStage,
-    phc_translation_bounds,
-    translate_time,
-)
+from hybridsync.cdc import CdcConfig, CdcFeasibilityError, translate_time
+from test_sim import cdc_read_error
 
 
 class TestCdcConfig:
@@ -49,9 +44,9 @@ class TestTranslateTime:
         assert delta[0] == pytest.approx(16.0)
 
     def test_bounds(self):
-        assert phc_translation_bounds(32.0) == (0.0, 16.0)
-        with pytest.raises(ValueError):
-            phc_translation_bounds(-1.0)
+        # |delta| spans [0, t_src/2]: t_src/2 on a source tick, 0 halfway between
+        assert translate_time(CdcConfig(), 0.0, 0)[1] == 16.0
+        assert translate_time(CdcConfig(), 16.0, 0)[1] == 0.0
 
     @given(
         src_time=st.floats(0.0, 1e12),
@@ -77,24 +72,23 @@ class TestTranslateTime:
 
 
 class TestCdcStage:
+    """The continuous read-error law that the exchange kernel applies inline."""
+
     def test_matches_translate_time(self):
         rho, phase = 43.0, 0.37
         cdc = CdcConfig(rho_dst_ppm=rho, dst_phase=phase)
-        stage = CdcStage(t_src_ns=32.0, rel_drift_ppm=0.0, phase0=0.0)
         for n in (0, 1, 17, 1000, 123456):
             instant = (n + phase) * 6.25 * (1.0 + rho * 1e-6)
             _, delta = translate_time(cdc, 0.0, n)
-            assert stage.read_error_ns(instant) == pytest.approx(delta)
+            assert cdc_read_error(instant, 32.0, 1.0, 0.0) == pytest.approx(delta)
 
     def test_phase_offset_shifts_error(self):
-        stage = CdcStage(t_src_ns=32.0, phase0=0.25)
-        assert stage.read_error_ns(0.0) == pytest.approx(8.0)
+        assert cdc_read_error(0.0, 32.0, 1.0, 0.25 * 32.0) == pytest.approx(8.0)
 
     def test_relative_drift_decorrelates_consecutive_reads(self):
         # an incommensurate drift equidistributes the read phase
-        stage = CdcStage(t_src_ns=32.0, rel_drift_ppm=2.0**0.5)
         times = np.arange(1_000_000) * 5e5  # 0.5 ms cadence
-        errs = stage.read_error_ns(times)
+        errs = cdc_read_error(times, 32.0, 1.0 + 2.0**0.5 * 1e-6, 0.0)
         assert kstest(errs, "uniform", args=(-16.0, 32.0)).pvalue >= 0.01
         assert abs(np.mean(errs)) < 0.1
 
@@ -102,7 +96,5 @@ class TestCdcStage:
            phase=st.floats(0.0, 1.0, exclude_max=True))
     @settings(max_examples=300)
     def test_read_error_within_bounds(self, t, rel, phase):
-        stage = CdcStage(t_src_ns=32.0, rel_drift_ppm=rel, phase0=phase)
-        err = stage.read_error_ns(t)
-        lo, hi = phc_translation_bounds(32.0)
-        assert -hi < err <= hi
+        err = cdc_read_error(t, 32.0, 1.0 + rel * 1e-6, phase * 32.0)
+        assert -16.0 < err <= 16.0

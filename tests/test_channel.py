@@ -18,12 +18,10 @@ from hybridsync.channel import (
     PowerDelayProfile,
     build_pdp,
     canonical_channel_name,
-    channel_to_dict,
     coherence_time_s,
     detect_arrival,
     detected_excess_series,
     doppler_from_speed,
-    load_channel_dict,
     propagation_delay_ns,
     realize_channel,
     rms_delay_spread,
@@ -251,41 +249,6 @@ class TestDetection:
         excess = detected_excess_series(build_pdp("AWGN"), FadingConfig(), 1e-3,
                                         100, 0.0, np.random.default_rng(0))
         assert np.all(excess == 0.0)
-
-
-class TestChannelDicts:
-    def doc(self):
-        return {
-            "name": "two-tap",
-            "taps": [{"delay_ns": 0.0, "power_db": 0.0},
-                     {"delay_ns": 80.0, "power_db": -4.0}],
-            "fading": {"distribution": "rayleigh", "spectrum": "jakes",
-                       "doppler_hz": 10.0, "rice_k_db": 0.0},
-        }
-
-    def test_round_trip(self):
-        pdp, fading = load_channel_dict(self.doc())
-        assert pdp.max_excess_delay_ns == 80.0
-        assert fading.doppler_hz == 10.0
-        assert load_channel_dict(channel_to_dict(pdp, fading))[0].taps == pdp.taps
-
-    def test_unknown_keys_fail_closed(self):
-        doc = self.doc()
-        doc["bandwidth"] = 20
-        with pytest.raises(ChannelSpecError):
-            load_channel_dict(doc)
-        doc = self.doc()
-        doc["taps"][0]["gain"] = 1.0
-        with pytest.raises(ChannelSpecError):
-            load_channel_dict(doc)
-        doc = self.doc()
-        doc["fading"]["speed"] = 3.0
-        with pytest.raises(ChannelSpecError):
-            load_channel_dict(doc)
-
-    def test_missing_sections_rejected(self):
-        with pytest.raises(ChannelSpecError):
-            load_channel_dict({"name": "x"})
 
 
 @given(rms=st.floats(5.0, 60.0), excess=st.floats(150.0, 1000.0))

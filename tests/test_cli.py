@@ -118,9 +118,14 @@ class TestSimulateCommand:
         ["--set", "speed_kmh=NaN"], ["--set", 'channel="BOGUS"'],
         ["--set", 'scheme="bogus"'], ["--config", "missing.json"], ["--seed", "-1"],
         ["--set", "pps_interval_s=1e-13"], ["--set", "sync_period_s=1e-13"],
-        ["--set", "pps_interval_s=600"],
+        ["--set", "pps_interval_s=600"], ["--set", "replicas=1.5"],
+        ["--set", "burst_length=0"], ["--set", "burst_length=1.5"], ["--set", "kp=NaN"],
+        ["--set", 'detector_policy="nearest"'], ["--set", "extra_distance_m=NaN"],
+        ["--set", "sync_period_s=NaN"],
     ], ids=["nan_speed", "unknown_channel", "unknown_scheme", "missing_config",
-            "negative_seed", "sub_ps_pps", "sub_ps_sync", "one_pps_edge"])
+            "negative_seed", "sub_ps_pps", "sub_ps_sync", "one_pps_edge",
+            "fractional_replicas", "zero_burst", "fractional_burst", "nan_kp",
+            "unknown_detector", "nan_extra_distance", "nan_sync"])
     def test_bad_config_value_exits_2(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)
         code = main(["simulate", "--preset", "calnex", *argv])

@@ -1,4 +1,5 @@
-"""Clock model, timestamp quantization and servo behavior."""
+"""Timestamp quantization, and the slave clock and servo as the exchange
+kernel runs them."""
 
 import math
 
@@ -8,39 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from hybridsync.clocks import (
-    ClockModel,
-    Direction,
-    PhcState,
-    ServoState,
-    Timestamp,
-    advance_drift,
-    quantize_timestamp,
-    quantize_value,
-    read_clock,
-    servo_update,
-)
+from hybridsync.clocks import quantize_value
+from hybridsync.protocol import SCHEME_ONE_WAY, ProtocolConfig
+from hybridsync.sim import _pps_samples, _run_hop_until
+from test_sim import WINDUP_PPM, make_runtime
+
+TA = 5e8 + 1135.0  # true arrival time of the first beacon of ``ideal_hop``
 
 
-class TestClockModel:
-    def test_read_is_affine(self):
-        clock = ClockModel(offset_ns=100.0, drift_ppm=10.0)
-        assert read_clock(clock, 0.0) == 100.0
-        assert read_clock(clock, 1e9) == pytest.approx(1_000_010_100.0)
+def ideal_hop(sync_period_s=1.0, **overrides):
+    """A one-way hop (kp 0.7, ki 0.3) on a 0.1 ps receive grid, without CDC,
+    whose path delay is calibrated exactly: each estimate is the slave's lead."""
+    protocol = ProtocolConfig(SCHEME_ONE_WAY, sync_period_s=sync_period_s,
+                              calibrated_delay_ns=1135.0)
+    return make_runtime(protocol, "wireless", ts_s=1e-4, ph_s=0.0, prop_ns=1135.0, **overrides)
 
-    def test_negative_drift_slows_clock(self):
-        clock = ClockModel(offset_ns=0.0, drift_ppm=-2.0)
-        assert read_clock(clock, 1e9) == pytest.approx(1e9 - 2000.0)
 
-    def test_rejects_bad_phase(self):
-        with pytest.raises(ValueError):
-            ClockModel(phase=1.0)
-        with pytest.raises(ValueError):
-            ClockModel(phase=-0.1)
-
-    def test_rejects_nonpositive_period(self):
-        with pytest.raises(ValueError):
-            ClockModel(sample_period_ns=0.0)
+def exchange(h, off, rate, periods=1):
+    """Run the hop's next beacons; node 0 is the master, node 1 the slave."""
+    _run_hop_until(h, off, rate, h.next_ps + (periods - 1) * h.period_ps)
 
 
 class TestQuantize:
@@ -66,14 +53,6 @@ class TestQuantize:
         out = quantize_value(values, 8.0)
         assert np.array_equal(out, [0.0, 0.0, 0.0, 8.0, 8.0])
 
-    def test_timestamp_wrapper_validates(self):
-        ts = quantize_timestamp(123.0, 8.0, direction=Direction.EGRESS)
-        assert ts == Timestamp(120.0, Direction.EGRESS)
-        with pytest.raises(ValueError):
-            quantize_timestamp(1.0, 0.0)
-        with pytest.raises(ValueError):
-            quantize_timestamp(1.0, 8.0, phase=1.5)
-
     @given(
         value=st.floats(-1e12, 1e12),
         period=st.sampled_from([6.25, 8.0, 32.0, 50.0]),
@@ -95,107 +74,70 @@ class TestQuantize:
 
 class TestServo:
     def test_first_estimate_is_jam_step(self):
-        servo = ServoState()
-        step, freq = servo_update(servo, 54321.0, 1.0)
-        assert step == 54321.0
-        assert freq == 0.0
-        assert servo.locked
+        h = ideal_hop()
+        off, rate = [0.0, 54321.0], [1.0, 1.0]
+        exchange(h, off, rate)
+        assert off[1] == pytest.approx(0.0, abs=1e-6)
+        assert rate[1] == 1.0
+        assert h.locked and h.integ == 0.0
 
     def test_locked_update_splits_pi_terms(self):
-        servo = ServoState(kp=0.7, ki=0.3, locked=True)
-        step, freq = servo_update(servo, 70.0, 1.0)
-        assert step == pytest.approx(49.0)
-        assert freq == pytest.approx(0.021)
-        assert servo.integrator_ppm == pytest.approx(0.021)
+        h = ideal_hop(locked=True)
+        off, rate = [0.0, 70.0], [1.0, 1.0]
+        exchange(h, off, rate)
+        assert h.integ == pytest.approx(0.021)
+        assert rate[1] == pytest.approx(1.0 - 0.021e-6, abs=1e-15)
+        assert off[1] + rate[1] * TA == pytest.approx(TA + 70.0 - 49.0, abs=1e-6)
 
     def test_integrator_clamps(self):
-        servo = ServoState(locked=True, integrator_ppm=99.9995)
-        _, freq = servo_update(servo, 1e9, 1.0)
-        assert servo.integrator_ppm == 100.0
-        assert freq == pytest.approx(0.0005)
-        _, freq = servo_update(servo, 1e9, 1.0)
-        assert freq == 0.0
+        h = ideal_hop(locked=True, integ=99.9995)
+        off, rate = [0.0, 1e9], [1.0, 1.0]
+        exchange(h, off, rate)
+        assert h.integ == 100.0
+        assert rate[1] == pytest.approx(1.0 - 0.0005e-6, abs=1e-15)
+        clamped = rate[1]
+        exchange(h, off, rate)
+        assert h.integ == 100.0
+        assert rate[1] == clamped
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            servo_update(ServoState(), math.nan, 1.0)
-        with pytest.raises(ValueError):
-            servo_update(ServoState(), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            ServoState(kp=-0.1)
-        with pytest.raises(ValueError):
-            ServoState(anti_windup_ppm=0.0)
+        for gains in (dict(kp=-0.1), dict(ki=-0.1), dict(kp=math.nan), dict(ki=math.inf)):
+            with pytest.raises(ValueError):
+                ProtocolConfig(**gains)
 
     def test_converges_on_offset_and_drift(self):
         # closed loop against a 10 ppm oscillator, ideal measurements
-        servo = ServoState(kp=0.7, ki=0.3)
-        offset, freq_ppm, drift_ppm = 1e6, 0.0, 10.0
-        for _ in range(50):
-            offset += (drift_ppm - freq_ppm) * 1e-6 * 1e9
-            step, fstep = servo_update(servo, offset, 1.0)
-            offset -= step
-            freq_ppm += fstep
-        assert abs(offset) < 1e-3
-        assert freq_ppm == pytest.approx(10.0, abs=1e-6)
+        h = ideal_hop()
+        off, rate = [0.0, 1e6], [1.0, 1.0 + 10e-6]
+        exchange(h, off, rate, periods=50)
+        t_last = TA + 49e9
+        assert abs(off[1] + rate[1] * t_last - t_last) < 1e-3
+        assert h.integ == pytest.approx(10.0, abs=1e-6)
 
     @given(est=st.floats(-1e9, 1e9), interval=st.floats(1e-4, 10.0))
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     def test_freq_step_never_exceeds_windup_span(self, est, interval):
-        servo = ServoState(locked=True)
-        _, freq = servo_update(servo, est, interval)
-        assert abs(servo.integrator_ppm) <= servo.anti_windup_ppm
-        assert abs(freq) <= 2.0 * servo.anti_windup_ppm
-
-
-class TestDriftWalk:
-    def test_zero_sigma_is_identity(self):
-        clock = ClockModel(drift_ppm=5.0)
-        out = advance_drift(clock, 10.0, np.random.default_rng(0))
-        assert out.drift_ppm == 5.0
-
-    def test_step_scales_with_sqrt_dt(self):
-        clock = ClockModel(drift_walk_sigma_ppm_per_s=0.1)
-        steps = []
-        rng = np.random.default_rng(42)
-        for _ in range(4000):
-            steps.append(advance_drift(clock, 4.0, rng).drift_ppm)
-        assert np.std(steps) == pytest.approx(0.2, rel=0.05)
-
-    def test_rejects_negative_dt(self):
-        with pytest.raises(ValueError):
-            advance_drift(ClockModel(), -1.0, np.random.default_rng(0))
+        h = ideal_hop(sync_period_s=interval, locked=True)
+        off, rate = [0.0, est], [1.0, 1.0]
+        exchange(h, off, rate)
+        assert abs(h.integ) <= WINDUP_PPM
+        assert abs(rate[1] - 1.0) <= 2.0 * WINDUP_PPM * 1e-6
 
 
 class TestPhcState:
-    def make(self):
-        return PhcState(base_clock=ClockModel(offset_ns=500.0, drift_ppm=3.0))
-
-    def test_time_at_includes_servo_terms(self):
-        phc = self.make()
-        phc.step_phase(-500.0)
-        assert phc.time_at(0.0) == pytest.approx(0.0)
-        phc.slew_frequency(0.0, -3.0)
-        assert phc.time_at(1e9) == pytest.approx(1e9)
-
     def test_slew_keeps_time_continuous(self):
-        phc = self.make()
-        t = 7.3e8
-        before = phc.time_at(t)
-        phc.slew_frequency(t, 12.5)
-        assert phc.time_at(t) == pytest.approx(before)
-        assert phc.rate() == pytest.approx(1.0 + 15.5e-6)
-
-    def test_read_time_truncates_to_resolution(self):
-        phc = PhcState(base_clock=ClockModel(), resolution_ns=8.0)
-        assert phc.read_time(123.0) == 120.0
+        # At the beacon's arrival only the phase step moves the slave clock;
+        # the frequency step pivots about that instant.
+        h = ideal_hop(locked=True)
+        off, rate = [0.0, 70.0], [1.0, 1.0 + 3e-6]
+        before = off[1] + rate[1] * TA
+        exchange(h, off, rate)
+        assert rate[1] != 1.0 + 3e-6
+        assert off[1] + rate[1] * TA == pytest.approx(before - 0.7 * (before - TA), abs=1e-4)
 
     def test_crossing_inverts_time_at(self):
-        phc = self.make()
-        phc.slew_frequency(0.0, -1.0)
-        target = 5e9
-        t_cross = phc.crossing_true_time(target, 1e9)
-        assert phc.time_at(t_cross) == pytest.approx(target, abs=1e-6)
-
-    def test_rejects_bad_resolution(self):
-        with pytest.raises(ValueError):
-            PhcState(base_clock=ClockModel(), resolution_ns=0.0)
+        off, rate = 500.0, 1.0 + 2e-6
+        leads, _ = _pps_samples([(3, 0.0, 1.0, off, rate)], 5, 1e9, np.inf)
+        for k, lead in zip(range(5, 8), leads):
+            # the measured clock reads k seconds where its edge leads the reference's
+            assert off + rate * (k * 1e9 - lead) == pytest.approx(k * 1e9, abs=1e-6)

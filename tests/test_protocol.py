@@ -1,4 +1,4 @@
-"""Exchange mechanics and offset/delay estimators."""
+"""Offset/delay estimators, and the exchanges as the kernel stamps them."""
 
 import math
 
@@ -7,37 +7,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridsync.cdc import CdcStage
-from hybridsync.channel import FadingConfig, LinkGeometry, build_pdp, realize_channel
-from hybridsync.clocks import ClockModel, PhcState
+from hybridsync.channel import (
+    FadingConfig,
+    LinkGeometry,
+    build_pdp,
+    detect_arrival,
+    propagation_delay_ns,
+    realize_channel,
+)
 from hybridsync.protocol import (
     PROTOCOL_PRESETS,
     SCHEME_FTM_BURST,
     SCHEME_ONE_WAY,
     SCHEME_TWO_WAY,
-    LinkPath,
-    PortModel,
     ProtocolConfig,
     SyncSample,
     UnsupportedSchemeError,
     estimate_offset,
     estimate_path_delay,
-    ftm_burst,
-    one_way_beacon,
-    two_way_exchange,
 )
+from hybridsync.sim import ExperimentConfig, _run_hop_until
+from test_sim import make_runtime
 
 FINE = 1e-6  # effectively quantization-free timestamping grid
+ONE_WAY = ProtocolConfig(SCHEME_ONE_WAY)
 
 
-def make_phc(offset_ns=0.0, drift_ppm=0.0):
-    return PhcState(base_clock=ClockModel(offset_ns=offset_ns, drift_ppm=drift_ppm))
+def fine_hop(protocol=ProtocolConfig(), **overrides):
+    """A wireless hop on the fine grid without CDC or path delay."""
+    return make_runtime(protocol, "wireless", **{"ts_m": FINE, "ts_s": FINE, "prop_ns": 0.0,
+                                                 **overrides})
 
 
-def fine_link(geometry=None):
-    port = PortModel(medium="wireless", sample_period_ns=FINE)
-    return LinkPath(geometry=geometry or LinkGeometry(),
-                    egress_port=port, ingress_port=port)
+def first_estimate(h, master_off=0.0, slave_off=0.0):
+    """The estimate of the hop's first period: the jam step it applies."""
+    off, rate = [master_off, slave_off], [1.0, 1.0]
+    _run_hop_until(h, off, rate, h.next_ps)
+    return slave_off - off[1]
 
 
 class TestEstimatorIdentities:
@@ -92,94 +98,66 @@ class TestEstimatorIdentities:
 
 
 class TestExchanges:
+    """Single exchanges through ``_run_hop_until``, read off its jam step."""
+
     def test_two_way_recovers_slave_offset(self):
-        master, slave = make_phc(0.0), make_phc(40.0)
-        link = fine_link(LinkGeometry(distance_m=25.0))
-        sample = two_way_exchange(master, slave, link, link, 1e9)
-        est = estimate_offset(sample, ProtocolConfig())
-        assert est == pytest.approx(40.0, abs=1e-5)
-        assert estimate_path_delay(sample) == pytest.approx(
-            25.0 / 0.2998, abs=1e-5)
+        h = fine_hop(prop_ns=25.0 / 0.2998)
+        assert first_estimate(h, 0.0, 40.0) == pytest.approx(40.0, abs=1e-5)
 
     def test_one_way_with_exact_calibration(self):
-        master, slave = make_phc(0.0), make_phc(-17.5)
-        geom = LinkGeometry(distance_m=0.0, base_delay_ns=1135.0)
-        sample = one_way_beacon(master, slave, fine_link(geom), 1e9)
-        config = ProtocolConfig(scheme=SCHEME_ONE_WAY, calibrated_delay_ns=1135.0)
-        assert estimate_offset(sample, config) == pytest.approx(-17.5, abs=1e-5)
+        calibrated = ProtocolConfig(SCHEME_ONE_WAY, calibrated_delay_ns=1135.0)
+        h = fine_hop(calibrated, prop_ns=1135.0)
+        assert first_estimate(h, 0.0, -17.5) == pytest.approx(-17.5, abs=1e-5)
 
     def test_one_way_miscalibration_appears_as_bias(self):
-        master, slave = make_phc(0.0), make_phc(0.0)
+        calibrated = ProtocolConfig(SCHEME_ONE_WAY, calibrated_delay_ns=1135.0)
         geom = LinkGeometry(distance_m=30.0, base_delay_ns=1135.0)
-        sample = one_way_beacon(master, slave, fine_link(geom), 1e9)
-        config = ProtocolConfig(scheme=SCHEME_ONE_WAY, calibrated_delay_ns=1135.0)
-        assert estimate_offset(sample, config) == pytest.approx(
-            30.0 / 0.2998, abs=1e-5)
+        h = fine_hop(calibrated, prop_ns=propagation_delay_ns(geom))
+        assert first_estimate(h) == pytest.approx(30.0 / 0.2998, abs=1e-5)
 
     def test_ethernet_ports_quantize_all_four_timestamps(self):
-        port = PortModel(medium="ethernet", sample_period_ns=8.0)
-        link = LinkPath(egress_port=port, ingress_port=port)
-        sample = two_way_exchange(make_phc(0.3), make_phc(0.0), link, link, 1e9 + 0.4)
-        for value in (sample.t1_ns, sample.t2_ns, sample.t3_ns, sample.t4_ns):
-            assert value % 8.0 == 0.0
+        # Four stamps on one 8 ns grid put the estimate on a 4 ns grid.
+        h = make_runtime(ph_m=0.0, ph_s=0.0, next_ps=10**12 + 400)
+        assert first_estimate(h, 0.3, 0.0) % 4.0 == 0.0
 
     def test_wireless_egress_is_not_quantized(self):
-        port = PortModel(medium="wireless", sample_period_ns=50.0)
-        link = LinkPath(egress_port=port, ingress_port=port)
-        sample = one_way_beacon(make_phc(0.0), make_phc(0.0), link, 1e9 + 3.7)
-        assert sample.t1_ns == pytest.approx(1e9 + 3.7)
-        assert sample.t2_ns % 50.0 == 0.0
+        h = fine_hop(ONE_WAY, ts_s=50.0, ph_s=0.0, next_ps=10**12 + 3700)
+        # t1 = 1e9 + 3.7 as sent; t2 = 1e9 on the 50 ns receive grid
+        assert first_estimate(h) == pytest.approx(-3.7, abs=1e-6)
 
     def test_cdc_error_enters_timestamp(self):
-        stage = CdcStage(t_src_ns=32.0, rel_drift_ppm=0.0, phase0=0.25)
-        port = PortModel(medium="wireless", sample_period_ns=FINE, cdc=stage)
-        clean = PortModel(medium="wireless", sample_period_ns=FINE)
-        link = LinkPath(egress_port=port, ingress_port=clean)
-        sample = one_way_beacon(make_phc(0.0), make_phc(0.0), link, 0.0)
-        # at t=0 the stage reads 16 - (0.25 * 32 % 32) = +8 ns early
-        assert sample.t1_ns == pytest.approx(8.0, abs=1e-5)
+        h = fine_hop(ONE_WAY, next_ps=0, cdc_m_T=32.0, cdc_m_rate=1.0, cdc_m_phase=8.0)
+        # at t=0 the master's stage reads 16 - (0.25 * 32 % 32) = +8 ns early
+        assert first_estimate(h) == pytest.approx(-8.0, abs=1e-5)
 
     def test_estimates_bounded_by_quantization(self):
-        port = PortModel(medium="wireless", sample_period_ns=50.0, phase=0.63)
-        link = LinkPath(egress_port=port, ingress_port=port)
-        config = ProtocolConfig()
         for k in range(200):
-            sample = two_way_exchange(make_phc(11.1), make_phc(11.1), link, link,
-                                      k * 1.25e8 + 17.0)
-            err = estimate_offset(sample, config)
-            assert abs(err) <= 25.0 + 1e-9
+            h = fine_hop(ts_m=50.0, ph_m=0.63, ts_s=50.0, ph_s=0.63,
+                         next_ps=round((k * 1.25e8 + 17.0) * 1e3))
+            assert abs(first_estimate(h, 11.1, 11.1)) <= 25.0 + 1e-9
 
     def test_multipath_excess_delays_arrival(self):
         pdp = build_pdp("IWLAN_B")
         realization = realize_channel(pdp, FadingConfig(doppler_hz=0.0), 0.0,
                                       np.random.default_rng(8))
-        port = PortModel(medium="wireless", sample_period_ns=FINE)
-        link = LinkPath(egress_port=port, ingress_port=port, pdp=pdp,
-                        realization=realization)
-        excess = link.excess_delay_ns(0.0)
+        excess = detect_arrival(realization, pdp)
         assert 0.0 <= excess <= pdp.max_excess_delay_ns
-        sample = one_way_beacon(make_phc(0.0), make_phc(0.0), link, 1e9)
-        config = ProtocolConfig(scheme=SCHEME_ONE_WAY, calibrated_delay_ns=0.0)
-        assert estimate_offset(sample, config) == pytest.approx(excess, abs=1e-5)
+        h = fine_hop(ONE_WAY)
+        h.dmf = [[excess] * len(h.dmf[0])]
+        assert first_estimate(h) == pytest.approx(excess, abs=1e-5)
 
     def test_ftm_burst_averages_positions(self):
-        master, slave = make_phc(5.0), make_phc(-3.0)
-        link = fine_link()
-        burst = ftm_burst(make_phc(5.0), make_phc(-3.0), link, link, 3, 1e9)
-        singles = [
-            two_way_exchange(master, slave, link, link, 1e9 + k * 1e6)
-            for k in range(3)
-        ]
-        assert burst.t1_ns == pytest.approx(np.mean([s.t1_ns for s in singles]))
-        assert burst.t4_ns == pytest.approx(np.mean([s.t4_ns for s in singles]))
-        assert burst.scheme == SCHEME_FTM_BURST
-        est = estimate_offset(burst, ProtocolConfig(scheme=SCHEME_FTM_BURST))
-        assert est == pytest.approx(-8.0, abs=0.01)
+        h = fine_hop(ProtocolConfig(SCHEME_FTM_BURST, burst_length=3))
+        # forward excess delays of 0, 3 and 6 ns bias the positions by half each
+        h.dmf = [[excess] * len(h.dmf[0]) for excess in (0.0, 3.0, 6.0)]
+        assert h.burst == 3
+        assert first_estimate(h, 5.0, -3.0) == pytest.approx(-8.0 + 1.5, abs=1e-5)
 
     def test_ftm_burst_rejects_empty(self):
-        link = fine_link()
         with pytest.raises(ValueError):
-            ftm_burst(make_phc(), make_phc(), link, link, 0, 0.0)
+            ProtocolConfig(SCHEME_FTM_BURST, burst_length=0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(scheme=SCHEME_FTM_BURST, burst_length=0)
 
 
 class TestPresets:
@@ -199,3 +177,8 @@ class TestPresets:
             ProtocolConfig(sync_period_s=0.0)
         with pytest.raises(ValueError):
             ProtocolConfig(burst_length=0)
+        for bad in (dict(sync_period_s=math.nan), dict(sync_period_s=1e-13),
+                    dict(sync_period_s=math.inf), dict(burst_length=1.5),
+                    dict(burst_length=True)):
+            with pytest.raises(ValueError):
+                ProtocolConfig(**bad)

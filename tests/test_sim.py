@@ -1,26 +1,20 @@
-"""Discrete-event engine: topologies, determinism and engine/protocol lockstep."""
+"""Discrete-event engine: topologies, determinism and the exchange kernel
+against a per-exchange oracle."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from hybridsync.budget import HOP_CDC, HOP_WIRELESS_ONE_WAY, chain_max_error
-from hybridsync.cdc import CdcStage
-from hybridsync.channel import LinkGeometry
-from hybridsync.clocks import ClockModel, PhcState, ServoState, servo_update
+from hybridsync.clocks import quantize_value
 from hybridsync.protocol import (
     PROTOCOL_PRESETS,
     SCHEME_FTM_BURST,
     SCHEME_ONE_WAY,
-    SCHEME_TWO_WAY,
-    LinkPath,
-    PortModel,
     ProtocolConfig,
+    SyncSample,
     estimate_offset,
-    ftm_burst,
-    one_way_beacon,
-    two_way_exchange,
 )
 from hybridsync.sim import (
     ExperimentConfig,
@@ -35,48 +29,22 @@ from hybridsync.sim import (
     _prepare_hop,
     build_topology,
     compute_stats,
-    pps_error,
     run_experiment,
     _run_hop_until,
     topology_budget,
 )
 
 
-def make_runtime(**overrides) -> _HopRuntime:
-    h = _HopRuntime()
-    h.mi, h.si = 0, 1
-    h.scheme = SCHEME_TWO_WAY
-    h.egress_quant = True
-    h.period_ps = 10**12
-    h.next_ps = 5 * 10**11
-    h.n = 0
-    h.kp, h.ki = 0.7, 0.3
-    h.k3 = 1000.0
-    h.integ = 0.0
-    h.locked = False
-    h.windup = 100.0
-    h.ts_m, h.ph_m = 8.0, 0.3
-    h.ts_s, h.ph_s = 8.0, 0.7
-    h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase = 0.0, 1.0, 0.0
-    h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase = 0.0, 1.0, 0.0
-    h.prop_ns, h.reply_ns, h.calib_ns = 250.5, 1e6, 0.0
-    h.dmf = [[0.0] * 64]
-    h.dmr = [[0.0] * 64]
-    h.burst, h.spacing_ns = 1, 1e6
-    for key, value in overrides.items():
+def make_runtime(protocol=ProtocolConfig(), medium="ethernet", **overrides) -> _HopRuntime:
+    """A master(0)/slave(1) hop as ``_prepare_hop`` lays it out, first exchange at
+    0.5 s, with the grid phases, path delay and any other field overridden."""
+    hop = HopSpec("m", "s", medium, protocol, PortSpec(), PortSpec(), stagger_s=0.5)
+    config = ExperimentConfig(preset="calnex-eth3", drift_free=True)
+    h = _prepare_hop(hop, {"m": 0, "s": 1}, config, np.random.default_rng(0), None,
+                     5 * 10**11 + 64 * round(protocol.sync_period_s * 1e12))
+    for key, value in {"ph_m": 0.3, "ph_s": 0.7, "prop_ns": 250.5, **overrides}.items():
         setattr(h, key, value)
     return h
-
-
-class ScriptedLink(LinkPath):
-    """Link that replays a fixed list of excess delays in emission order."""
-
-    def __init__(self, excess, **kwargs):
-        super().__init__(**kwargs)
-        self._excess = iter(excess)
-
-    def excess_delay_ns(self, emit_true_ns):
-        return next(self._excess)
 
 
 def wireless_grid_topology(preset: str, sample_period_ns: float) -> Topology:
@@ -91,74 +59,125 @@ def wireless_grid_topology(preset: str, sample_period_ns: float) -> Topology:
     return replace(base, name=f"{preset}-{sample_period_ns:g}ns", hops=hops)
 
 
+# --- Per-exchange oracle --------------------------------------------------------
+# One hop's exchanges restated step by step from the public timestamp and
+# estimator functions.  It shares no code with the kernel, and an FTM burst
+# averages its timestamps before estimating, where the kernel averages
+# estimates.
+
+WINDUP_PPM = 100.0
+
+
+def cdc_read_error(t, t_src, rate, phase):
+    """Error of a PHC read across a clock domain crossing at true time ``t``."""
+    return 0.5 * t_src - ((t * rate + phase) % t_src)
+
+
+@dataclass
+class Clock:
+    """Affine clock ``off + rate * t``, disciplined by a jam-then-PI servo."""
+
+    off: float
+    rate: float
+    integ: float = 0.0
+    locked: bool = False
+
+    def read(self, t):
+        return self.off + self.rate * t
+
+    def discipline(self, est, config, anchor):
+        """Jam the first estimate; then step phase by kp and slew frequency by the
+        clamped integrator, keeping the clock continuous at ``anchor``."""
+        if not self.locked:
+            self.locked, self.off = True, self.off - est
+            return
+        raw = self.integ + config.ki * est / (1000.0 * config.sync_period_s)
+        new = min(WINDUP_PPM, max(-WINDUP_PPM, raw))
+        value = self.read(anchor) - config.kp * est
+        self.rate -= (new - self.integ) * 1e-6
+        self.off, self.integ = value - self.rate * anchor, new
+
+
+@dataclass
+class Port:
+    """Timestamping grid and phase, Ethernet egress quantization, CDC law."""
+
+    grid_ns: float
+    phase: float
+    ethernet: bool = True
+    cdc: tuple = ()  # (t_src, rate, phase_ns) of the port's domain crossing
+
+    def stamp(self, clock, t, egress=False):
+        value = clock.read(t) + (cdc_read_error(t, *self.cdc) if self.cdc else 0.0)
+        if egress and not self.ethernet:
+            return value
+        return float(quantize_value(value, self.grid_ns, self.phase))
+
+    def fields(self, side):
+        out = {f"ts_{side}": self.grid_ns, f"ph_{side}": self.phase}
+        if self.cdc:
+            out.update(zip((f"cdc_{side}_T", f"cdc_{side}_rate", f"cdc_{side}_phase"), self.cdc))
+        return out
+
+
+def oracle_period(master, slave, m_port, s_port, config, t0, prop, fwd, rev):
+    """One period's sample, and the arrival the servo anchors its slew at.
+    Replies and burst positions follow 1 ms apart, the ``HopSpec`` default."""
+    if config.scheme == SCHEME_ONE_WAY:
+        ta = t0 + prop + fwd[0]
+        sample = SyncSample(m_port.stamp(master, t0, egress=True), s_port.stamp(slave, ta),
+                            None, None, SCHEME_ONE_WAY)
+        return sample, ta
+    stamps = []
+    for b, (df, dr) in enumerate(zip(fwd, rev)):
+        t = t0 + b * 1e6
+        ta = t + prop + df
+        tb = ta + 1e6 + prop + dr
+        stamps.append((m_port.stamp(master, t, egress=True), s_port.stamp(slave, ta),
+                       s_port.stamp(slave, ta + 1e6, egress=True), m_port.stamp(master, tb)))
+    return SyncSample(*(sum(c) / len(stamps) for c in zip(*stamps)), config.scheme), tb
+
+
+def run_lockstep(master, slave, m_port, s_port, config, periods, probe, prop=250.5,
+                 dmf=None, dmr=None):
+    """Step kernel and oracle one period at a time; returns the integrator trace."""
+    medium = "ethernet" if m_port.ethernet else "wireless"
+    h = make_runtime(config, medium, prop_ns=prop, **m_port.fields("m"), **s_port.fields("s"))
+    h.dmf, h.dmr = dmf or h.dmf, dmr or h.dmr
+    off, rate = [master.off, slave.off], [master.rate, slave.rate]
+    # Averaging timestamps instead of estimates differs by rounding only.
+    averaged = config.scheme == SCHEME_FTM_BURST and config.burst_length > 1
+    clock_tol, integ_tol = (1e-5, 1e-9) if averaged else (1e-6, 1e-12)
+    trace = []
+    for n in range(periods):
+        t0 = h.next_ps * 1e-3
+        _run_hop_until(h, off, rate, h.next_ps)
+        sample, anchor = oracle_period(master, slave, m_port, s_port, config, t0, prop,
+                                       [d[n] for d in h.dmf], [d[n] for d in h.dmr])
+        slave.discipline(estimate_offset(sample, config), config, anchor)
+        assert off[1] + rate[1] * probe == pytest.approx(slave.read(probe), abs=clock_tol)
+        assert h.integ == pytest.approx(slave.integ, abs=integ_tol)
+        trace.append(h.integ)
+    assert h.n == periods
+    return trace
+
+
+ONE_WAY = ProtocolConfig(SCHEME_ONE_WAY, sync_period_s=5e-4, calibrated_delay_ns=1135.0,
+                         kp=0.1, ki=0.01)
+WIRELESS_CDC = (Port(50.0, 0.0, False, (32.0, 1.0 + 3e-6, 0.4 * 32.0)),
+                Port(50.0, 0.45, False, (32.0, 1.0 - 2e-6, 0.1 * 32.0)))
+
+
 class TestEngineProtocolLockstep:
-    """The inlined hot-loop math must reproduce the protocol module exactly."""
+    """The kernel's loops must reproduce the oracle exchange by exchange."""
 
     def test_two_way_ethernet_hop(self):
-        h = make_runtime()
-        off, rate = [0.0, 40.0], [1.0, 1.0 + 2e-6]
-
-        master = PhcState(base_clock=ClockModel(0.0, 0.0))
-        slave = PhcState(base_clock=ClockModel(40.0, 2.0))
-        port_m = PortModel("ethernet", 8.0, 0.3)
-        port_s = PortModel("ethernet", 8.0, 0.7)
-        geom = LinkGeometry(base_delay_ns=250.5)
-        fwd = LinkPath(geometry=geom, egress_port=port_m, ingress_port=port_s)
-        rev = LinkPath(geometry=geom, egress_port=port_s, ingress_port=port_m)
-        servo = ServoState(kp=0.7, ki=0.3)
-        config = ProtocolConfig()
-
-        for event in range(3):
-            t0 = (h.next_ps) * 1e-3
-            _run_hop_until(h, off, rate, h.next_ps)
-
-            sample = two_way_exchange(master, slave, fwd, rev, t0)
-            est = estimate_offset(sample, config)
-            reply_arrival = t0 + 250.5 + 1e6 + 250.5
-            step, fstep = servo_update(servo, est, 1.0)
-            slave.step_phase(-step)
-            if fstep:
-                slave.slew_frequency(reply_arrival, -fstep)
-
-            probe = 10e9 + event
-            engine_view = off[1] + rate[1] * probe
-            assert engine_view == pytest.approx(slave.time_at(probe), abs=1e-6)
-            assert h.integ == pytest.approx(servo.integrator_ppm, abs=1e-12)
+        run_lockstep(Clock(0.0, 1.0), Clock(40.0, 1.0 + 2e-6), Port(8.0, 0.3), Port(8.0, 0.7),
+                     ProtocolConfig(), periods=3, probe=10e9)
 
     def test_one_way_wireless_hop_with_cdc(self):
-        stage = CdcStage(t_src_ns=32.0, rel_drift_ppm=3.0, phase0=0.4)
-        h = make_runtime(
-            scheme=SCHEME_ONE_WAY, egress_quant=False,
-            ts_m=50.0, ph_m=0.0, ts_s=50.0, ph_s=0.45,
-            cdc_m_T=32.0, cdc_m_rate=1.0 + 3e-6, cdc_m_phase=0.4 * 32.0,
-            prop_ns=1135.0, calib_ns=1135.0,
-            kp=0.1, ki=0.01, k3=0.5, period_ps=5 * 10**8,
-        )
-        off, rate = [0.0, -300.0], [1.0, 1.0 - 1e-6]
-
-        master = PhcState(base_clock=ClockModel(0.0, 0.0))
-        slave = PhcState(base_clock=ClockModel(-300.0, -1.0))
-        port_m = PortModel("wireless", 50.0, 0.0, cdc=stage)
-        port_s = PortModel("wireless", 50.0, 0.45)
-        link = LinkPath(geometry=LinkGeometry(base_delay_ns=1135.0),
-                        egress_port=port_m, ingress_port=port_s)
-        servo = ServoState(kp=0.1, ki=0.01)
-        config = ProtocolConfig(scheme=SCHEME_ONE_WAY, calibrated_delay_ns=1135.0)
-
-        for _ in range(4):
-            t0 = h.next_ps * 1e-3
-            _run_hop_until(h, off, rate, h.next_ps)
-
-            sample = one_way_beacon(master, slave, link, t0)
-            est = estimate_offset(sample, config)
-            step, fstep = servo_update(servo, est, 5e-4)
-            slave.step_phase(-step)
-            if fstep:
-                slave.slew_frequency(t0 + 1135.0, -fstep)
-
-            probe = 3e9
-            assert off[1] + rate[1] * probe == pytest.approx(
-                slave.time_at(probe), abs=1e-6)
+        run_lockstep(Clock(0.0, 1.0), Clock(-300.0, 1.0 - 1e-6), WIRELESS_CDC[0],
+                     Port(50.0, 0.45, False), ONE_WAY, periods=4, probe=3e9, prop=1135.0)
 
     @pytest.mark.parametrize("medium", ["ethernet", "wireless"])
     def test_ftm_burst_hop(self, medium):
@@ -166,53 +185,26 @@ class TestEngineProtocolLockstep:
         # Quarter-ns excess delays keep every arrival time exact in both models.
         dmf = [[0.25 * ((3 * b + 5 * n) % 7) for n in range(periods)] for b in range(burst)]
         dmr = [[0.25 * ((2 * b + 3 * n) % 5) for n in range(periods)] for b in range(burst)]
-        if medium == "ethernet":
-            port_m = PortModel("ethernet", 8.0, 0.3)
-            port_s = PortModel("ethernet", 8.0, 0.7)
-            h = make_runtime(scheme=SCHEME_FTM_BURST, burst=burst, dmf=dmf, dmr=dmr)
+        ports = (Port(8.0, 0.3), Port(8.0, 0.7)) if medium == "ethernet" else WIRELESS_CDC
+        period = 1.0 if medium == "ethernet" else 0.125
+        config = ProtocolConfig(SCHEME_FTM_BURST, sync_period_s=period, burst_length=burst)
+        run_lockstep(Clock(15.0, 1.0 - 1.5e-6), Clock(40.0, 1.0 + 2e-6), *ports, config,
+                     periods=periods, probe=10e9, dmf=dmf, dmr=dmr)
+
+    @pytest.mark.parametrize("scheme", [SCHEME_ONE_WAY, SCHEME_FTM_BURST])
+    def test_integrator_windup(self, scheme):
+        # A full phase step (kp = 1) on one huge excess delay swings the next
+        # estimate just as far the other way: the integrator clamps both ways.
+        if scheme == SCHEME_ONE_WAY:
+            config = replace(ONE_WAY, kp=1.0)
+            ports, excess, rev = WIRELESS_CDC, 2e4, None
         else:
-            stage_m = CdcStage(t_src_ns=32.0, rel_drift_ppm=3.0, phase0=0.4)
-            stage_s = CdcStage(t_src_ns=32.0, rel_drift_ppm=-2.0, phase0=0.1)
-            port_m = PortModel("wireless", 50.0, 0.0, cdc=stage_m)
-            port_s = PortModel("wireless", 50.0, 0.45, cdc=stage_s)
-            h = make_runtime(
-                scheme=SCHEME_FTM_BURST, burst=burst, dmf=dmf, dmr=dmr, egress_quant=False,
-                ts_m=50.0, ph_m=0.0, ts_s=50.0, ph_s=0.45,
-                cdc_m_T=32.0, cdc_m_rate=1.0 + 3.0 * 1e-6, cdc_m_phase=0.4 * 32.0,
-                cdc_s_T=32.0, cdc_s_rate=1.0 - 2.0 * 1e-6, cdc_s_phase=0.1 * 32.0,
-                period_ps=125 * 10**9, k3=125.0)
-        interval_s = h.period_ps * 1e-12
-        off, rate = [15.0, 40.0], [1.0 - 1.5e-6, 1.0 + 2e-6]
-
-        master = PhcState(base_clock=ClockModel(15.0, -1.5))
-        slave = PhcState(base_clock=ClockModel(40.0, 2.0))
-        geom = LinkGeometry(base_delay_ns=250.5)
-        fwd = ScriptedLink([dmf[b][n] for n in range(periods) for b in range(burst)],
-                           geometry=geom, egress_port=port_m, ingress_port=port_s)
-        rev = ScriptedLink([dmr[b][n] for n in range(periods) for b in range(burst)],
-                           geometry=geom, egress_port=port_s, ingress_port=port_m)
-        servo = ServoState(kp=0.7, ki=0.3)
-        config = ProtocolConfig(scheme=SCHEME_FTM_BURST, burst_length=burst)
-
-        for n in range(periods):
-            t0 = h.next_ps * 1e-3
-            _run_hop_until(h, off, rate, h.next_ps)
-
-            sample = ftm_burst(master, slave, fwd, rev, burst, t0)
-            est = estimate_offset(sample, config)
-            last = burst - 1
-            reply_arrival = t0 + last * 1e6 + 250.5 + dmf[last][n] + 1e6 + 250.5 + dmr[last][n]
-            step, fstep = servo_update(servo, est, interval_s)
-            slave.step_phase(-step)
-            if fstep:
-                slave.slew_frequency(reply_arrival, -fstep)
-
-            # The reference averages timestamps before estimating and the
-            # kernel averages estimates, so they agree to rounding only.
-            probe = 10e9 + n
-            assert off[1] + rate[1] * probe == pytest.approx(slave.time_at(probe), rel=1e-14)
-            assert h.integ == pytest.approx(servo.integrator_ppm, abs=1e-9)
-        assert h.n == periods
+            config = ProtocolConfig(SCHEME_FTM_BURST, burst_length=2, kp=1.0)
+            ports, excess, rev = (Port(8.0, 0.3), Port(8.0, 0.7)), 2e6, [[0.0] * 6] * 2
+        fwd = [[excess if n == 1 else 0.0 for n in range(6)]] * config.burst_length
+        trace = run_lockstep(Clock(0.0, 1.0), Clock(-300.0, 1.0 - 1e-6), *ports, config,
+                             periods=6, probe=3e9, prop=1135.0, dmf=fwd, dmr=rev)
+        assert trace[1] == WINDUP_PPM and trace[2] == -WINDUP_PPM
 
 
 class TestPrepareHop:
@@ -232,30 +224,28 @@ class TestPrepareHop:
 
 
 class TestPpsError:
+    """One-segment ``_pps_samples`` calls: reference (0, 1), measured (off, rate)."""
+
+    def one_edge(self, off, rate):
+        samples, _ = _pps_samples([(1, 0.0, 1.0, off, rate)], 1, 1e9, np.inf)
+        return float(samples[0])
+
     def test_positive_when_slave_ahead(self):
-        ref = PhcState(base_clock=ClockModel(0.0, 0.0))
-        slave = PhcState(base_clock=ClockModel(40.0, 0.0))
-        assert pps_error(slave, ref, 0.3e9) == pytest.approx(40.0)
+        assert self.one_edge(40.0, 1.0) == pytest.approx(40.0)
 
     def test_negative_when_slave_behind(self):
-        ref = PhcState(base_clock=ClockModel(0.0, 0.0))
-        slave = PhcState(base_clock=ClockModel(-25.0, 0.0))
-        assert pps_error(slave, ref, 0.0) == pytest.approx(-25.0)
+        assert self.one_edge(-25.0, 1.0) == pytest.approx(-25.0)
 
     def test_rate_error_scales_crossing(self):
-        ref = PhcState(base_clock=ClockModel(0.0, 0.0))
-        slave = PhcState(base_clock=ClockModel(0.0, 1.0))  # 1 ppm fast
-        # slave reaches the 1 s mark 1 us of true time early
-        assert pps_error(slave, ref, 0.1e9) == pytest.approx(1000.0, rel=1e-5)
+        # slave 1 ppm fast reaches the 1 s mark 1 us of true time early
+        assert self.one_edge(0.0, 1.0 + 1e-6) == pytest.approx(1000.0, rel=1e-5)
 
     def test_matches_engine_formula(self):
         target = 4e9
         off, rate = [12.5, -80.0], [1.0 + 2e-6, 1.0 - 3e-6]
-        ref = PhcState(base_clock=ClockModel(12.5, 2.0))
-        slave = PhcState(base_clock=ClockModel(-80.0, -3.0))
         manual = (target - off[0]) / rate[0] - (target - off[1]) / rate[1]
-        t_query = 3.2e9
-        assert pps_error(slave, ref, t_query) == pytest.approx(manual, abs=1e-5)
+        samples, _ = _pps_samples([(1, off[0], rate[0], off[1], rate[1])], 4, 1e9, np.inf)
+        assert samples[0] == pytest.approx(manual, abs=1e-5)
 
 
 class TestTopologies:
@@ -339,6 +329,14 @@ class TestTopologies:
         with pytest.raises(TopologyError):  # no gmc
             Topology("t", (NodeSpec("a"), NodeSpec("b")), (hop("a", "b"),),
                      "b", "a").validate()
+
+    @pytest.mark.parametrize("port", [dict(sample_period_ns=0.0),
+                                      dict(sample_period_ns=float("nan")),
+                                      dict(cdc_t_src_ns=-32.0)])
+    def test_port_refuses_degenerate_grid(self, port):
+        # a zero grid would fail only inside the exchange kernel
+        with pytest.raises(ValueError):
+            PortSpec(**port)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError):
