@@ -16,6 +16,7 @@ from .budget import (
     chain_max_error,
     chain_preset,
     hop_max_error,
+    topology_budget,
     wireless_link_budget,
 )
 from .cdc import CdcConfig, CdcFeasibilityError, translate_time
@@ -54,7 +55,6 @@ from .sim import (
     build_topology,
     compute_stats,
     run_experiment,
-    topology_budget,
 )
 
 __version__ = "0.1.0"

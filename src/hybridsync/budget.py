@@ -8,13 +8,18 @@ detector bias averages to half the maximum excess delay.  A one-way hop
 keeps the full receive quantization half-period plus the full excess delay
 plus whatever propagation delay was not calibrated out.  A clock domain
 crossing adds half the source tick period per stage.
+
+A chain is described once, as the simulator's ``Topology``:
+``topology_budget`` reads the terms off its hops, and ``chain_preset`` reads
+them off the topology of the simulator setup that a chain name stands for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .channel import CHANNEL_CATALOG, build_pdp, canonical_channel_name
+from .channel import CHANNEL_CATALOG, SPEED_OF_LIGHT_M_PER_NS, build_pdp, propagation_delay_ns
+from .protocol import SCHEME_ONE_WAY
 
 __all__ = [
     "CHAIN_PRESETS",
@@ -27,6 +32,7 @@ __all__ = [
     "chain_max_error",
     "chain_preset",
     "hop_max_error",
+    "topology_budget",
     "wireless_link_budget",
 ]
 
@@ -58,8 +64,8 @@ class HopBudget:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown hop kind {self.kind!r}")
         for value in (self.ts_ns, self.max_excess_ns, self.t_ms_ns, self.t_src_ns):
-            if value < 0:
-                raise ValueError("hop parameters must be >= 0")
+            if not value >= 0:
+                raise ValueError(f"hop parameters must be >= 0, got {value!r}")
 
 
 def hop_max_error(hop: HopBudget) -> float:
@@ -88,48 +94,76 @@ def wireless_link_budget(pdp, scheme: str, ts_ns: float = WIRELESS_TS_NS,
                                    max_excess_ns=excess, t_ms_ns=t_ms_ns))
 
 
-def _eth() -> HopBudget:
-    return HopBudget(HOP_ETHERNET, ts_ns=ETHERNET_TS_NS, label="ethernet")
+def topology_budget(topo) -> list[HopBudget]:
+    """Budget entries, labelled ``master->slave``, for a topology's probe pair.
+
+    Hops shared by both probes' upstream paths carry common-mode error and
+    cancel; every remaining hop contributes its own worst case, with CDC
+    stages listed separately per translating port.  Each hop's timestamp
+    grid comes from its ports: the mean of both for Ethernet and two-way
+    hops, whose estimates use both ends' stamps, and the slave's alone for
+    one-way hops, which quantize only on receive.
+    """
+    measured = set(topo.upstream_path(topo.measured_node))
+    reference = set(topo.upstream_path(topo.reference_node))
+    entries: list[HopBudget] = []
+    for i in sorted(measured.symmetric_difference(reference)):
+        hop = topo.hops[i]
+        label = f"{hop.master}->{hop.slave}"
+        ts_ns = (hop.master_port.sample_period_ns + hop.slave_port.sample_period_ns) / 2.0
+        if hop.medium == "ethernet":
+            entries.append(HopBudget(HOP_ETHERNET, ts_ns=ts_ns, label=label))
+            continue
+        for port in (hop.master_port, hop.slave_port):
+            if port.cdc_t_src_ns:
+                entries.append(HopBudget(HOP_CDC, t_src_ns=port.cdc_t_src_ns, label=label))
+        excess = build_pdp(hop.channel).max_excess_delay_ns if hop.channel else 0.0
+        if hop.protocol.scheme == SCHEME_ONE_WAY:
+            residual = abs(propagation_delay_ns(hop.geometry)
+                           - hop.protocol.calibrated_delay_ns)
+            entries.append(HopBudget(HOP_WIRELESS_ONE_WAY,
+                                     ts_ns=hop.slave_port.sample_period_ns,
+                                     max_excess_ns=excess, t_ms_ns=residual, label=label))
+        else:
+            entries.append(HopBudget(HOP_WIRELESS_TWO_WAY, ts_ns=ts_ns,
+                                     max_excess_ns=excess, label=label))
+    return entries
 
 
-def _cdc() -> HopBudget:
-    return HopBudget(HOP_CDC, t_src_ns=CDC_T_SRC_NS, label="cdc")
-
-
-def _wireless(channel: str, scheme: str, t_ms_ns: float = 0.0) -> HopBudget:
-    name = canonical_channel_name(channel)
-    excess = CHANNEL_CATALOG[name][2]
-    return HopBudget(_WIRELESS_KINDS[scheme], ts_ns=WIRELESS_TS_NS, max_excess_ns=excess,
-                     t_ms_ns=t_ms_ns, label=f"wireless {name}")
+# Chain names that are not ``<simulator preset>-<channel>``.
+_NAMED_CHAINS = {"calnex-eth3": ("calnex-eth3", "AWGN"), "calnex-awgn": ("calnex", "AWGN")}
+_CHAIN_FAMILIES = ("emulator-80211", "emulator-wsharp")
 
 
 def chain_preset(name: str, cdc_stages: int = 2, t_ms_ns: float = 0.0) -> list[HopBudget]:
-    """Budget chain for a named test setup.
+    """Budget chain of a named test setup, read off the simulator's topology.
 
     Names: ``calnex-eth3``, ``calnex-awgn``, ``emulator-80211-<channel>`` and
     ``emulator-wsharp-<channel>``.  ``cdc_stages`` counts the PHC translation
     stages along the wireless path (the translator always has one; a second
-    models the station's own domain crossing).
+    models the station's own domain crossing).  ``t_ms_ns`` is uncompensated
+    propagation delay on the wireless link; only one-way budgets carry it.
     """
+    from .sim import ExperimentConfig, build_topology  # sim imports this module
+
+    if not t_ms_ns >= 0:
+        raise ValueError(f"t_ms_ns must be >= 0, got {t_ms_ns!r}")
     key = name.lower().replace("_", "-")
-    if key == "calnex-eth3":
-        return [_eth(), _eth(), _eth()]
-    if cdc_stages not in (1, 2):
-        raise ValueError("cdc_stages must be 1 or 2")
-    cdcs = [_cdc() for _ in range(cdc_stages)]
-    if key == "calnex-awgn":
-        return [_eth(), _eth()] + cdcs + [_wireless("AWGN", "two_way")]
-    for prefix, scheme in (("emulator-80211-", "two_way"), ("emulator-wsharp-", "one_way")):
-        if key.startswith(prefix):
-            channel = key[len(prefix):]
-            return [_eth(), _eth()] + cdcs + [_wireless(channel, scheme, t_ms_ns)]
-    raise ValueError(f"unknown chain preset {name!r}")
+    if key in _NAMED_CHAINS:
+        preset, channel = _NAMED_CHAINS[key]
+    else:
+        family = next((f for f in _CHAIN_FAMILIES if key.startswith(f + "-")), None)
+        if family is None:
+            raise ValueError(f"unknown chain preset {name!r}")
+        preset, channel = family, key[len(family) + 1:]
+    config = ExperimentConfig(preset=preset, channel=channel, cdc_stages=cdc_stages,
+                              extra_distance_m=t_ms_ns * SPEED_OF_LIGHT_M_PER_NS)
+    return topology_budget(build_topology(config))
 
 
 CHAIN_PRESETS = tuple(
-    ["calnex-eth3", "calnex-awgn"]
-    + [f"emulator-80211-{c.lower()}" for c in CHANNEL_CATALOG]
-    + [f"emulator-wsharp-{c.lower()}" for c in CHANNEL_CATALOG]
+    list(_NAMED_CHAINS)
+    + [f"{family}-{c.lower()}" for family in _CHAIN_FAMILIES for c in CHANNEL_CATALOG]
 )
 
 

@@ -154,8 +154,8 @@ def propagation_delay_ns(geometry: LinkGeometry) -> float:
 
 def doppler_from_speed(speed_kmh: float, carrier_hz: float = DEFAULT_CARRIER_HZ) -> float:
     """Maximum Doppler shift for a scatterer speed in km/h."""
-    if not speed_kmh >= 0:
-        raise ChannelSpecError("speed must be >= 0")
+    if not 0 <= speed_kmh < math.inf:
+        raise ChannelSpecError(f"speed_kmh must be finite and >= 0, got {speed_kmh!r}")
     c_m_per_s = SPEED_OF_LIGHT_M_PER_NS * 1e9
     return speed_kmh / 3.6 * carrier_hz / c_m_per_s
 

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .budget import CHAIN_PRESETS, budget_report, chain_max_error, chain_preset
+from .budget import CHAIN_PRESETS, budget_report, chain_max_error, chain_preset, topology_budget
 from .channel import (
     CHANNEL_CATALOG,
     FadingConfig,
@@ -42,7 +42,7 @@ from .channel import (
     rms_delay_spread,
     tap_gain_series,
 )
-from .sim import ExperimentConfig, SIM_PRESETS, build_topology, run_experiment, topology_budget
+from .sim import ExperimentConfig, SIM_PRESETS, build_topology, run_experiment
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -143,7 +143,11 @@ def _cmd_budget(args) -> int:
         return EXIT_USAGE
     reports = []
     for name in names:
-        hops = chain_preset(name, cdc_stages=args.cdc_stages, t_ms_ns=args.t_ms_ns)
+        try:
+            hops = chain_preset(name, cdc_stages=args.cdc_stages, t_ms_ns=args.t_ms_ns)
+        except ValueError as exc:
+            print(f"budget: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         doc = budget_report(hops)
         doc["preset"] = name
         reports.append(doc)

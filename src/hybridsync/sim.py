@@ -29,13 +29,9 @@ import numpy as np
 from .budget import (
     CDC_T_SRC_NS,
     ETHERNET_TS_NS,
-    HOP_CDC,
-    HOP_ETHERNET,
-    HOP_WIRELESS_ONE_WAY,
-    HOP_WIRELESS_TWO_WAY,
     WIRELESS_TS_NS,
-    HopBudget,
     chain_max_error,
+    topology_budget,
 )
 from .channel import (
     _DETECTOR_POLICIES,
@@ -47,7 +43,6 @@ from .channel import (
     propagation_delay_ns,
 )
 from .protocol import (
-    _SCHEMES,
     PROTOCOL_PRESETS,
     SCHEME_FTM_BURST,
     SCHEME_ONE_WAY,
@@ -67,22 +62,27 @@ __all__ = [
     "build_topology",
     "compute_stats",
     "run_experiment",
-    "topology_budget",
 ]
 
 EMULATOR_BASE_DELAY_NS = 1135.0
-PS_PER_NS = 1000
 HIST_BINS = 64
 DIVERGENCE_FACTOR = 10.0
 
-SIM_PRESETS = (
-    "calnex",
-    "calnex-eth3",
-    "emulator-80211",
-    "emulator-wsharp",
-    "ota-80211",
-    "ota-wsharp",
-)
+# Excess-delay series entries one replica may hold: about 1 GB at the 127 B
+# per entry measured on one-way IWLAN_B (114 MB at 130 s, 209 MB at 520 s),
+# and 4x the largest preset default (emulator-wsharp, 2 kHz over 1000 s).
+MAX_SERIES_ENTRIES = 2 ** 23
+
+# The wireless scheme of every named setup, in the order the CLI lists them.
+_PRESET_SCHEMES = {
+    "calnex": SCHEME_TWO_WAY,
+    "calnex-eth3": None,  # no wireless hop
+    "emulator-80211": SCHEME_TWO_WAY,
+    "emulator-wsharp": SCHEME_ONE_WAY,
+    "ota-80211": SCHEME_TWO_WAY,
+    "ota-wsharp": SCHEME_ONE_WAY,
+}
+SIM_PRESETS = tuple(_PRESET_SCHEMES)
 
 
 class TopologyError(ValueError):
@@ -132,6 +132,9 @@ class HopSpec:
     def __post_init__(self):
         if self.detector_policy not in _DETECTOR_POLICIES:
             raise ValueError(f"unknown detector policy {self.detector_policy!r}")
+        if not (math.isfinite(self.detector_threshold_db) and self.detector_threshold_db >= 0):
+            raise ValueError("detector_threshold_db must be finite and >= 0, "
+                             f"got {self.detector_threshold_db!r}")
 
 
 @dataclass(frozen=True)
@@ -285,14 +288,18 @@ class ExperimentConfig:
             raise ValueError("cdc_stages must be 1 or 2")
         if self.topology is None and self.preset not in SIM_PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}")
-        if not (math.isfinite(self.speed_kmh) and self.speed_kmh >= 0):
-            raise ValueError(f"speed_kmh must be finite and >= 0, got {self.speed_kmh!r}")
+        walk = self.drift_walk_sigma_ppm_per_s
+        if not (math.isfinite(walk) and walk >= 0):
+            raise ValueError(f"drift_walk_sigma_ppm_per_s must be finite and >= 0, got {walk!r}")
         build_pdp(self.channel)
-        if self.scheme is not None and self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         # Hop settings are checked where they are used: in the hop specs and
         # their protocol configs.
-        build_topology(self)
+        topo = build_topology(self)
+        duration_ps = round(self.duration_s * 1e12)
+        entries = sum(math.prod(_series_shape(hop, duration_ps)) for hop in topo.hops)
+        if entries > MAX_SERIES_ENTRIES:
+            raise ValueError(f"a replica would hold {entries} excess-delay entries, more than "
+                             f"{MAX_SERIES_ENTRIES}; shorten duration_s or lengthen sync_period_s")
 
     def as_dict(self) -> dict:
         doc = {}
@@ -317,19 +324,11 @@ class ExperimentConfig:
         return cls(**doc)
 
 
-def _eth_port() -> PortSpec:
-    return PortSpec("ethernet", ETHERNET_TS_NS)
-
-
-def _wireless_port(with_cdc: bool) -> PortSpec:
-    return PortSpec("wireless", WIRELESS_TS_NS, CDC_T_SRC_NS if with_cdc else 0.0)
-
-
 def _eth_hop(master: str, slave: str, stagger_s: float) -> HopSpec:
     return HopSpec(
         master=master, slave=slave, medium="ethernet",
         protocol=PROTOCOL_PRESETS["wired-ptp"],
-        master_port=_eth_port(), slave_port=_eth_port(),
+        master_port=PortSpec(), slave_port=PortSpec(),
         stagger_s=stagger_s,
     )
 
@@ -339,73 +338,63 @@ def _stagger(i: int) -> float:
 
 
 def build_topology(config: ExperimentConfig) -> Topology:
-    """Materialize one of the named test setups."""
-    if config.topology is not None:
-        return config.topology
-    wireless_scheme = {
-        "calnex": SCHEME_TWO_WAY,
-        "emulator-80211": SCHEME_TWO_WAY,
-        "ota-80211": SCHEME_TWO_WAY,
-        "emulator-wsharp": SCHEME_ONE_WAY,
-        "ota-wsharp": SCHEME_ONE_WAY,
-    }
-    preset = config.preset
-    doppler = doppler_from_speed(config.speed_kmh)
+    """Materialize one of the named test setups.
 
-    def wireless_hop(master: str, slave: str, stagger_s: float,
-                     geometry: LinkGeometry, calibrated_delay_ns: float) -> HopSpec:
-        scheme = config.scheme or wireless_scheme[preset]
-        base = PROTOCOL_PRESETS["wsharp-beacon" if scheme == SCHEME_ONE_WAY else "80211-ptp"]
-        proto = ProtocolConfig(
+    Every config builds the wireless hop its settings describe, so those
+    settings are checked even where the chain has no wireless hop.
+    """
+    scheme = config.scheme or _PRESET_SCHEMES.get(config.preset) or SCHEME_TWO_WAY
+    base = PROTOCOL_PRESETS["wsharp-beacon" if scheme == SCHEME_ONE_WAY else "80211-ptp"]
+    wireless = HopSpec(
+        master="", slave="", medium="wireless",
+        protocol=ProtocolConfig(
             scheme=scheme,
             sync_period_s=(base.sync_period_s if config.sync_period_s is None
                            else config.sync_period_s),
             burst_length=config.burst_length,
-            calibrated_delay_ns=calibrated_delay_ns if scheme == SCHEME_ONE_WAY else 0.0,
             kp=config.kp if config.kp is not None else base.kp,
-            ki=config.ki if config.ki is not None else base.ki,
-        )
-        return HopSpec(
-            master=master, slave=slave, medium="wireless", protocol=proto,
-            master_port=_wireless_port(True),
-            slave_port=_wireless_port(config.cdc_stages == 2),
-            geometry=geometry, channel=config.channel, doppler_hz=doppler,
-            detector_policy=config.detector_policy,
-            detector_threshold_db=config.detector_threshold_db,
-            stagger_s=stagger_s,
-        )
+            ki=config.ki if config.ki is not None else base.ki),
+        master_port=PortSpec("wireless", WIRELESS_TS_NS, CDC_T_SRC_NS),
+        slave_port=PortSpec("wireless", WIRELESS_TS_NS,
+                            CDC_T_SRC_NS if config.cdc_stages == 2 else 0.0),
+        geometry=LinkGeometry(distance_m=config.extra_distance_m),
+        channel=config.channel, doppler_hz=doppler_from_speed(config.speed_kmh),
+        detector_policy=config.detector_policy,
+        detector_threshold_db=config.detector_threshold_db,
+    )
+    if config.topology is not None:
+        return config.topology
+    preset = config.preset
 
-    if preset == "calnex-eth3":
+    def wireless_hop(master: str, slave: str, stagger_s: float,
+                     geometry: LinkGeometry, calibrated_delay_ns: float) -> HopSpec:
+        proto = wireless.protocol
+        if scheme == SCHEME_ONE_WAY:
+            proto = replace(proto, calibrated_delay_ns=calibrated_delay_ns)
+        return replace(wireless, master=master, slave=slave, protocol=proto,
+                       geometry=geometry, stagger_s=stagger_s)
+
+    if preset in ("calnex", "calnex-eth3"):
         nodes = (NodeSpec("gmc", "gmc"), NodeSpec("tr1", "translator"),
                  NodeSpec("tr2", "translator"), NodeSpec("analyzer", "reference"))
-        hops = (_eth_hop("gmc", "tr1", _stagger(0)),
-                _eth_hop("tr1", "tr2", _stagger(1)),
+        bridge = (_eth_hop("tr1", "tr2", _stagger(1)) if preset == "calnex-eth3" else
+                  wireless_hop("tr1", "tr2", _stagger(1), wireless.geometry, 0.0))
+        hops = (_eth_hop("gmc", "tr1", _stagger(0)), bridge,
                 _eth_hop("tr2", "analyzer", _stagger(2)))
-        return Topology("calnex-eth3", nodes, hops, "analyzer", "gmc")
-    if preset == "calnex":
-        nodes = (NodeSpec("gmc", "gmc"), NodeSpec("tr1", "translator"),
-                 NodeSpec("tr2", "translator"), NodeSpec("analyzer", "reference"))
-        geom = LinkGeometry(distance_m=config.extra_distance_m, base_delay_ns=0.0)
-        hops = (_eth_hop("gmc", "tr1", _stagger(0)),
-                wireless_hop("tr1", "tr2", _stagger(1), geom, 0.0),
-                _eth_hop("tr2", "analyzer", _stagger(2)))
-        return Topology("calnex", nodes, hops, "analyzer", "gmc")
+        return Topology(preset, nodes, hops, "analyzer", "gmc")
     if preset in ("emulator-80211", "emulator-wsharp"):
         nodes = (NodeSpec("gmc", "gmc"), NodeSpec("switch", "boundary"),
                  NodeSpec("translator", "translator"), NodeSpec("sta", "sta"))
-        geom = LinkGeometry(distance_m=config.extra_distance_m,
-                            base_delay_ns=EMULATOR_BASE_DELAY_NS)
+        geom = replace(wireless.geometry, base_delay_ns=EMULATOR_BASE_DELAY_NS)
         hops = (_eth_hop("gmc", "switch", _stagger(0)),
                 _eth_hop("switch", "translator", _stagger(1)),
-                wireless_hop("translator", "sta", _stagger(2), geom,
-                             EMULATOR_BASE_DELAY_NS))
+                wireless_hop("translator", "sta", _stagger(2), geom, geom.base_delay_ns))
         return Topology(preset, nodes, hops, "sta", "gmc")
     if preset in ("ota-80211", "ota-wsharp"):
         nodes = (NodeSpec("gmc", "gmc"), NodeSpec("switch", "boundary"),
                  NodeSpec("translator", "translator"), NodeSpec("sta", "sta"),
                  NodeSpec("probe", "reference"))
-        distance = config.extra_distance_m if config.extra_distance_m else 10.0
-        geom = LinkGeometry(distance_m=distance, base_delay_ns=0.0)
+        geom = replace(wireless.geometry, distance_m=config.extra_distance_m or 10.0)
         calibrated = propagation_delay_ns(geom)
         hops = (_eth_hop("gmc", "switch", _stagger(0)),
                 _eth_hop("switch", "translator", _stagger(1)),
@@ -413,42 +402,6 @@ def build_topology(config: ExperimentConfig) -> Topology:
                 wireless_hop("translator", "sta", _stagger(3), geom, calibrated))
         return Topology(preset, nodes, hops, "sta", "probe")
     raise ValueError(f"unknown preset {preset!r}")
-
-
-def topology_budget(topo: Topology) -> list[HopBudget]:
-    """Analytic budget entries for the measured/reference clock pair.
-
-    Hops shared by both probes' upstream paths carry common-mode error and
-    cancel; every remaining hop contributes its own worst case, with CDC
-    stages listed separately per translating port.  Each hop's timestamp
-    grid comes from its ports: the mean of both for Ethernet and two-way
-    hops, whose estimates use both ends' stamps, and the slave's alone for
-    one-way hops, which quantize only on receive.
-    """
-    measured = set(topo.upstream_path(topo.measured_node))
-    reference = set(topo.upstream_path(topo.reference_node))
-    entries: list[HopBudget] = []
-    for i in sorted(measured.symmetric_difference(reference)):
-        hop = topo.hops[i]
-        label = f"{hop.master}->{hop.slave}"
-        ts_ns = (hop.master_port.sample_period_ns + hop.slave_port.sample_period_ns) / 2.0
-        if hop.medium == "ethernet":
-            entries.append(HopBudget(HOP_ETHERNET, ts_ns=ts_ns, label=label))
-            continue
-        for port in (hop.master_port, hop.slave_port):
-            if port.cdc_t_src_ns:
-                entries.append(HopBudget(HOP_CDC, t_src_ns=port.cdc_t_src_ns, label="cdc"))
-        excess = build_pdp(hop.channel).max_excess_delay_ns if hop.channel else 0.0
-        if hop.protocol.scheme == SCHEME_ONE_WAY:
-            residual = abs(propagation_delay_ns(hop.geometry)
-                           - hop.protocol.calibrated_delay_ns)
-            entries.append(HopBudget(HOP_WIRELESS_ONE_WAY,
-                                     ts_ns=hop.slave_port.sample_period_ns,
-                                     max_excess_ns=excess, t_ms_ns=residual, label=label))
-        else:
-            entries.append(HopBudget(HOP_WIRELESS_TWO_WAY, ts_ns=ts_ns,
-                                     max_excess_ns=excess, label=label))
-    return entries
 
 
 # --- Replica execution ---------------------------------------------------------
@@ -472,6 +425,17 @@ def _draw_cdc(init_rng: np.random.Generator, t_src: float, drift_free: bool):
     sign = 1.0 if init_rng.random() < 0.5 else -1.0
     rel = 0.0 if drift_free else sign * magnitude
     return t_src, 1.0 + rel * 1e-6, phase * t_src
+
+
+def _series_shape(hop: HopSpec, duration_ps: int) -> tuple[int, int, int]:
+    """Entries per excess-delay series, burst positions and directions of a hop.
+
+    Only FTM repeats the exchange within a period; only one-way sends no reply.
+    """
+    period_ps = round(hop.protocol.sync_period_s * 1e12)
+    count = int((duration_ps - round(hop.stagger_s * 1e12)) // period_ps) + 2
+    burst = hop.protocol.burst_length if hop.protocol.scheme == SCHEME_FTM_BURST else 1
+    return count, burst, 1 if hop.protocol.scheme == SCHEME_ONE_WAY else 2
 
 
 def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
@@ -506,13 +470,10 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
     h.prop_ns = propagation_delay_ns(hop.geometry)
     h.reply_ns = hop.reply_delay_s * 1e9
     h.calib_ns = hop.protocol.calibrated_delay_ns
-    # Only FTM repeats the exchange within a period; only one-way sends no reply.
-    h.burst = hop.protocol.burst_length if h.scheme == SCHEME_FTM_BURST else 1
     h.spacing_ns = hop.intra_burst_spacing_s * 1e9
-    replies = h.scheme != SCHEME_ONE_WAY
-    count = int((duration_ps - h.next_ps) // period_ps) + 2
+    count, h.burst, directions = _series_shape(hop, duration_ps)
     h.dmf = [[0.0] * count for _ in range(h.burst)]
-    h.dmr = [[0.0] * count for _ in range(h.burst)] if replies else []
+    h.dmr = [[0.0] * count for _ in range(h.burst)] if directions == 2 else []
     if hop.medium == "wireless" and hop.channel is not None:
         pdp = build_pdp(hop.channel)
         if pdp.n_taps > 1:
@@ -524,7 +485,7 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
                     pdp, fading, period_s, count,
                     hop.stagger_s + b * hop.intra_burst_spacing_s,
                     fwd_rng, hop.detector_policy, hop.detector_threshold_db).tolist()
-            if replies:
+            if directions == 2:
                 rev_offset = hop.stagger_s + h.prop_ns * 1e-9 + hop.reply_delay_s
                 for b in range(h.burst):
                     h.dmr[b] = detected_excess_series(

@@ -1,5 +1,11 @@
 """Analytic worst-case error budgets."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +40,35 @@ ONE_WAY_LINK_BUDGETS = {
     "IWLAN_B": 625.0,
 }
 
+# (chain, cdc_stages): (total, sorted per-hop terms), as the hand-built chain
+# lists gave them before chains were read off the simulator's topologies.
+PINNED_CHAINS = {
+    ("calnex-eth3", 1): (24.0, [8.0, 8.0, 8.0]),
+    ("calnex-awgn", 1): (57.0, [8.0, 8.0, 16.0, 25.0]),
+    ("emulator-80211-awgn", 1): (57.0, [8.0, 8.0, 16.0, 25.0]),
+    ("emulator-80211-wlan_a", 1): (252.0, [8.0, 8.0, 16.0, 220.0]),
+    ("emulator-80211-wlan_c", 1): (582.0, [8.0, 8.0, 16.0, 550.0]),
+    ("emulator-80211-iwlan_a", 1): (127.0, [8.0, 8.0, 16.0, 95.0]),
+    ("emulator-80211-iwlan_b", 1): (357.0, [8.0, 8.0, 16.0, 325.0]),
+    ("emulator-wsharp-awgn", 1): (57.0, [8.0, 8.0, 16.0, 25.0]),
+    ("emulator-wsharp-wlan_a", 1): (447.0, [8.0, 8.0, 16.0, 415.0]),
+    ("emulator-wsharp-wlan_c", 1): (1107.0, [8.0, 8.0, 16.0, 1075.0]),
+    ("emulator-wsharp-iwlan_a", 1): (197.0, [8.0, 8.0, 16.0, 165.0]),
+    ("emulator-wsharp-iwlan_b", 1): (657.0, [8.0, 8.0, 16.0, 625.0]),
+    ("calnex-eth3", 2): (24.0, [8.0, 8.0, 8.0]),
+    ("calnex-awgn", 2): (73.0, [8.0, 8.0, 16.0, 16.0, 25.0]),
+    ("emulator-80211-awgn", 2): (73.0, [8.0, 8.0, 16.0, 16.0, 25.0]),
+    ("emulator-80211-wlan_a", 2): (268.0, [8.0, 8.0, 16.0, 16.0, 220.0]),
+    ("emulator-80211-wlan_c", 2): (598.0, [8.0, 8.0, 16.0, 16.0, 550.0]),
+    ("emulator-80211-iwlan_a", 2): (143.0, [8.0, 8.0, 16.0, 16.0, 95.0]),
+    ("emulator-80211-iwlan_b", 2): (373.0, [8.0, 8.0, 16.0, 16.0, 325.0]),
+    ("emulator-wsharp-awgn", 2): (73.0, [8.0, 8.0, 16.0, 16.0, 25.0]),
+    ("emulator-wsharp-wlan_a", 2): (463.0, [8.0, 8.0, 16.0, 16.0, 415.0]),
+    ("emulator-wsharp-wlan_c", 2): (1123.0, [8.0, 8.0, 16.0, 16.0, 1075.0]),
+    ("emulator-wsharp-iwlan_a", 2): (213.0, [8.0, 8.0, 16.0, 16.0, 165.0]),
+    ("emulator-wsharp-iwlan_b", 2): (673.0, [8.0, 8.0, 16.0, 16.0, 625.0]),
+}
+
 
 class TestHopFormulas:
     def test_ethernet_hop_is_twice_half_period(self):
@@ -57,6 +92,9 @@ class TestHopFormulas:
             HopBudget("fiber")
         with pytest.raises(ValueError):
             HopBudget(HOP_ETHERNET, ts_ns=-8.0)
+        for field in ("ts_ns", "max_excess_ns", "t_ms_ns", "t_src_ns"):
+            with pytest.raises(ValueError):
+                HopBudget(HOP_WIRELESS_ONE_WAY, **{field: math.nan})
 
     @given(
         ts=st.floats(0.0, 100.0),
@@ -99,9 +137,13 @@ class TestChainPresets:
     def test_hybrid_ideal_channel_chain(self):
         hops = chain_preset("calnex-awgn")
         assert chain_max_error(hops) == 73.0
-        kinds = [h.kind for h in hops]
-        assert kinds == [HOP_ETHERNET, HOP_ETHERNET, HOP_CDC, HOP_CDC,
-                         HOP_WIRELESS_TWO_WAY]
+        assert [(h.kind, h.label, hop_max_error(h)) for h in hops] == [
+            (HOP_ETHERNET, "gmc->tr1", 8.0),
+            (HOP_CDC, "tr1->tr2", 16.0),
+            (HOP_CDC, "tr1->tr2", 16.0),
+            (HOP_WIRELESS_TWO_WAY, "tr1->tr2", 25.0),
+            (HOP_ETHERNET, "tr2->analyzer", 8.0),
+        ]
 
     def test_emulator_two_way_chains(self):
         assert chain_max_error(chain_preset("emulator-80211-iwlan_a")) == 143.0
@@ -124,6 +166,23 @@ class TestChainPresets:
             hops = chain_preset(name)
             assert chain_max_error(hops) > 0.0
 
+    @pytest.mark.parametrize("name,cdc_stages", sorted(PINNED_CHAINS))
+    def test_pinned_chain_terms(self, name, cdc_stages):
+        hops = chain_preset(name, cdc_stages=cdc_stages)
+        total, terms = PINNED_CHAINS[name, cdc_stages]
+        assert chain_max_error(hops) == total
+        assert sorted(hop_max_error(h) for h in hops) == terms
+
+    def test_spellings(self):
+        assert chain_preset("Emulator_80211_IWLAN-A") == chain_preset("emulator-80211-iwlan_a")
+        assert chain_preset("CALNEX_ETH3") == chain_preset("calnex-eth3")
+
+    @pytest.mark.parametrize("t_ms_ns", [-5.0, math.nan])
+    @pytest.mark.parametrize("name", ["calnex-awgn", "emulator-wsharp-awgn"])
+    def test_refuses_bad_residual(self, name, t_ms_ns):
+        with pytest.raises(ValueError):
+            chain_preset(name, t_ms_ns=t_ms_ns)
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             chain_preset("calnex-fso")
@@ -139,8 +198,28 @@ class TestChainPresets:
 
 class TestReport:
     def test_report_totals_and_labels(self):
-        hops = chain_preset("calnex-awgn")
-        doc = budget_report(hops)
+        doc = budget_report(chain_preset("calnex-awgn"))
         assert doc["total_ns"] == 73.0
-        assert [h["max_error_ns"] for h in doc["per_hop"]] == [8.0, 8.0, 16.0, 16.0, 25.0]
-        assert doc["per_hop"][-1]["label"] == "wireless AWGN"
+        assert [(h["kind"], h["label"], h["max_error_ns"]) for h in doc["per_hop"]] == [
+            (HOP_ETHERNET, "gmc->tr1", 8.0),
+            (HOP_CDC, "tr1->tr2", 16.0),
+            (HOP_CDC, "tr1->tr2", 16.0),
+            (HOP_WIRELESS_TWO_WAY, "tr1->tr2", 25.0),
+            (HOP_ETHERNET, "tr2->analyzer", 8.0),
+        ]
+
+
+# ``budget`` and ``sim`` import each other; pytest's import order would hide a
+# cycle that breaks when either is imported first.
+@pytest.mark.parametrize("first", ["hybridsync.budget", "hybridsync.sim"])
+def test_chain_preset_from_fresh_interpreter(first):
+    import hybridsync
+
+    src = str(Path(hybridsync.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (f"import {first}\n"
+            "from hybridsync.budget import chain_max_error, chain_preset\n"
+            "print(chain_max_error(chain_preset('calnex-awgn')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "73.0\n"

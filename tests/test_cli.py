@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from hybridsync import cli
 from hybridsync.cli import _write_samples_csv, main
 
 FAST = [
@@ -70,6 +71,14 @@ class TestBudgetCommand:
         code, _ = run(capsys, "budget")
         assert code == 2
 
+    @pytest.mark.parametrize("t_ms_ns", ["nan", "-5"])
+    def test_bad_residual_exits_2(self, capsys, t_ms_ns):
+        code = main(["budget", "--all", "--t-ms-ns", t_ms_ns])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("budget: ") and captured.err.count("\n") == 1
+
 
 class TestSimulateCommand:
     def test_writes_summary_and_samples(self, capsys, tmp_path):
@@ -113,7 +122,9 @@ class TestSimulateCommand:
         assert code == 2
 
     # Each is refused before running; the degenerate PPS periods would
-    # otherwise loop forever or fail late.
+    # otherwise loop forever or fail late, and ``too_large`` would allocate
+    # 10**9-entry series, so running any of them fails the test instead.
+    # The ``eth3_`` cases set wireless knobs that calnex-eth3 does not use.
     @pytest.mark.parametrize("argv", [
         ["--set", "speed_kmh=NaN"], ["--set", 'channel="BOGUS"'],
         ["--set", 'scheme="bogus"'], ["--config", "missing.json"], ["--seed", "-1"],
@@ -121,13 +132,25 @@ class TestSimulateCommand:
         ["--set", "pps_interval_s=600"], ["--set", "replicas=1.5"],
         ["--set", "burst_length=0"], ["--set", "burst_length=1.5"], ["--set", "kp=NaN"],
         ["--set", 'detector_policy="nearest"'], ["--set", "extra_distance_m=NaN"],
-        ["--set", "sync_period_s=NaN"],
+        ["--set", "sync_period_s=NaN"], ["--set", "detector_threshold_db=NaN"],
+        ["--set", "drift_walk_sigma_ppm_per_s=-1"],
+        ["--preset", "emulator-wsharp", "--set", "sync_period_s=1e-6"],
+        ["--preset", "calnex-eth3", "--set", "kp=NaN"],
+        ["--preset", "calnex-eth3", "--set", "burst_length=0"],
+        ["--preset", "calnex-eth3", "--set", 'detector_policy="nearest"'],
+        ["--preset", "calnex-eth3", "--set", "sync_period_s=0"],
     ], ids=["nan_speed", "unknown_channel", "unknown_scheme", "missing_config",
             "negative_seed", "sub_ps_pps", "sub_ps_sync", "one_pps_edge",
             "fractional_replicas", "zero_burst", "fractional_burst", "nan_kp",
-            "unknown_detector", "nan_extra_distance", "nan_sync"])
+            "unknown_detector", "nan_extra_distance", "nan_sync", "nan_threshold",
+            "negative_walk", "too_large", "eth3_nan_kp", "eth3_zero_burst",
+            "eth3_unknown_detector", "eth3_zero_sync"])
     def test_bad_config_value_exits_2(self, capsys, monkeypatch, tmp_path, argv):
+        def never_run(*args, **kwargs):
+            raise AssertionError("a refused config reached run_experiment")
+
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_experiment", never_run)
         code = main(["simulate", "--preset", "calnex", *argv])
         captured = capsys.readouterr()
         assert code == 2

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from hybridsync.budget import HOP_CDC, HOP_WIRELESS_ONE_WAY, chain_max_error
+from hybridsync.budget import HOP_CDC, HOP_WIRELESS_ONE_WAY, chain_max_error, topology_budget
 from hybridsync.clocks import quantize_value
 from hybridsync.protocol import (
     PROTOCOL_PRESETS,
@@ -31,7 +31,6 @@ from hybridsync.sim import (
     compute_stats,
     run_experiment,
     _run_hop_until,
-    topology_budget,
 )
 
 
@@ -400,6 +399,28 @@ class TestExperimentConfig:
     ], ids=["sub_ps_pps", "inf_pps", "sub_ps_sync", "negative_sync", "inf_duration",
             "no_pps_edge", "one_pps_edge", "negative_seed", "float_seed", "bool_seed"])
     def test_refuses_degenerate_periods_and_seeds(self, overrides):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**overrides)
+
+    # Refused while the config is built: never run these.
+    def test_refuses_runs_too_large_for_memory(self):
+        with pytest.raises(ValueError, match="excess-delay entries"):
+            ExperimentConfig(preset="emulator-wsharp", sync_period_s=1e-6)
+        with pytest.raises(ValueError, match="excess-delay entries"):
+            ExperimentConfig(preset="calnex", scheme="ftm_burst", burst_length=4,
+                             sync_period_s=1e-4)
+
+    def test_largest_preset_defaults_fit(self):
+        for preset in SIM_PRESETS:
+            ExperimentConfig(preset=preset, channel="IWLAN_B")
+        # calnex-eth3 checks but does not use the wireless period
+        ExperimentConfig(preset="calnex-eth3", sync_period_s=1e-6)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(detector_threshold_db=float("nan")), dict(detector_threshold_db=-1.0),
+        dict(drift_walk_sigma_ppm_per_s=float("nan")), dict(drift_walk_sigma_ppm_per_s=-1.0),
+    ], ids=["nan_threshold", "negative_threshold", "nan_walk", "negative_walk"])
+    def test_refuses_bad_hop_and_walk_settings(self, overrides):
         with pytest.raises(ValueError):
             ExperimentConfig(**overrides)
 
