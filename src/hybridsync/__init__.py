@@ -27,7 +27,6 @@ from .channel import (
     LinkGeometry,
     PowerDelayProfile,
     build_pdp,
-    coherence_time_s,
     detect_arrival,
     detected_excess_series,
     doppler_from_speed,
@@ -47,7 +46,6 @@ from .protocol import (
 from .sim import (
     ExperimentConfig,
     HopSpec,
-    NodeSpec,
     PortSpec,
     RunStats,
     SIM_PRESETS,
@@ -70,7 +68,6 @@ __all__ = [
     "HopBudget",
     "HopSpec",
     "LinkGeometry",
-    "NodeSpec",
     "PROTOCOL_PRESETS",
     "PortSpec",
     "PowerDelayProfile",
@@ -84,7 +81,6 @@ __all__ = [
     "build_topology",
     "chain_max_error",
     "chain_preset",
-    "coherence_time_s",
     "compute_stats",
     "detect_arrival",
     "detected_excess_series",

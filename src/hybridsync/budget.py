@@ -84,13 +84,13 @@ def chain_max_error(hops) -> float:
     return sum(hop_max_error(h) for h in hops)
 
 
-def wireless_link_budget(pdp, scheme: str, ts_ns: float = WIRELESS_TS_NS,
-                         t_ms_ns: float = 0.0) -> float:
-    """Worst-case wireless-link error for a profile and messaging scheme."""
+def wireless_link_budget(pdp, scheme: str, t_ms_ns: float = 0.0) -> float:
+    """Worst-case error of a wireless link with ``WIRELESS_TS_NS`` ports for a
+    profile and messaging scheme."""
     if scheme not in _WIRELESS_KINDS:
         raise ValueError(f"unknown scheme {scheme!r}")
     excess = build_pdp(pdp).max_excess_delay_ns
-    return hop_max_error(HopBudget(_WIRELESS_KINDS[scheme], ts_ns=ts_ns,
+    return hop_max_error(HopBudget(_WIRELESS_KINDS[scheme], ts_ns=WIRELESS_TS_NS,
                                    max_excess_ns=excess, t_ms_ns=t_ms_ns))
 
 

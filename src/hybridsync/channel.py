@@ -1,12 +1,13 @@
 """Tapped delay line wireless channels with Doppler-shaped fading.
 
 Profiles are synthesized as exponentially decaying taps on a uniform delay
-grid, solved so the rms delay spread hits a target value.  Each tap fades as
-a complex Gaussian process whose power spectrum follows a configurable
-Doppler shape (Jakes by default, so the tap autocorrelation is
-``J0(2 * pi * f_d * tau)``).  A preamble-style detector locks onto a single
-replica, typically the instantaneous strongest tap, which is what injects
-multipath error into receive timestamps.
+grid, solved so the rms delay spread hits a target value.  Each tap fades
+as a Rayleigh process whose power spectrum follows a Doppler shape: the
+simulator's Jakes shape gives the autocorrelation ``J0(2 * pi * f_d * tau)``,
+and ``validate-channel --spectrum`` also checks bell and Gaussian shapes.
+A preamble-style detector locks onto a single replica, typically the
+instantaneous strongest tap, which is what injects multipath error into
+receive timestamps.
 
 Tap gains are sampled on regular combs with period ``T``, and the synthesis
 route follows from ``f_d * T`` alone: a zero Doppler freezes each tap to one
@@ -33,7 +34,6 @@ __all__ = [
     "SPEED_OF_LIGHT_M_PER_NS",
     "build_pdp",
     "canonical_channel_name",
-    "coherence_time_s",
     "detect_arrival",
     "detected_excess_series",
     "doppler_from_speed",
@@ -106,21 +106,17 @@ class PowerDelayProfile:
 
 @dataclass(frozen=True)
 class FadingConfig:
-    """Fading statistics of every tap.
+    """Rayleigh fading statistics of every tap.
 
     ``doppler_hz`` of zero freezes the channel: one draw per tap, constant
     over time.  ``spectrum`` selects the Doppler power spectrum shape used to
     correlate successive realizations.
     """
 
-    distribution: str = "rayleigh"
     spectrum: str = "jakes"
     doppler_hz: float = 0.0
-    rice_k_db: float = 0.0
 
     def __post_init__(self):
-        if self.distribution not in ("rayleigh", "rice"):
-            raise ChannelSpecError(f"unknown fading distribution {self.distribution!r}")
         if self.spectrum not in ("jakes", "bell", "gaussian"):
             raise ChannelSpecError(f"unknown Doppler spectrum {self.spectrum!r}")
         if not self.doppler_hz >= 0:
@@ -160,13 +156,6 @@ def doppler_from_speed(speed_kmh: float, carrier_hz: float = DEFAULT_CARRIER_HZ)
     return speed_kmh / 3.6 * carrier_hz / c_m_per_s
 
 
-def coherence_time_s(fading: FadingConfig) -> float:
-    """Approximate channel coherence time ``0.423 / f_d``; inf when static."""
-    if fading.doppler_hz == 0:
-        return math.inf
-    return 0.423 / fading.doppler_hz
-
-
 def _moment_rms(delays: np.ndarray, powers: np.ndarray) -> float:
     total = powers.sum()
     mean = float((powers * delays).sum() / total)
@@ -199,12 +188,8 @@ def canonical_channel_name(name: str) -> str:
         raise ChannelSpecError(f"unknown channel {name!r}") from None
 
 
-def _synthesize_pdp(
-    rms_target_ns: float,
-    max_excess_ns: float,
-    tap_spacing_ns: float | None = None,
-    name: str = "",
-) -> PowerDelayProfile:
+def _synthesize_pdp(rms_target_ns: float, max_excess_ns: float,
+                    name: str = "") -> PowerDelayProfile:
     if max_excess_ns == 0.0:
         if rms_target_ns != 0.0:
             raise ChannelSpecError("single-tap profile cannot have nonzero delay spread")
@@ -212,13 +197,7 @@ def _synthesize_pdp(
                                  max_excess_delay_ns=0.0, name=name)
     if rms_target_ns <= 0.0:
         raise ChannelSpecError("multi-tap profile needs a positive rms delay spread")
-    if tap_spacing_ns is None:
-        n_taps = min(MAX_TAPS, round(max_excess_ns / DEFAULT_TAP_SPACING_NS) + 1)
-    else:
-        n_taps = round(max_excess_ns / tap_spacing_ns) + 1
-        if n_taps > MAX_TAPS:
-            raise ChannelSpecError(f"tap spacing implies more than {MAX_TAPS} taps")
-    n_taps = max(n_taps, 2)
+    n_taps = max(min(MAX_TAPS, round(max_excess_ns / DEFAULT_TAP_SPACING_NS) + 1), 2)
     delays = np.linspace(0.0, max_excess_ns, n_taps)
     uniform_limit = _moment_rms(delays, np.ones(n_taps))
     if rms_target_ns >= uniform_limit:
@@ -244,7 +223,7 @@ def _catalog_pdp(name: str) -> PowerDelayProfile:
 
 
 def build_pdp(spec) -> PowerDelayProfile:
-    """Build a profile from a catalog name or an ``(rms, max_excess[, spacing])`` tuple."""
+    """Build a profile from a catalog name or an ``(rms, max_excess)`` tuple."""
     if isinstance(spec, PowerDelayProfile):
         return spec
     if isinstance(spec, str):
@@ -271,17 +250,6 @@ def _spectrum_cdf(spectrum: str, x: np.ndarray) -> np.ndarray:
         return 0.5 + np.arctan(_BELL_SLOPE * x) / norm
     norm = math.erf(1.0 / (_GAUSS_SIGMA * math.sqrt(2.0)))
     return 0.5 + 0.5 * np.vectorize(math.erf)(x / (_GAUSS_SIGMA * math.sqrt(2.0))) / norm
-
-
-def _rice_split(pdp: PowerDelayProfile, fading: FadingConfig):
-    """Split tap powers into diffuse power and a static first-tap LOS term."""
-    diffuse = pdp.linear_powers.copy()
-    los = np.zeros(pdp.n_taps, dtype=complex)
-    if fading.distribution == "rice":
-        k_lin = 10.0 ** (fading.rice_k_db / 10.0)
-        los[0] = math.sqrt(diffuse[0] * k_lin / (k_lin + 1.0))
-        diffuse[0] = diffuse[0] / (k_lin + 1.0)
-    return diffuse, los
 
 
 def realize_channel(pdp, fading, true_time_ns, rng) -> ChannelRealization:
@@ -361,10 +329,10 @@ def tap_gain_series(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Complex gains of every tap on a regular comb, shape ``(n_taps, count)``."""
-    diffuse, los = _rice_split(pdp, fading)
+    powers = pdp.linear_powers
     out = np.empty((pdp.n_taps, count), dtype=complex)
     for i in range(pdp.n_taps):
-        out[i] = _tap_series(diffuse[i], fading, period_s, count, offset_s, rng) + los[i]
+        out[i] = _tap_series(powers[i], fading, period_s, count, offset_s, rng)
     return out
 
 
@@ -384,25 +352,24 @@ def detected_excess_series(
     """
     if pdp.n_taps == 1:
         return np.zeros(count)
-    diffuse, los = _rice_split(pdp, fading)
+    powers = pdp.linear_powers
     delays = pdp.delays_ns
     if policy == "strongest_tap":
         best_power = np.full(count, -1.0)
         best_tap = np.zeros(count, dtype=np.int64)
         for i in range(pdp.n_taps):
-            series = _tap_series(diffuse[i], fading, period_s, count, offset_s, rng) + los[i]
-            power = np.abs(series) ** 2
+            power = np.abs(_tap_series(powers[i], fading, period_s, count, offset_s, rng)) ** 2
             better = power > best_power
             best_power[better] = power[better]
             best_tap[better] = i
         return delays[best_tap] - delays[0]
     if policy == "first_above_threshold":
-        powers = np.empty((pdp.n_taps, count), dtype=np.float32)
+        tap_powers = np.empty((pdp.n_taps, count), dtype=np.float32)
         for i in range(pdp.n_taps):
-            series = _tap_series(diffuse[i], fading, period_s, count, offset_s, rng) + los[i]
-            powers[i] = np.abs(series) ** 2
-        floor = powers.max(axis=0) * np.float32(10.0 ** (-threshold_db / 10.0))
-        idx = np.argmax(powers >= floor[None, :], axis=0)
+            tap_powers[i] = np.abs(_tap_series(powers[i], fading, period_s, count, offset_s,
+                                               rng)) ** 2
+        floor = tap_powers.max(axis=0) * np.float32(10.0 ** (-threshold_db / 10.0))
+        idx = np.argmax(tap_powers >= floor[None, :], axis=0)
         return delays[idx] - delays[0]
     raise ChannelSpecError(f"unknown detector policy {policy!r}")
 

@@ -53,7 +53,6 @@ from .protocol import (
 __all__ = [
     "ExperimentConfig",
     "HopSpec",
-    "NodeSpec",
     "PortSpec",
     "RunStats",
     "SIM_PRESETS",
@@ -65,6 +64,9 @@ __all__ = [
 ]
 
 EMULATOR_BASE_DELAY_NS = 1135.0
+OTA_LINK_M = 10.0  # calibrated over-the-air link length
+REPLY_DELAY_S = 1e-3  # slave's reply after each arrival
+BURST_SPACING_S = 1e-3  # between the exchanges of an FTM burst
 HIST_BINS = 64
 DIVERGENCE_FACTOR = 10.0
 
@@ -90,16 +92,9 @@ class TopologyError(ValueError):
 
 
 @dataclass(frozen=True)
-class NodeSpec:
-    node_id: str
-    role: str = "boundary"  # gmc | boundary | translator | sta | reference
-
-
-@dataclass(frozen=True)
 class PortSpec:
     """Timestamping interface of one hop endpoint."""
 
-    medium: str = "ethernet"
     sample_period_ns: float = ETHERNET_TS_NS
     cdc_t_src_ns: float = 0.0  # 0 means the port reads its PHC natively
 
@@ -111,7 +106,9 @@ class PortSpec:
 
 @dataclass(frozen=True)
 class HopSpec:
-    """One synchronization hop: master disciplines slave over a medium."""
+    """One synchronization hop: master disciplines slave over ethernet or a
+    wireless medium.  Only wireless hops fade (when ``channel`` is set) and
+    run one-way, as the one-way loop never quantizes the master's stamp."""
 
     master: str
     slave: str
@@ -122,14 +119,17 @@ class HopSpec:
     geometry: LinkGeometry = field(default_factory=LinkGeometry)
     channel: str | None = None
     doppler_hz: float = 0.0
-    spectrum: str = "jakes"
     detector_policy: str = "strongest_tap"
     detector_threshold_db: float = 6.0
-    reply_delay_s: float = 1e-3
-    intra_burst_spacing_s: float = 1e-3
     stagger_s: float = 0.0
 
     def __post_init__(self):
+        if self.medium not in ("ethernet", "wireless"):
+            raise ValueError(f"unknown medium {self.medium!r}")
+        if self.medium == "ethernet" and self.protocol.scheme == SCHEME_ONE_WAY:
+            raise ValueError("an ethernet hop cannot run the one-way scheme")
+        if self.channel is not None:
+            build_pdp(self.channel)
         if self.detector_policy not in _DETECTOR_POLICIES:
             raise ValueError(f"unknown detector policy {self.detector_policy!r}")
         if not (math.isfinite(self.detector_threshold_db) and self.detector_threshold_db >= 0):
@@ -139,20 +139,18 @@ class HopSpec:
 
 @dataclass(frozen=True)
 class Topology:
+    """Node ids and hops of a chain; the one node no hop disciplines is its gmc."""
+
     name: str
-    nodes: tuple[NodeSpec, ...]
+    nodes: tuple[str, ...]
     hops: tuple[HopSpec, ...]
     measured_node: str
     reference_node: str
 
-    def validate(self) -> None:
-        ids = [n.node_id for n in self.nodes]
-        if len(set(ids)) != len(ids):
+    def __post_init__(self):
+        if len(set(self.nodes)) != len(self.nodes):
             raise TopologyError("duplicate node ids")
-        roles = [n.role for n in self.nodes if n.role == "gmc"]
-        if len(roles) != 1:
-            raise TopologyError("topology needs exactly one gmc node")
-        known = set(ids)
+        known = set(self.nodes)
         upstream: dict[str, int] = {}
         for i, hop in enumerate(self.hops):
             if hop.master not in known or hop.slave not in known:
@@ -163,13 +161,14 @@ class Topology:
         for probe in (self.measured_node, self.reference_node):
             if probe not in known:
                 raise TopologyError(f"unknown probe node {probe!r}")
-        gmc = next(n.node_id for n in self.nodes if n.role == "gmc")
-        if gmc in upstream:
-            raise TopologyError("gmc cannot be a slave")
-        for node in known - {gmc}:
+        roots = known - set(upstream)
+        if len(roots) != 1:
+            raise TopologyError("topology needs exactly one gmc: a node no hop disciplines")
+        gmc, = roots
+        for node in known - roots:
             seen, cur = set(), node
             while cur != gmc:
-                if cur in seen or cur not in upstream:
+                if cur in seen:
                     raise TopologyError(f"node {node} is not chained to the gmc")
                 seen.add(cur)
                 cur = self.hops[upstream[cur]].master
@@ -244,7 +243,8 @@ class ExperimentConfig:
     crossing.  ``extra_distance_m`` lengthens the wireless link without
     recalibrating one-way receivers, which injects an uncompensated
     propagation delay.  ``drift_free`` zeroes every oscillator frequency
-    error, the regime the analytic budgets are stated for.
+    error, the regime the analytic budgets are stated for.  On the ``ota-*``
+    presets the extra distance adds to a calibrated ``OTA_LINK_M`` link.
     """
 
     preset: str = "emulator-80211"
@@ -286,14 +286,11 @@ class ExperimentConfig:
             raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
         if self.cdc_stages not in (1, 2):
             raise ValueError("cdc_stages must be 1 or 2")
-        if self.topology is None and self.preset not in SIM_PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}")
         walk = self.drift_walk_sigma_ppm_per_s
         if not (math.isfinite(walk) and walk >= 0):
             raise ValueError(f"drift_walk_sigma_ppm_per_s must be finite and >= 0, got {walk!r}")
-        build_pdp(self.channel)
-        # Hop settings are checked where they are used: in the hop specs and
-        # their protocol configs.
+        # Hop settings, the channel among them, are checked where they are
+        # used: in the hop specs and their protocol configs.
         topo = build_topology(self)
         duration_ps = round(self.duration_s * 1e12)
         entries = sum(math.prod(_series_shape(hop, duration_ps)) for hop in topo.hops)
@@ -354,9 +351,8 @@ def build_topology(config: ExperimentConfig) -> Topology:
             burst_length=config.burst_length,
             kp=config.kp if config.kp is not None else base.kp,
             ki=config.ki if config.ki is not None else base.ki),
-        master_port=PortSpec("wireless", WIRELESS_TS_NS, CDC_T_SRC_NS),
-        slave_port=PortSpec("wireless", WIRELESS_TS_NS,
-                            CDC_T_SRC_NS if config.cdc_stages == 2 else 0.0),
+        master_port=PortSpec(WIRELESS_TS_NS, CDC_T_SRC_NS),
+        slave_port=PortSpec(WIRELESS_TS_NS, CDC_T_SRC_NS if config.cdc_stages == 2 else 0.0),
         geometry=LinkGeometry(distance_m=config.extra_distance_m),
         channel=config.channel, doppler_hz=doppler_from_speed(config.speed_kmh),
         detector_policy=config.detector_policy,
@@ -375,27 +371,23 @@ def build_topology(config: ExperimentConfig) -> Topology:
                        geometry=geometry, stagger_s=stagger_s)
 
     if preset in ("calnex", "calnex-eth3"):
-        nodes = (NodeSpec("gmc", "gmc"), NodeSpec("tr1", "translator"),
-                 NodeSpec("tr2", "translator"), NodeSpec("analyzer", "reference"))
+        nodes = ("gmc", "tr1", "tr2", "analyzer")
         bridge = (_eth_hop("tr1", "tr2", _stagger(1)) if preset == "calnex-eth3" else
                   wireless_hop("tr1", "tr2", _stagger(1), wireless.geometry, 0.0))
         hops = (_eth_hop("gmc", "tr1", _stagger(0)), bridge,
                 _eth_hop("tr2", "analyzer", _stagger(2)))
         return Topology(preset, nodes, hops, "analyzer", "gmc")
     if preset in ("emulator-80211", "emulator-wsharp"):
-        nodes = (NodeSpec("gmc", "gmc"), NodeSpec("switch", "boundary"),
-                 NodeSpec("translator", "translator"), NodeSpec("sta", "sta"))
+        nodes = ("gmc", "switch", "translator", "sta")
         geom = replace(wireless.geometry, base_delay_ns=EMULATOR_BASE_DELAY_NS)
         hops = (_eth_hop("gmc", "switch", _stagger(0)),
                 _eth_hop("switch", "translator", _stagger(1)),
                 wireless_hop("translator", "sta", _stagger(2), geom, geom.base_delay_ns))
         return Topology(preset, nodes, hops, "sta", "gmc")
     if preset in ("ota-80211", "ota-wsharp"):
-        nodes = (NodeSpec("gmc", "gmc"), NodeSpec("switch", "boundary"),
-                 NodeSpec("translator", "translator"), NodeSpec("sta", "sta"),
-                 NodeSpec("probe", "reference"))
-        geom = replace(wireless.geometry, distance_m=config.extra_distance_m or 10.0)
-        calibrated = propagation_delay_ns(geom)
+        nodes = ("gmc", "switch", "translator", "sta", "probe")
+        geom = replace(wireless.geometry, distance_m=OTA_LINK_M + config.extra_distance_m)
+        calibrated = propagation_delay_ns(LinkGeometry(distance_m=OTA_LINK_M))
         hops = (_eth_hop("gmc", "switch", _stagger(0)),
                 _eth_hop("switch", "translator", _stagger(1)),
                 _eth_hop("switch", "probe", _stagger(2)),
@@ -468,29 +460,29 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
         h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase = _draw_cdc(
             init_rng, hop.slave_port.cdc_t_src_ns, config.drift_free)
     h.prop_ns = propagation_delay_ns(hop.geometry)
-    h.reply_ns = hop.reply_delay_s * 1e9
+    h.reply_ns = REPLY_DELAY_S * 1e9
     h.calib_ns = hop.protocol.calibrated_delay_ns
-    h.spacing_ns = hop.intra_burst_spacing_s * 1e9
+    h.spacing_ns = BURST_SPACING_S * 1e9
     count, h.burst, directions = _series_shape(hop, duration_ps)
     h.dmf = [[0.0] * count for _ in range(h.burst)]
     h.dmr = [[0.0] * count for _ in range(h.burst)] if directions == 2 else []
     if hop.medium == "wireless" and hop.channel is not None:
         pdp = build_pdp(hop.channel)
         if pdp.n_taps > 1:
-            fading = FadingConfig(spectrum=hop.spectrum, doppler_hz=hop.doppler_hz)
+            fading = FadingConfig(doppler_hz=hop.doppler_hz)
             fwd_rng, rev_rng = fading_seeds
             period_s = hop.protocol.sync_period_s
             for b in range(h.burst):
                 h.dmf[b] = detected_excess_series(
                     pdp, fading, period_s, count,
-                    hop.stagger_s + b * hop.intra_burst_spacing_s,
+                    hop.stagger_s + b * BURST_SPACING_S,
                     fwd_rng, hop.detector_policy, hop.detector_threshold_db).tolist()
             if directions == 2:
-                rev_offset = hop.stagger_s + h.prop_ns * 1e-9 + hop.reply_delay_s
+                rev_offset = hop.stagger_s + h.prop_ns * 1e-9 + REPLY_DELAY_S
                 for b in range(h.burst):
                     h.dmr[b] = detected_excess_series(
                         pdp, fading, period_s, count,
-                        rev_offset + b * hop.intra_burst_spacing_s,
+                        rev_offset + b * BURST_SPACING_S,
                         rev_rng, hop.detector_policy, hop.detector_threshold_db).tolist()
     return h
 
@@ -621,10 +613,11 @@ def _run_replica(topo: Topology, config: ExperimentConfig,
     init_rng = np.random.default_rng(streams[0])
     walk_rng = np.random.default_rng(streams[-1])
 
-    node_index = {n.node_id: i for i, n in enumerate(topo.nodes)}
+    node_index = {node: i for i, node in enumerate(topo.nodes)}
+    slaves = {hop.slave for hop in topo.hops}
     off, rate, walk_sigma = [], [], []
     for node in topo.nodes:
-        if node.role == "gmc":
+        if node not in slaves:  # the gmc
             off.append(0.0)
             rate.append(1.0)
             walk_sigma.append(0.0)
@@ -732,7 +725,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     if any post-warmup sample exceeds ten times the chain budget.
     """
     topo = build_topology(config)
-    topo.validate()
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
     jobs = [(topo, config, s) for s in seeds]
     if workers > 1 and config.replicas > 1:

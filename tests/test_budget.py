@@ -209,17 +209,30 @@ class TestReport:
         ]
 
 
-# ``budget`` and ``sim`` import each other; pytest's import order would hide a
-# cycle that breaks when either is imported first.
-@pytest.mark.parametrize("first", ["hybridsync.budget", "hybridsync.sim"])
-def test_chain_preset_from_fresh_interpreter(first):
+def run_with_package(argv) -> str:
+    """Stdout of a fresh interpreter that has this package on its path; fails
+    the test on a non-zero exit."""
     import hybridsync
 
     src = str(Path(hybridsync.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+# ``budget`` and ``sim`` import each other; pytest's import order would hide a
+# cycle that breaks when either is imported first.
+@pytest.mark.parametrize("first", ["hybridsync.budget", "hybridsync.sim"])
+def test_chain_preset_from_fresh_interpreter(first):
     code = (f"import {first}\n"
             "from hybridsync.budget import chain_max_error, chain_preset\n"
             "print(chain_max_error(chain_preset('calnex-awgn')))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout == "73.0\n"
+    assert run_with_package(["-c", code]) == "73.0\n"
+
+
+def test_budget_tables_script():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_budget_tables.py"
+    rows = {line.split()[0]: line.split()
+            for line in run_with_package([str(script)]).splitlines() if line.strip()}
+    assert rows["calnex-eth3"][-1] == "24.0"
+    assert rows["IWLAN_B"][-2:] == ["325.0", "625.0"]  # two-way, one-way

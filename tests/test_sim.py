@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hybridsync.budget import HOP_CDC, HOP_WIRELESS_ONE_WAY, chain_max_error, topology_budget
+from hybridsync.channel import propagation_delay_ns
 from hybridsync.clocks import quantize_value
 from hybridsync.protocol import (
     PROTOCOL_PRESETS,
@@ -19,7 +20,6 @@ from hybridsync.protocol import (
 from hybridsync.sim import (
     ExperimentConfig,
     HopSpec,
-    NodeSpec,
     PortSpec,
     SIM_PRESETS,
     Topology,
@@ -121,7 +121,8 @@ class Port:
 
 def oracle_period(master, slave, m_port, s_port, config, t0, prop, fwd, rev):
     """One period's sample, and the arrival the servo anchors its slew at.
-    Replies and burst positions follow 1 ms apart, the ``HopSpec`` default."""
+    Replies and burst positions follow 1 ms apart, as ``REPLY_DELAY_S`` and
+    ``BURST_SPACING_S`` fix them for every hop."""
     if config.scheme == SCHEME_ONE_WAY:
         ta = t0 + prop + fwd[0]
         sample = SyncSample(m_port.stamp(master, t0, egress=True), s_port.stamp(slave, ta),
@@ -214,7 +215,7 @@ class TestPrepareHop:
         config = ExperimentConfig(preset="emulator-80211", channel="IWLAN_A",
                                   scheme=scheme, burst_length=4)
         topo = build_topology(config)
-        node_index = {n.node_id: i for i, n in enumerate(topo.nodes)}
+        node_index = {node: i for i, node in enumerate(topo.nodes)}
         rngs = [np.random.default_rng(k) for k in range(3)]
         h = _prepare_hop(topo.hops[-1], node_index, config, rngs[0], rngs[1:], 10**13)
         assert h.burst == positions
@@ -251,7 +252,6 @@ class TestTopologies:
     def test_presets_build_and_validate(self):
         for preset in SIM_PRESETS:
             topo = build_topology(ExperimentConfig(preset=preset, channel="IWLAN_A"))
-            topo.validate()
             assert topo.name == preset
 
     def test_calnex_chain_shape(self):
@@ -308,26 +308,45 @@ class TestTopologies:
             assert chain_max_error(topology_budget(topo)) == expected
 
     def test_validation_catches_bad_graphs(self):
-        nodes = (NodeSpec("a", "gmc"), NodeSpec("b"), NodeSpec("c"))
-        eth = PortSpec()
-        proto = PROTOCOL_PRESETS["wired-ptp"]
+        nodes = ("a", "b", "c")
 
         def hop(m, s):
-            return HopSpec(m, s, "ethernet", proto, eth, eth)
+            return HopSpec(m, s, "ethernet", PROTOCOL_PRESETS["wired-ptp"], PortSpec(), PortSpec())
 
+        assert Topology("t", nodes, (hop("a", "b"), hop("b", "c")), "c", "a").hops
         with pytest.raises(TopologyError):  # orphan c
-            Topology("t", nodes, (hop("a", "b"),), "c", "a").validate()
+            Topology("t", nodes, (hop("a", "b"),), "c", "a")
         with pytest.raises(TopologyError):  # two upstream hops
-            Topology("t", nodes, (hop("a", "b"), hop("c", "b"), hop("a", "c")),
-                     "b", "a").validate()
+            Topology("t", nodes, (hop("a", "b"), hop("c", "b"), hop("a", "c")), "b", "a")
         with pytest.raises(TopologyError):  # gmc as slave
-            Topology("t", nodes, (hop("b", "a"), hop("a", "b"), hop("a", "c")),
-                     "b", "a").validate()
+            Topology("t", nodes, (hop("b", "a"), hop("a", "b"), hop("a", "c")), "b", "a")
         with pytest.raises(TopologyError):  # unknown probe
-            Topology("t", nodes, (hop("a", "b"), hop("b", "c")), "d", "a").validate()
-        with pytest.raises(TopologyError):  # no gmc
-            Topology("t", (NodeSpec("a"), NodeSpec("b")), (hop("a", "b"),),
-                     "b", "a").validate()
+            Topology("t", nodes, (hop("a", "b"), hop("b", "c")), "d", "a")
+        with pytest.raises(TopologyError):  # duplicate node
+            Topology("t", ("a", "b", "b"), (hop("a", "b"),), "b", "a")
+        # Never budget or run a cycle: the upstream walk of b and c never ends.
+        with pytest.raises(TopologyError):
+            Topology("t", nodes, (hop("b", "c"), hop("c", "b")), "b", "a")
+
+    @pytest.mark.parametrize("medium, protocol, channel", [
+        ("optical", ProtocolConfig(), None),
+        ("ethernet", ONE_WAY, None),
+        ("wireless", ProtocolConfig(), "WLAN_Z"),
+    ], ids=["unknown_medium", "one_way_ethernet", "unknown_channel"])
+    def test_hop_refuses_what_the_kernel_runs_wrongly(self, medium, protocol, channel):
+        # Construction only: no preset builds these hops.
+        with pytest.raises(ValueError):
+            HopSpec("m", "s", medium, protocol, PortSpec(), PortSpec(), channel=channel)
+
+    def test_ota_extra_distance_is_uncalibrated(self):
+        # 10 m stay calibrated out; the extra 30 m add 100.07 ns, as on the emulator.
+        default = build_topology(ExperimentConfig(preset="ota-wsharp", channel="AWGN")).hops[-1]
+        assert default.geometry.distance_m == 10.0
+        assert default.protocol.calibrated_delay_ns == propagation_delay_ns(default.geometry)
+        for preset in ("ota-wsharp", "emulator-wsharp"):
+            topo = build_topology(ExperimentConfig(preset=preset, channel="AWGN",
+                                                   extra_distance_m=30.0))
+            assert chain_max_error(topology_budget(topo)) == pytest.approx(173.07, abs=0.01)
 
     @pytest.mark.parametrize("port", [dict(sample_period_ns=0.0),
                                       dict(sample_period_ns=float("nan")),
