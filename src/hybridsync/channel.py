@@ -2,9 +2,8 @@
 
 Profiles are synthesized as exponentially decaying taps on a uniform delay
 grid, solved so the rms delay spread hits a target value.  Each tap fades
-as a Rayleigh process whose power spectrum follows a Doppler shape: the
-simulator's Jakes shape gives the autocorrelation ``J0(2 * pi * f_d * tau)``,
-and ``validate-channel --spectrum`` also checks bell and Gaussian shapes.
+as a Rayleigh process under the Jakes Doppler spectrum, whose
+autocorrelation is ``J0(2 * pi * f_d * tau)``.
 A preamble-style detector locks onto a single replica, typically the
 instantaneous strongest tap, which is what injects multipath error into
 receive timestamps.
@@ -44,7 +43,7 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT_M_PER_NS = 0.2998
-DEFAULT_CARRIER_HZ = 2.4e9
+CARRIER_HZ = 2.4e9
 DEFAULT_TAP_SPACING_NS = 25.0
 MAX_TAPS = 10
 _DETECTOR_POLICIES = ("strongest_tap", "first_above_threshold")
@@ -56,40 +55,26 @@ class ChannelSpecError(ValueError):
 
 @dataclass(frozen=True)
 class PowerDelayProfile:
-    """Tap delays (ns) and mean tap powers (dB), first tap at delay 0."""
+    """Tap delays (ns) and mean tap powers (dB), first tap at delay 0.
+
+    ``taps`` may be any iterable of (delay, power) pairs; it is stored as a
+    tuple of float pairs.
+    """
 
     taps: tuple[tuple[float, float], ...]
-    rms_delay_spread_ns: float
-    max_excess_delay_ns: float
-    name: str = ""
 
     def __post_init__(self):
-        delays = [d for d, _ in self.taps]
+        taps = tuple((float(d), float(p)) for d, p in self.taps)
+        object.__setattr__(self, "taps", taps)
+        delays = [d for d, _ in taps]
         if not delays or delays[0] != 0.0:
             raise ChannelSpecError("first tap must sit at delay 0")
         if any(b <= a for a, b in zip(delays, delays[1:])):
             raise ChannelSpecError("tap delays must be strictly increasing")
-        if not math.isclose(self.max_excess_delay_ns, delays[-1] - delays[0]):
-            raise ChannelSpecError("max_excess_delay_ns must equal the tap span")
-        recomputed = _moment_rms(np.array(delays), self.linear_powers)
-        tol = max(0.01 * self.rms_delay_spread_ns, 1e-9)
-        if abs(recomputed - self.rms_delay_spread_ns) > tol:
-            raise ChannelSpecError(
-                f"declared rms delay spread {self.rms_delay_spread_ns:.3f} ns is "
-                f"inconsistent with taps (recomputed {recomputed:.3f} ns)"
-            )
 
-    @classmethod
-    def from_taps(cls, taps, name: str = "") -> "PowerDelayProfile":
-        taps = tuple((float(d), float(p)) for d, p in taps)
-        delays = np.array([d for d, _ in taps])
-        powers = 10.0 ** (np.array([p for _, p in taps]) / 10.0)
-        return cls(
-            taps=taps,
-            rms_delay_spread_ns=_moment_rms(delays, powers),
-            max_excess_delay_ns=float(delays[-1] - delays[0]),
-            name=name,
-        )
+    @property
+    def max_excess_delay_ns(self) -> float:
+        return self.taps[-1][0] - self.taps[0][0]
 
     @cached_property
     def delays_ns(self) -> np.ndarray:
@@ -109,18 +94,18 @@ class FadingConfig:
     """Rayleigh fading statistics of every tap.
 
     ``doppler_hz`` of zero freezes the channel: one draw per tap, constant
-    over time.  ``spectrum`` selects the Doppler power spectrum shape used to
-    correlate successive realizations.
+    over time.  ``spectrum`` names the Doppler power spectrum that correlates
+    successive realizations; Jakes is the only one.
     """
 
     spectrum: str = "jakes"
     doppler_hz: float = 0.0
 
     def __post_init__(self):
-        if self.spectrum not in ("jakes", "bell", "gaussian"):
+        if self.spectrum != "jakes":
             raise ChannelSpecError(f"unknown Doppler spectrum {self.spectrum!r}")
-        if not self.doppler_hz >= 0:
-            raise ChannelSpecError("doppler_hz must be >= 0")
+        if not 0 <= self.doppler_hz < math.inf:
+            raise ChannelSpecError(f"doppler_hz must be finite and >= 0, got {self.doppler_hz!r}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +113,6 @@ class ChannelRealization:
     """Instantaneous complex tap gains drawn at one emission instant."""
 
     tap_gains: np.ndarray
-    realized_at_ns: float
 
 
 @dataclass(frozen=True)
@@ -148,12 +132,12 @@ def propagation_delay_ns(geometry: LinkGeometry) -> float:
     return geometry.distance_m / SPEED_OF_LIGHT_M_PER_NS + geometry.base_delay_ns
 
 
-def doppler_from_speed(speed_kmh: float, carrier_hz: float = DEFAULT_CARRIER_HZ) -> float:
-    """Maximum Doppler shift for a scatterer speed in km/h."""
+def doppler_from_speed(speed_kmh: float) -> float:
+    """Maximum Doppler shift for a scatterer speed in km/h at the 2.4 GHz carrier."""
     if not 0 <= speed_kmh < math.inf:
         raise ChannelSpecError(f"speed_kmh must be finite and >= 0, got {speed_kmh!r}")
     c_m_per_s = SPEED_OF_LIGHT_M_PER_NS * 1e9
-    return speed_kmh / 3.6 * carrier_hz / c_m_per_s
+    return speed_kmh / 3.6 * CARRIER_HZ / c_m_per_s
 
 
 def _moment_rms(delays: np.ndarray, powers: np.ndarray) -> float:
@@ -188,13 +172,11 @@ def canonical_channel_name(name: str) -> str:
         raise ChannelSpecError(f"unknown channel {name!r}") from None
 
 
-def _synthesize_pdp(rms_target_ns: float, max_excess_ns: float,
-                    name: str = "") -> PowerDelayProfile:
+def _synthesize_pdp(rms_target_ns: float, max_excess_ns: float) -> PowerDelayProfile:
     if max_excess_ns == 0.0:
         if rms_target_ns != 0.0:
             raise ChannelSpecError("single-tap profile cannot have nonzero delay spread")
-        return PowerDelayProfile(taps=((0.0, 0.0),), rms_delay_spread_ns=0.0,
-                                 max_excess_delay_ns=0.0, name=name)
+        return PowerDelayProfile(((0.0, 0.0),))
     if rms_target_ns <= 0.0:
         raise ChannelSpecError("multi-tap profile needs a positive rms delay spread")
     n_taps = max(min(MAX_TAPS, round(max_excess_ns / DEFAULT_TAP_SPACING_NS) + 1), 2)
@@ -213,13 +195,13 @@ def _synthesize_pdp(rms_target_ns: float, max_excess_ns: float,
 
     log_alpha = brentq(spread_error, math.log(1e-3), math.log(1e9), xtol=1e-12)
     powers_db = -delays / math.exp(log_alpha) * (10.0 / math.log(10.0))
-    return PowerDelayProfile.from_taps(zip(delays, powers_db), name=name)
+    return PowerDelayProfile(zip(delays, powers_db))
 
 
 @lru_cache(maxsize=None)
 def _catalog_pdp(name: str) -> PowerDelayProfile:
     _, rms, excess = CHANNEL_CATALOG[name]
-    return _synthesize_pdp(rms, excess, name=name)
+    return _synthesize_pdp(rms, excess)
 
 
 def build_pdp(spec) -> PowerDelayProfile:
@@ -231,31 +213,20 @@ def build_pdp(spec) -> PowerDelayProfile:
     return _synthesize_pdp(*spec)
 
 
-# --- Doppler spectrum shapes -------------------------------------------------
-#
-# All shapes are normalized to the band [-f_d, +f_d] and expressed through
-# their CDF on x = f / f_d, which gives exact band-limited bin masses without
-# special handling of the band-edge singularity of the Jakes shape.
+def _jakes_cdf(x: np.ndarray) -> np.ndarray:
+    """CDF of the Jakes spectrum on x = f / f_d over the band [-1, 1].
 
-_BELL_SLOPE = 3.0  # classic bell shape 1 / (1 + 9 (f/f_d)^2)
-_GAUSS_SIGMA = 1.0 / math.sqrt(2.0)
-
-
-def _spectrum_cdf(spectrum: str, x: np.ndarray) -> np.ndarray:
+    Bin masses taken from the CDF are exact and need no special handling of
+    the band-edge singularity of the density.
+    """
     x = np.clip(x, -1.0, 1.0)
-    if spectrum == "jakes":
-        return 0.5 + np.arcsin(x) / math.pi
-    if spectrum == "bell":
-        norm = 2.0 * math.atan(_BELL_SLOPE)
-        return 0.5 + np.arctan(_BELL_SLOPE * x) / norm
-    norm = math.erf(1.0 / (_GAUSS_SIGMA * math.sqrt(2.0)))
-    return 0.5 + 0.5 * np.vectorize(math.erf)(x / (_GAUSS_SIGMA * math.sqrt(2.0))) / norm
+    return 0.5 + np.arcsin(x) / math.pi
 
 
 def realize_channel(pdp, fading, true_time_ns, rng) -> ChannelRealization:
     """Draw instantaneous tap gains at one instant: a one-sample comb."""
     gains = tap_gain_series(pdp, fading, 1.0, 1, true_time_ns * 1e-9, rng)[:, 0]
-    return ChannelRealization(gains, float(true_time_ns))
+    return ChannelRealization(gains)
 
 
 def detect_arrival(
@@ -308,8 +279,7 @@ def _tap_series(power, fading, period_s, count, offset_s, rng) -> np.ndarray:
     k = np.arange(-kmax, kmax + 1)
     upper = np.clip((k + 0.5) * df, -f_d, f_d)
     lower = np.clip((k - 0.5) * df, -f_d, f_d)
-    masses = power * (_spectrum_cdf(fading.spectrum, upper / f_d)
-                      - _spectrum_cdf(fading.spectrum, lower / f_d))
+    masses = power * (_jakes_cdf(upper / f_d) - _jakes_cdf(lower / f_d))
     coeffs = np.sqrt(masses / 2.0) * (
         rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))
     )

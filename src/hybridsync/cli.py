@@ -291,6 +291,11 @@ def _cmd_validate_channel(args) -> int:
         name = canonical_channel_name(args.channel)
         if name not in CHANNEL_CATALOG:
             raise ValueError(f"unknown channel {args.channel!r}")
+        fading = FadingConfig(doppler_hz=args.doppler_hz)
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
     except ValueError as exc:
         print(f"validate-channel: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -317,8 +322,7 @@ def _cmd_validate_channel(args) -> int:
     })
 
     rng = np.random.default_rng(args.seed)
-    fading = FadingConfig(spectrum=args.spectrum, doppler_hz=args.doppler_hz)
-    frozen = FadingConfig(spectrum=args.spectrum, doppler_hz=0.0)
+    frozen = FadingConfig(doppler_hz=0.0)
     idx = int(np.argmax(pdp.linear_powers))
     draws = np.empty(args.samples, dtype=complex)
     for i in range(args.samples):
@@ -340,7 +344,7 @@ def _cmd_validate_channel(args) -> int:
             "detail": f"range [{excess.min():.2f}, {excess.max():.2f}] ns",
         })
 
-    if args.doppler_hz > 0 and args.spectrum == "jakes":
+    if args.doppler_hz > 0:
         dev = _autocorr_deviation(pdp, fading, rng)
         checks.append({
             "name": "jakes_autocorrelation",
@@ -396,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate-channel", help="check a channel model")
     p.add_argument("--channel", required=True)
     p.add_argument("--doppler-hz", type=float, default=0.0)
-    p.add_argument("--spectrum", choices=("jakes", "bell", "gaussian"),
-                   default="jakes")
     p.add_argument("--samples", type=int, default=4000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out")

@@ -67,6 +67,7 @@ EMULATOR_BASE_DELAY_NS = 1135.0
 OTA_LINK_M = 10.0  # calibrated over-the-air link length
 REPLY_DELAY_S = 1e-3  # slave's reply after each arrival
 BURST_SPACING_S = 1e-3  # between the exchanges of an FTM burst
+WINDUP_PPM = 100.0  # anti-windup clamp on the servo's frequency integrator
 HIST_BINS = 64
 DIVERGENCE_FACTOR = 10.0
 
@@ -108,7 +109,7 @@ class PortSpec:
 class HopSpec:
     """One synchronization hop: master disciplines slave over ethernet or a
     wireless medium.  Only wireless hops fade (when ``channel`` is set) and
-    run one-way, as the one-way loop never quantizes the master's stamp."""
+    run one-way, as the one-way branch never quantizes the master's stamp."""
 
     master: str
     slave: str
@@ -284,8 +285,11 @@ class ExperimentConfig:
         if (not isinstance(self.replicas, Integral) or isinstance(self.replicas, bool)
                 or self.replicas < 1):
             raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
-        if self.cdc_stages not in (1, 2):
-            raise ValueError("cdc_stages must be 1 or 2")
+        if not isinstance(self.drift_free, bool):
+            raise ValueError(f"drift_free must be true or false, got {self.drift_free!r}")
+        if (not isinstance(self.cdc_stages, Integral) or isinstance(self.cdc_stages, bool)
+                or self.cdc_stages not in (1, 2)):
+            raise ValueError(f"cdc_stages must be the integer 1 or 2, got {self.cdc_stages!r}")
         walk = self.drift_walk_sigma_ppm_per_s
         if not (math.isfinite(walk) and walk >= 0):
             raise ValueError(f"drift_walk_sigma_ppm_per_s must be finite and >= 0, got {walk!r}")
@@ -404,10 +408,10 @@ class _HopRuntime:
 
     __slots__ = (
         "mi", "si", "scheme", "egress_quant", "period_ps", "next_ps", "n",
-        "kp", "ki", "k3", "integ", "locked", "windup",
+        "kp", "ki", "k3", "integ", "locked",
         "ts_m", "ph_m", "ts_s", "ph_s",
         "cdc_m_T", "cdc_m_rate", "cdc_m_phase", "cdc_s_T", "cdc_s_rate", "cdc_s_phase",
-        "prop_ns", "reply_ns", "calib_ns", "dmf", "dmr", "burst", "spacing_ns",
+        "prop_ns", "calib_ns", "dmf", "dmr", "burst",
     )
 
 
@@ -446,7 +450,6 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
     h.k3 = 1000.0 * hop.protocol.sync_period_s
     h.integ = 0.0
     h.locked = False
-    h.windup = 100.0
     h.ts_m = hop.master_port.sample_period_ns
     h.ph_m = init_rng.uniform(0.0, 1.0)
     h.ts_s = hop.slave_port.sample_period_ns
@@ -460,9 +463,7 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
         h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase = _draw_cdc(
             init_rng, hop.slave_port.cdc_t_src_ns, config.drift_free)
     h.prop_ns = propagation_delay_ns(hop.geometry)
-    h.reply_ns = REPLY_DELAY_S * 1e9
     h.calib_ns = hop.protocol.calibrated_delay_ns
-    h.spacing_ns = BURST_SPACING_S * 1e9
     count, h.burst, directions = _series_shape(hop, duration_ps)
     h.dmf = [[0.0] * count for _ in range(h.burst)]
     h.dmr = [[0.0] * count for _ in range(h.burst)] if directions == 2 else []
@@ -491,17 +492,19 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
     """Process every exchange of one hop up to the barrier.
 
     Other streams cannot fire inside the window, so the master clock state is
-    constant here and only the slave evolves.  There are two loops, each
-    held exchange by exchange to the test oracle in ``tests/test_sim.py``
-    by ``TestEngineProtocolLockstep``:
+    constant here and only the slave evolves.  There is one period loop with
+    two branches, each held exchange by exchange to the test oracle in
+    ``tests/test_sim.py`` by ``TestEngineProtocolLockstep``:
 
-    * the one-way loop stamps a beacon and subtracts the calibrated delay
+    * the one-way branch stamps a beacon and subtracts the calibrated delay
       (``test_one_way_wireless_hop_with_cdc``);
-    * the burst loop runs ``h.burst`` two-way exchanges per period and
+    * the burst branch runs ``h.burst`` two-way exchanges per period and
       averages their estimates; two-way hops are bursts of one
       (``test_two_way_ethernet_hop`` and ``test_ftm_burst_hop``).
 
-    ``test_integrator_windup`` drives the anti-windup clamp in both loops.
+    Each branch yields the period's estimate and the arrival the servo slews
+    at; the jam-then-PI step after them is shared.  ``test_integrator_windup``
+    drives its anti-windup clamp through both branches.
     """
     ceil = math.ceil
     t_ps = h.next_ps
@@ -510,18 +513,21 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
     period_ps = h.period_ps
     mo, mr = off[h.mi], rate[h.mi]
     so, sr = off[h.si], rate[h.si]
-    kp, ki, k3, windup = h.kp, h.ki, h.k3, h.windup
+    kp, ki, k3, windup = h.kp, h.ki, h.k3, WINDUP_PPM
     integ, locked = h.integ, h.locked
     ts_m, ph_m, ts_s, ph_s = h.ts_m, h.ph_m, h.ts_s, h.ph_s
     cmT, cmR, cmP = h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase
     csT, csR, csP = h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase
-    prop, reply, calib = h.prop_ns, h.reply_ns, h.calib_ns
+    prop, calib = h.prop_ns, h.calib_ns
+    reply, spacing = REPLY_DELAY_S * 1e9, BURST_SPACING_S * 1e9
+    one_way = h.scheme == SCHEME_ONE_WAY
+    dmf, dmr, dmf0 = h.dmf, h.dmr, h.dmf[0]
+    burst, egress_quant = h.burst, h.egress_quant
     n = h.n
 
-    if h.scheme == SCHEME_ONE_WAY:
-        dmf0 = h.dmf[0]
-        while t_ps <= barrier_ps:
-            t0 = t_ps * 1e-3
+    while t_ps <= barrier_ps:
+        t0 = t_ps * 1e-3
+        if one_way:
             t1 = mo + mr * t0
             if cmT:
                 t1 += 0.5 * cmT - ((t0 * cmR + cmP) % cmT)
@@ -531,28 +537,8 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
                 v += 0.5 * csT - ((ta * csR + csP) % csT)
             t2 = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
             est = t2 - t1 - calib
-            if locked:
-                step = kp * est
-                raw = integ + ki * est / k3
-                new = windup if raw > windup else (-windup if raw < -windup else raw)
-                fstep = new - integ
-                integ = new
-            else:
-                step = est
-                fstep = 0.0
-                locked = True
-            so -= step
-            if fstep:
-                so += fstep * 1e-6 * ta
-                sr -= fstep * 1e-6
-            n += 1
-            t_ps += period_ps
-    else:
-        dmf, dmr = h.dmf, h.dmr
-        burst, spacing = h.burst, h.spacing_ns
-        egress_quant = h.egress_quant
-        while t_ps <= barrier_ps:
-            t0 = t_ps * 1e-3
+            anchor = ta
+        else:
             acc = 0.0
             for b in range(burst):
                 t = t0 + b * spacing
@@ -581,22 +567,23 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
                 t4 = ts_m * (ceil(v / ts_m - ph_m - 0.5) + ph_m)
                 acc += ((t2 - t1) - (t4 - t3)) * 0.5
             est = acc / burst
-            if locked:
-                step = kp * est
-                raw = integ + ki * est / k3
-                new = windup if raw > windup else (-windup if raw < -windup else raw)
-                fstep = new - integ
-                integ = new
-            else:
-                step = est
-                fstep = 0.0
-                locked = True
-            so -= step
-            if fstep:
-                so += fstep * 1e-6 * tb
-                sr -= fstep * 1e-6
-            n += 1
-            t_ps += period_ps
+            anchor = tb
+        if locked:
+            step = kp * est
+            raw = integ + ki * est / k3
+            new = windup if raw > windup else (-windup if raw < -windup else raw)
+            fstep = new - integ
+            integ = new
+        else:
+            step = est
+            fstep = 0.0
+            locked = True
+        so -= step
+        if fstep:
+            so += fstep * 1e-6 * anchor
+            sr -= fstep * 1e-6
+        n += 1
+        t_ps += period_ps
 
     h.next_ps = t_ps
     h.n = n

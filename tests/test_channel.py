@@ -81,9 +81,9 @@ class TestCatalogProfiles:
 
     def test_profile_validation(self):
         with pytest.raises(ChannelSpecError):
-            PowerDelayProfile.from_taps([(5.0, 0.0), (10.0, -3.0)])  # no zero tap
+            PowerDelayProfile([(5.0, 0.0), (10.0, -3.0)])  # no zero tap
         with pytest.raises(ChannelSpecError):
-            PowerDelayProfile.from_taps([(0.0, 0.0), (10.0, -3.0), (10.0, -6.0)])
+            PowerDelayProfile([(0.0, 0.0), (10.0, -3.0), (10.0, -6.0)])
 
 
 class TestFadingStatistics:
@@ -170,24 +170,24 @@ class TestFadingStatistics:
 
 class TestDetection:
     def two_tap_pdp(self):
-        return PowerDelayProfile.from_taps([(0.0, 0.0), (100.0, -3.0)])
+        return PowerDelayProfile([(0.0, 0.0), (100.0, -3.0)])
 
     def test_strongest_tap_policy(self):
         pdp = self.two_tap_pdp()
-        real = ChannelRealization(tap_gains=np.array([1.0 + 0j, 2.0 + 0j]), realized_at_ns=0.0)
+        real = ChannelRealization(tap_gains=np.array([1.0 + 0j, 2.0 + 0j]))
         assert detect_arrival(real, pdp) == 100.0
-        real = ChannelRealization(tap_gains=np.array([2.0 + 0j, 1.0 + 0j]), realized_at_ns=0.0)
+        real = ChannelRealization(tap_gains=np.array([2.0 + 0j, 1.0 + 0j]))
         assert detect_arrival(real, pdp) == 0.0
 
     def test_first_above_threshold_policy(self):
         pdp = self.two_tap_pdp()
-        real = ChannelRealization(tap_gains=np.array([1.0 + 0j, 1.5 + 0j]), realized_at_ns=0.0)
+        real = ChannelRealization(tap_gains=np.array([1.0 + 0j, 1.5 + 0j]))
         # first tap is within 6 dB of the max, so it wins despite being weaker
         assert detect_arrival(real, pdp, "first_above_threshold", 6.0) == 0.0
         assert detect_arrival(real, pdp, "first_above_threshold", 0.5) == 100.0
 
     def test_unknown_policy_rejected(self):
-        real = ChannelRealization(tap_gains=np.array([1.0 + 0j]), realized_at_ns=0.0)
+        real = ChannelRealization(tap_gains=np.array([1.0 + 0j]))
         with pytest.raises(ChannelSpecError):
             detect_arrival(real, build_pdp("AWGN"), "nearest")
 

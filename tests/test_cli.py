@@ -18,7 +18,7 @@ FAST = [
     "--set", "drift_free=true",
 ]
 
-# One drifting single-tap config per kernel loop.  AWGN keeps FFT synthesis
+# One drifting single-tap config per kernel path.  AWGN keeps FFT synthesis
 # and complex exponentials out of the samples, so each digest rests only on
 # numpy's bit generators and Python float arithmetic.  ``one_way_fading``
 # pins the inverse-FFT fading route: 79,994 beacons on IWLAN_B at 10 km/h.
@@ -139,12 +139,15 @@ class TestSimulateCommand:
         ["--preset", "calnex-eth3", "--set", "burst_length=0"],
         ["--preset", "calnex-eth3", "--set", 'detector_policy="nearest"'],
         ["--preset", "calnex-eth3", "--set", "sync_period_s=0"],
+        ["--set", "drift_free=False"], ["--set", "cdc_stages=true"],
+        ["--set", "cdc_stages=2.0"],
     ], ids=["nan_speed", "unknown_channel", "unknown_scheme", "missing_config",
             "negative_seed", "sub_ps_pps", "sub_ps_sync", "one_pps_edge",
             "fractional_replicas", "zero_burst", "fractional_burst", "nan_kp",
             "unknown_detector", "nan_extra_distance", "nan_sync", "nan_threshold",
             "negative_walk", "too_large", "eth3_nan_kp", "eth3_zero_burst",
-            "eth3_unknown_detector", "eth3_zero_sync"])
+            "eth3_unknown_detector", "eth3_zero_sync", "string_drift_free",
+            "bool_cdc_stages", "float_cdc_stages"])
     def test_bad_config_value_exits_2(self, capsys, monkeypatch, tmp_path, argv):
         def never_run(*args, **kwargs):
             raise AssertionError("a refused config reached run_experiment")
@@ -312,6 +315,18 @@ class TestValidateChannelCommand:
     def test_unknown_channel_exits_2(self, capsys):
         code, _ = run(capsys, "validate-channel", "--channel", "WLAN_Z")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--doppler-hz", "-5"], ["--doppler-hz", "nan"], ["--doppler-hz", "inf"],
+        ["--samples", "0"], ["--seed", "-1"],
+    ], ids=["negative_doppler", "nan_doppler", "inf_doppler", "zero_samples",
+            "negative_seed"])
+    def test_bad_value_exits_2(self, capsys, argv):
+        code = main(["validate-channel", "--channel", "IWLAN_A", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("validate-channel: ") and captured.err.count("\n") == 1
 
 
 def test_version_flag(capsys):
