@@ -13,7 +13,9 @@ only on where the destination's sampling train sits within the source
 period: ``T_src/2 - (u mod T_src)``, with ``u = t * rate + phase`` the
 reading instant mapped through the relative drift and initial phase of the
 two oscillators.  A relative drift lets that phase slide slowly, as it does
-between asynchronous oscillators.  The simulator applies this law inline.
+between asynchronous oscillators.  ``cdc_read_error`` states this law; the
+simulator evaluates it once per hop over all one-way beacons and inline in
+the two-way exchanges.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 __all__ = [
     "CdcConfig",
     "CdcFeasibilityError",
+    "cdc_read_error",
     "translate_time",
 ]
 
@@ -80,3 +83,14 @@ def translate_time(cdc: CdcConfig, src_time_ns, dst_sample_index):
         return float(read), float(delta)
     return read, delta
 
+
+def cdc_read_error(t, t_src, rate, phase):
+    """Error of a PHC read across a clock domain crossing at true time ``t``.
+
+    ``T_src/2 - ((t * rate + phase) mod T_src)`` in ns, for a crossing from a
+    ``t_src`` domain whose sampling train runs at relative ``rate`` and starts
+    ``phase`` ns into the source period.  Works elementwise on arrays: numpy's
+    ``%`` follows Python's sign rule, so each element is bitwise the scalar
+    value.
+    """
+    return 0.5 * t_src - ((t * rate + phase) % t_src)

@@ -33,6 +33,7 @@ from .budget import (
     chain_max_error,
     topology_budget,
 )
+from .cdc import cdc_read_error
 from .channel import (
     _DETECTOR_POLICIES,
     FadingConfig,
@@ -71,9 +72,10 @@ WINDUP_PPM = 100.0  # anti-windup clamp on the servo's frequency integrator
 HIST_BINS = 64
 DIVERGENCE_FACTOR = 10.0
 
-# Excess-delay series entries one replica may hold: about 1 GB at the 127 B
-# per entry measured on one-way IWLAN_B (114 MB at 130 s, 209 MB at 520 s),
-# and 4x the largest preset default (emulator-wsharp, 2 kHz over 1000 s).
+# Excess-delay series entries one replica may hold: about 0.8 GB at the 98 B
+# per entry of peak RSS measured on one-way IWLAN_B (105 MB at 130 s, 178 MB
+# at 520 s; the fading synthesis sets the peak), and 4x the largest preset
+# default (emulator-wsharp, 2 kHz over 1000 s).
 MAX_SERIES_ENTRIES = 2 ** 23
 
 # The wireless scheme of every named setup, in the order the CLI lists them.
@@ -404,14 +406,23 @@ def build_topology(config: ExperimentConfig) -> Topology:
 
 
 class _HopRuntime:
-    """Mutable per-replica state of one hop, laid out for the hot loop."""
+    """Mutable per-replica state of one hop, laid out for the hot loop.
+
+    ``dmf``/``dmr`` hold one forward/reverse excess-delay series per burst
+    position, indexed by period.  A one-way hop keeps its series as a float64
+    array, and ``beacons`` holds what ``_set_excess_series`` derives from it:
+    a (4, periods) float64 array of each beacon's send instant ``t0``, the
+    master CDC term at ``t0``, the arrival ``ta`` and the slave CDC term at
+    ``ta``.  Burst hops keep their series as Python lists, which their
+    scalar branch reads directly.
+    """
 
     __slots__ = (
         "mi", "si", "scheme", "egress_quant", "period_ps", "next_ps", "n",
         "kp", "ki", "k3", "integ", "locked",
         "ts_m", "ph_m", "ts_s", "ph_s",
         "cdc_m_T", "cdc_m_rate", "cdc_m_phase", "cdc_s_T", "cdc_s_rate", "cdc_s_phase",
-        "prop_ns", "calib_ns", "dmf", "dmr", "burst",
+        "prop_ns", "calib_ns", "dmf", "dmr", "burst", "beacons",
     )
 
 
@@ -465,8 +476,8 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
     h.prop_ns = propagation_delay_ns(hop.geometry)
     h.calib_ns = hop.protocol.calibrated_delay_ns
     count, h.burst, directions = _series_shape(hop, duration_ps)
-    h.dmf = [[0.0] * count for _ in range(h.burst)]
-    h.dmr = [[0.0] * count for _ in range(h.burst)] if directions == 2 else []
+    dmf = [np.zeros(count) for _ in range(h.burst)]
+    dmr = [np.zeros(count) for _ in range(h.burst)] if directions == 2 else []
     if hop.medium == "wireless" and hop.channel is not None:
         pdp = build_pdp(hop.channel)
         if pdp.n_taps > 1:
@@ -474,71 +485,108 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
             fwd_rng, rev_rng = fading_seeds
             period_s = hop.protocol.sync_period_s
             for b in range(h.burst):
-                h.dmf[b] = detected_excess_series(
+                dmf[b] = detected_excess_series(
                     pdp, fading, period_s, count,
                     hop.stagger_s + b * BURST_SPACING_S,
-                    fwd_rng, hop.detector_policy, hop.detector_threshold_db).tolist()
+                    fwd_rng, hop.detector_policy, hop.detector_threshold_db)
             if directions == 2:
                 rev_offset = hop.stagger_s + h.prop_ns * 1e-9 + REPLY_DELAY_S
                 for b in range(h.burst):
-                    h.dmr[b] = detected_excess_series(
+                    dmr[b] = detected_excess_series(
                         pdp, fading, period_s, count,
                         rev_offset + b * BURST_SPACING_S,
-                        rev_rng, hop.detector_policy, hop.detector_threshold_db).tolist()
+                        rev_rng, hop.detector_policy, hop.detector_threshold_db)
+    _set_excess_series(h, dmf, dmr)
     return h
+
+
+def _set_excess_series(h: _HopRuntime, dmf: list, dmr: list) -> None:
+    """Install a hop's excess-delay series before its first exchange.
+
+    On a one-way hop, also evaluate once every beacon's send instant, its
+    master CDC term, its arrival and the slave CDC term there, from the hop's
+    first send instant, period, delays and CDC laws as they stand.  These
+    terms do not depend on any clock, so the kernel only adds the clocks.
+    Each element is bitwise what the scalar expression gives.
+    """
+    if h.scheme != SCHEME_ONE_WAY:
+        h.dmf = [np.asarray(d, dtype=float).tolist() for d in dmf]
+        h.dmr = [np.asarray(d, dtype=float).tolist() for d in dmr]
+        return
+    h.dmf = [np.asarray(dmf[0], dtype=float)]
+    h.dmr = []
+    h.beacons = np.zeros((4, h.dmf[0].size))
+    t0, cm, ta, cs = h.beacons
+    t0[:] = (h.next_ps + h.period_ps * np.arange(t0.size)) * 1e-3
+    if h.cdc_m_T:
+        cm[:] = cdc_read_error(t0, h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase)
+    ta[:] = t0 + h.prop_ns + h.dmf[0]
+    if h.cdc_s_T:
+        cs[:] = cdc_read_error(ta, h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase)
 
 
 def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> None:
     """Process every exchange of one hop up to the barrier.
 
     Other streams cannot fire inside the window, so the master clock state is
-    constant here and only the slave evolves.  There is one period loop with
-    two branches, each held exchange by exchange to the test oracle in
-    ``tests/test_sim.py`` by ``TestEngineProtocolLockstep``:
+    constant here and only the slave evolves.  There is one loop over the
+    window's periods with two branches, each held exchange by exchange to the
+    test oracle in ``tests/test_sim.py`` by ``TestEngineProtocolLockstep``:
 
     * the one-way branch stamps a beacon and subtracts the calibrated delay
-      (``test_one_way_wireless_hop_with_cdc``);
+      (``test_one_way_wireless_hop_with_cdc``).  It reads the window's slice
+      of the per-hop series that ``_set_excess_series`` precomputed (send
+      instant, master CDC term, arrival, slave CDC term) as lists, so per
+      beacon only the two clock reads, the receive quantizer and the
+      estimate remain;
     * the burst branch runs ``h.burst`` two-way exchanges per period and
       averages their estimates; two-way hops are bursts of one
-      (``test_two_way_ethernet_hop`` and ``test_ftm_burst_hop``).
+      (``test_two_way_ethernet_hop`` and ``test_ftm_burst_hop``).  It stays
+      scalar: its hops fire at 8 Hz or slower.
 
     Each branch yields the period's estimate and the arrival the servo slews
     at; the jam-then-PI step after them is shared.  ``test_integrator_windup``
-    drives its anti-windup clamp through both branches.
+    drives its anti-windup clamp through both branches, and
+    ``TestWindowSplits`` checks that where the barriers fall does not change
+    the result.
     """
     ceil = math.ceil
     t_ps = h.next_ps
     if t_ps > barrier_ps:
         return
     period_ps = h.period_ps
+    k = (barrier_ps - t_ps) // period_ps + 1
     mo, mr = off[h.mi], rate[h.mi]
     so, sr = off[h.si], rate[h.si]
     kp, ki, k3, windup = h.kp, h.ki, h.k3, WINDUP_PPM
     integ, locked = h.integ, h.locked
-    ts_m, ph_m, ts_s, ph_s = h.ts_m, h.ph_m, h.ts_s, h.ph_s
-    cmT, cmR, cmP = h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase
-    csT, csR, csP = h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase
-    prop, calib = h.prop_ns, h.calib_ns
-    reply, spacing = REPLY_DELAY_S * 1e9, BURST_SPACING_S * 1e9
-    one_way = h.scheme == SCHEME_ONE_WAY
-    dmf, dmr, dmf0 = h.dmf, h.dmr, h.dmf[0]
-    burst, egress_quant = h.burst, h.egress_quant
+    ts_s, ph_s = h.ts_s, h.ph_s
     n = h.n
+    # Each branch loads only what it reads.
+    one_way = h.scheme == SCHEME_ONE_WAY
+    if one_way:
+        calib = h.calib_ns
+        t0s, cms, tas, css = h.beacons[:, n:n + k].tolist()
+    else:
+        ts_m, ph_m = h.ts_m, h.ph_m
+        cmT, cmR, cmP = h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase
+        csT, csR, csP = h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase
+        prop = h.prop_ns
+        reply, spacing = REPLY_DELAY_S * 1e9, BURST_SPACING_S * 1e9
+        dmf, dmr = h.dmf, h.dmr
+        burst, egress_quant = h.burst, h.egress_quant
 
-    while t_ps <= barrier_ps:
-        t0 = t_ps * 1e-3
+    for j in range(k):
         if one_way:
-            t1 = mo + mr * t0
-            if cmT:
-                t1 += 0.5 * cmT - ((t0 * cmR + cmP) % cmT)
-            ta = t0 + prop + dmf0[n]
-            v = so + sr * ta
-            if csT:
-                v += 0.5 * csT - ((ta * csR + csP) % csT)
+            t1 = (mo + mr * t0s[j]) + cms[j]
+            ta = tas[j]
+            v = (so + sr * ta) + css[j]
             t2 = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
             est = t2 - t1 - calib
             anchor = ta
         else:
+            t0 = (t_ps + j * period_ps) * 1e-3
+            i = n + j
             acc = 0.0
             for b in range(burst):
                 t = t0 + b * spacing
@@ -548,7 +596,7 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
                 if egress_quant:
                     v = ts_m * (ceil(v / ts_m - ph_m - 0.5) + ph_m)
                 t1 = v
-                ta = t + prop + dmf[b][n]
+                ta = t + prop + dmf[b][i]
                 v = so + sr * ta
                 if csT:
                     v += 0.5 * csT - ((ta * csR + csP) % csT)
@@ -560,7 +608,7 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
                 if egress_quant:
                     v = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
                 t3 = v
-                tb = tr + prop + dmr[b][n]
+                tb = tr + prop + dmr[b][i]
                 v = mo + mr * tb
                 if cmT:
                     v += 0.5 * cmT - ((tb * cmR + cmP) % cmT)
@@ -582,11 +630,9 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
         if fstep:
             so += fstep * 1e-6 * anchor
             sr -= fstep * 1e-6
-        n += 1
-        t_ps += period_ps
 
-    h.next_ps = t_ps
-    h.n = n
+    h.next_ps = t_ps + k * period_ps
+    h.n = n + k
     h.integ = integ
     h.locked = locked
     off[h.si] = so

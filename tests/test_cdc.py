@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from hybridsync.cdc import CdcConfig, CdcFeasibilityError, translate_time
-from test_sim import cdc_read_error
+from hybridsync.cdc import CdcConfig, CdcFeasibilityError, cdc_read_error, translate_time
 
 
 class TestCdcConfig:
@@ -72,7 +71,7 @@ class TestTranslateTime:
 
 
 class TestCdcStage:
-    """The continuous read-error law that the exchange kernel applies inline."""
+    """The continuous read-error law that the exchange kernel applies."""
 
     def test_matches_translate_time(self):
         rho, phase = 43.0, 0.37
@@ -81,6 +80,20 @@ class TestCdcStage:
             instant = (n + phase) * 6.25 * (1.0 + rho * 1e-6)
             _, delta = translate_time(cdc, 0.0, n)
             assert cdc_read_error(instant, 32.0, 1.0, 0.0) == pytest.approx(delta)
+
+    def test_array_law_matches_translate_time_and_scalar_law(self):
+        # The kernel evaluates the law over whole beacon series: each element
+        # must be bitwise the scalar value, negative reading instants included.
+        rho, phase = -61.0, 0.83
+        cdc = CdcConfig(rho_dst_ppm=rho, dst_phase=phase)
+        n = np.arange(-5000, 200_000, 7)
+        instant = (n + phase) * 6.25 * (1.0 + rho * 1e-6)
+        _, delta = translate_time(cdc, 0.0, n)
+        errors = cdc_read_error(instant, 32.0, 1.0, 0.0)
+        assert errors == pytest.approx(delta, abs=1e-9)
+        drifting = cdc_read_error(instant, 32.0, 1.0 + 3e-6, 12.8)
+        assert drifting.tolist() == [cdc_read_error(t, 32.0, 1.0 + 3e-6, 12.8)
+                                     for t in instant.tolist()]
 
     def test_phase_offset_shifts_error(self):
         assert cdc_read_error(0.0, 32.0, 1.0, 0.25 * 32.0) == pytest.approx(8.0)

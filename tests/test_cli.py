@@ -207,6 +207,20 @@ class TestSimulateCommand:
         assert hashlib.sha256(data).hexdigest() == \
             "0ea3932abf63d1df8e852d93ccaefd00f673ae34be2d3c17c7c8f371796327ce"
 
+    def test_dense_pps_one_way_digest_pinned(self, capsys, tmp_path):
+        # A 0.3 ms PPS grid cuts the 0.5 ms beacon train into windows of zero
+        # or one beacon once the warm-up ends; before, windows hold thousands.
+        code, _ = run(capsys, "simulate", "--preset", "emulator-wsharp", "--seed", "11",
+                      "--replicas", "2", "--set", 'channel="AWGN"',
+                      "--set", "duration_s=12", "--set", "warmup_s=10.00005",
+                      "--set", "pps_interval_s=0.0003", "--format", "csv",
+                      "--out", str(tmp_path))
+        assert code == 0
+        data = (tmp_path / "samples.csv").read_bytes()
+        assert data.count(b"\n") == 1 + 2 * 6667
+        assert hashlib.sha256(data).hexdigest() == \
+            "b5c8a9e7e29a87d8578f566663fbb1061373914f694022caa6b0efb467d4d6cd"
+
 
 def test_samples_writer_matches_csv_module(tmp_path):
     arrays = [np.array([np.nan, np.inf, -np.inf, -0.0, 1e-05, 1e16, 5e-324]),

@@ -26,7 +26,7 @@ from hybridsync.protocol import (
     estimate_offset,
     estimate_path_delay,
 )
-from hybridsync.sim import ExperimentConfig, _run_hop_until
+from hybridsync.sim import ExperimentConfig, _run_hop_until, _set_excess_series
 from test_sim import make_runtime
 
 FINE = 1e-6  # effectively quantization-free timestamping grid
@@ -143,13 +143,13 @@ class TestExchanges:
         excess = detect_arrival(realization, pdp)
         assert 0.0 <= excess <= pdp.max_excess_delay_ns
         h = fine_hop(ONE_WAY)
-        h.dmf = [[excess] * len(h.dmf[0])]
+        _set_excess_series(h, [[excess] * len(h.dmf[0])], h.dmr)
         assert first_estimate(h) == pytest.approx(excess, abs=1e-5)
 
     def test_ftm_burst_averages_positions(self):
         h = fine_hop(ProtocolConfig(SCHEME_FTM_BURST, burst_length=3))
         # forward excess delays of 0, 3 and 6 ns bias the positions by half each
-        h.dmf = [[excess] * len(h.dmf[0]) for excess in (0.0, 3.0, 6.0)]
+        _set_excess_series(h, [[excess] * len(h.dmf[0]) for excess in (0.0, 3.0, 6.0)], h.dmr)
         assert h.burst == 3
         assert first_estimate(h, 5.0, -3.0) == pytest.approx(-8.0 + 1.5, abs=1e-5)
 

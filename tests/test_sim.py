@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hybridsync.budget import HOP_CDC, HOP_WIRELESS_ONE_WAY, chain_max_error, topology_budget
+from hybridsync.cdc import cdc_read_error
 from hybridsync.channel import propagation_delay_ns
 from hybridsync.clocks import quantize_value
 from hybridsync.protocol import (
@@ -31,6 +32,7 @@ from hybridsync.sim import (
     compute_stats,
     run_experiment,
     _run_hop_until,
+    _set_excess_series,
 )
 
 
@@ -43,6 +45,7 @@ def make_runtime(protocol=ProtocolConfig(), medium="ethernet", **overrides) -> _
                      5 * 10**11 + 64 * round(protocol.sync_period_s * 1e12))
     for key, value in {"ph_m": 0.3, "ph_s": 0.7, "prop_ns": 250.5, **overrides}.items():
         setattr(h, key, value)
+    _set_excess_series(h, h.dmf, h.dmr)
     return h
 
 
@@ -65,11 +68,6 @@ def wireless_grid_topology(preset: str, sample_period_ns: float) -> Topology:
 # estimates.
 
 WINDUP_PPM = 100.0
-
-
-def cdc_read_error(t, t_src, rate, phase):
-    """Error of a PHC read across a clock domain crossing at true time ``t``."""
-    return 0.5 * t_src - ((t * rate + phase) % t_src)
 
 
 @dataclass
@@ -143,7 +141,7 @@ def run_lockstep(master, slave, m_port, s_port, config, periods, probe, prop=250
     """Step kernel and oracle one period at a time; returns the integrator trace."""
     medium = "ethernet" if m_port.ethernet else "wireless"
     h = make_runtime(config, medium, prop_ns=prop, **m_port.fields("m"), **s_port.fields("s"))
-    h.dmf, h.dmr = dmf or h.dmf, dmr or h.dmr
+    _set_excess_series(h, dmf or h.dmf, dmr or h.dmr)
     off, rate = [master.off, slave.off], [master.rate, slave.rate]
     # Averaging timestamps instead of estimates differs by rounding only.
     averaged = config.scheme == SCHEME_FTM_BURST and config.burst_length > 1
@@ -205,6 +203,31 @@ class TestEngineProtocolLockstep:
         trace = run_lockstep(Clock(0.0, 1.0), Clock(-300.0, 1.0 - 1e-6), *ports, config,
                              periods=6, probe=3e9, prop=1135.0, dmf=fwd, dmr=rev)
         assert trace[1] == WINDUP_PPM and trace[2] == -WINDUP_PPM
+
+
+class TestWindowSplits:
+    """Where the barriers fall must not change what the kernel computes."""
+
+    PERIODS = 60
+
+    def drive(self, window):
+        h = make_runtime(ONE_WAY, "wireless", prop_ns=1135.0, **WIRELESS_CDC[0].fields("m"),
+                         **WIRELESS_CDC[1].fields("s"))
+        excess = [0.25 * ((5 * n) % 11) + 1e-3 * n for n in range(len(h.dmf[0]))]
+        _set_excess_series(h, [excess], [])
+        off, rate = [15.0, -300.0], [1.0 - 1.5e-6, 1.0 + 2e-6]
+        last = h.next_ps + (self.PERIODS - 1) * h.period_ps
+        while h.next_ps <= last:
+            # Barriers fall between send instants, as PPS edges and other hops do.
+            barrier = h.next_ps + (window - 1) * h.period_ps + h.period_ps // 3
+            _run_hop_until(h, off, rate, min(barrier, last))
+        return off, rate, h.integ, h.locked, h.n, h.next_ps
+
+    @pytest.mark.parametrize("window", [1, 2, 7])
+    def test_one_way_windows_match_a_single_call(self, window):
+        whole = self.drive(self.PERIODS)
+        assert whole[3:5] == (True, self.PERIODS)  # locked, periods run
+        assert self.drive(window) == whole
 
 
 class TestPrepareHop:
