@@ -4,9 +4,9 @@ Profiles are synthesized as exponentially decaying taps on a uniform delay
 grid, solved so the rms delay spread hits a target value.  Each tap fades
 as a Rayleigh process under the Jakes Doppler spectrum, whose
 autocorrelation is ``J0(2 * pi * f_d * tau)``.
-A preamble-style detector locks onto a single replica, typically the
-instantaneous strongest tap, which is what injects multipath error into
-receive timestamps.
+A strongest-tap detector locks onto the replica with the most
+instantaneous power, which is what injects multipath error into receive
+timestamps.
 
 Tap gains are sampled on regular combs with period ``T``, and the synthesis
 route follows from ``f_d * T`` alone: a zero Doppler freezes each tap to one
@@ -46,7 +46,6 @@ SPEED_OF_LIGHT_M_PER_NS = 0.2998
 CARRIER_HZ = 2.4e9
 DEFAULT_TAP_SPACING_NS = 25.0
 MAX_TAPS = 10
-_DETECTOR_POLICIES = ("strongest_tap", "first_above_threshold")
 
 
 class ChannelSpecError(ValueError):
@@ -229,26 +228,9 @@ def realize_channel(pdp, fading, true_time_ns, rng) -> ChannelRealization:
     return ChannelRealization(gains)
 
 
-def detect_arrival(
-    realization: ChannelRealization,
-    pdp: PowerDelayProfile,
-    policy: str = "strongest_tap",
-    threshold_db: float = 6.0,
-) -> float:
-    """Excess delay (ns) of the replica a preamble detector locks onto.
-
-    ``strongest_tap`` picks the instantaneous power maximum;
-    ``first_above_threshold`` picks the earliest tap within ``threshold_db``
-    of that maximum.
-    """
-    powers = np.abs(realization.tap_gains) ** 2
-    if policy == "strongest_tap":
-        idx = int(np.argmax(powers))
-    elif policy == "first_above_threshold":
-        floor = powers.max() * 10.0 ** (-threshold_db / 10.0)
-        idx = int(np.argmax(powers >= floor))
-    else:
-        raise ChannelSpecError(f"unknown detector policy {policy!r}")
+def detect_arrival(realization: ChannelRealization, pdp: PowerDelayProfile) -> float:
+    """Excess delay (ns) of the instantaneous strongest tap."""
+    idx = int(np.argmax(np.abs(realization.tap_gains) ** 2))
     delays = pdp.delays_ns
     return float(delays[idx] - delays[0])
 
@@ -313,10 +295,8 @@ def detected_excess_series(
     count: int,
     offset_s: float,
     rng: np.random.Generator,
-    policy: str = "strongest_tap",
-    threshold_db: float = 6.0,
 ) -> np.ndarray:
-    """Detector excess delay (ns) at each comb instant.
+    """Excess delay (ns) of the strongest tap at each comb instant.
 
     Synthesizes taps one at a time so long runs stay within memory.
     """
@@ -324,22 +304,11 @@ def detected_excess_series(
         return np.zeros(count)
     powers = pdp.linear_powers
     delays = pdp.delays_ns
-    if policy == "strongest_tap":
-        best_power = np.full(count, -1.0)
-        best_tap = np.zeros(count, dtype=np.int64)
-        for i in range(pdp.n_taps):
-            power = np.abs(_tap_series(powers[i], fading, period_s, count, offset_s, rng)) ** 2
-            better = power > best_power
-            best_power[better] = power[better]
-            best_tap[better] = i
-        return delays[best_tap] - delays[0]
-    if policy == "first_above_threshold":
-        tap_powers = np.empty((pdp.n_taps, count), dtype=np.float32)
-        for i in range(pdp.n_taps):
-            tap_powers[i] = np.abs(_tap_series(powers[i], fading, period_s, count, offset_s,
-                                               rng)) ** 2
-        floor = tap_powers.max(axis=0) * np.float32(10.0 ** (-threshold_db / 10.0))
-        idx = np.argmax(tap_powers >= floor[None, :], axis=0)
-        return delays[idx] - delays[0]
-    raise ChannelSpecError(f"unknown detector policy {policy!r}")
-
+    best_power = np.full(count, -1.0)
+    best_tap = np.zeros(count, dtype=np.int64)
+    for i in range(pdp.n_taps):
+        power = np.abs(_tap_series(powers[i], fading, period_s, count, offset_s, rng)) ** 2
+        better = power > best_power
+        best_power[better] = power[better]
+        best_tap[better] = i
+    return delays[best_tap] - delays[0]

@@ -35,7 +35,6 @@ from .budget import (
 )
 from .cdc import cdc_read_error
 from .channel import (
-    _DETECTOR_POLICIES,
     FadingConfig,
     LinkGeometry,
     build_pdp,
@@ -122,8 +121,6 @@ class HopSpec:
     geometry: LinkGeometry = field(default_factory=LinkGeometry)
     channel: str | None = None
     doppler_hz: float = 0.0
-    detector_policy: str = "strongest_tap"
-    detector_threshold_db: float = 6.0
     stagger_s: float = 0.0
 
     def __post_init__(self):
@@ -133,11 +130,6 @@ class HopSpec:
             raise ValueError("an ethernet hop cannot run the one-way scheme")
         if self.channel is not None:
             build_pdp(self.channel)
-        if self.detector_policy not in _DETECTOR_POLICIES:
-            raise ValueError(f"unknown detector policy {self.detector_policy!r}")
-        if not (math.isfinite(self.detector_threshold_db) and self.detector_threshold_db >= 0):
-            raise ValueError("detector_threshold_db must be finite and >= 0, "
-                             f"got {self.detector_threshold_db!r}")
 
 
 @dataclass(frozen=True)
@@ -266,8 +258,6 @@ class ExperimentConfig:
     kp: float | None = None
     ki: float | None = None
     sync_period_s: float | None = None
-    detector_policy: str = "strongest_tap"
-    detector_threshold_db: float = 6.0
     drift_walk_sigma_ppm_per_s: float = 0.0
     topology: Topology | None = None
 
@@ -361,8 +351,6 @@ def build_topology(config: ExperimentConfig) -> Topology:
         slave_port=PortSpec(WIRELESS_TS_NS, CDC_T_SRC_NS if config.cdc_stages == 2 else 0.0),
         geometry=LinkGeometry(distance_m=config.extra_distance_m),
         channel=config.channel, doppler_hz=doppler_from_speed(config.speed_kmh),
-        detector_policy=config.detector_policy,
-        detector_threshold_db=config.detector_threshold_db,
     )
     if config.topology is not None:
         return config.topology
@@ -487,15 +475,13 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
             for b in range(h.burst):
                 dmf[b] = detected_excess_series(
                     pdp, fading, period_s, count,
-                    hop.stagger_s + b * BURST_SPACING_S,
-                    fwd_rng, hop.detector_policy, hop.detector_threshold_db)
+                    hop.stagger_s + b * BURST_SPACING_S, fwd_rng)
             if directions == 2:
                 rev_offset = hop.stagger_s + h.prop_ns * 1e-9 + REPLY_DELAY_S
                 for b in range(h.burst):
                     dmr[b] = detected_excess_series(
                         pdp, fading, period_s, count,
-                        rev_offset + b * BURST_SPACING_S,
-                        rev_rng, hop.detector_policy, hop.detector_threshold_db)
+                        rev_offset + b * BURST_SPACING_S, rev_rng)
     _set_excess_series(h, dmf, dmr)
     return h
 

@@ -1,5 +1,6 @@
 """Analytic worst-case error budgets."""
 
+import csv
 import math
 import os
 import subprocess
@@ -230,9 +231,16 @@ def test_chain_preset_from_fresh_interpreter(first):
     assert run_with_package(["-c", code]) == "73.0\n"
 
 
-def test_budget_tables_script():
+def test_budget_tables_script(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_budget_tables.py"
     rows = {line.split()[0]: line.split()
-            for line in run_with_package([str(script)]).splitlines() if line.strip()}
+            for line in run_with_package([str(script), "--out", str(tmp_path)]).splitlines()
+            if line.strip()}
     assert rows["calnex-eth3"][-1] == "24.0"
     assert rows["IWLAN_B"][-2:] == ["325.0", "625.0"]  # two-way, one-way
+    with (tmp_path / "chain_budgets.csv").open(newline="") as fh:
+        chains = list(csv.DictReader(fh))
+    assert [r["preset"] for r in chains] == list(CHAIN_PRESETS)
+    for row in chains:
+        hops = chain_preset(row["preset"])
+        assert (int(row["hops"]), float(row["total_ns"])) == (len(hops), chain_max_error(hops))

@@ -179,18 +179,6 @@ class TestDetection:
         real = ChannelRealization(tap_gains=np.array([2.0 + 0j, 1.0 + 0j]))
         assert detect_arrival(real, pdp) == 0.0
 
-    def test_first_above_threshold_policy(self):
-        pdp = self.two_tap_pdp()
-        real = ChannelRealization(tap_gains=np.array([1.0 + 0j, 1.5 + 0j]))
-        # first tap is within 6 dB of the max, so it wins despite being weaker
-        assert detect_arrival(real, pdp, "first_above_threshold", 6.0) == 0.0
-        assert detect_arrival(real, pdp, "first_above_threshold", 0.5) == 100.0
-
-    def test_unknown_policy_rejected(self):
-        real = ChannelRealization(tap_gains=np.array([1.0 + 0j]))
-        with pytest.raises(ChannelSpecError):
-            detect_arrival(real, build_pdp("AWGN"), "nearest")
-
     @pytest.mark.parametrize("name", ["WLAN_A", "IWLAN_B"])
     def test_series_stays_on_tap_grid(self, name):
         pdp = build_pdp(name)
@@ -219,15 +207,20 @@ class TestDetection:
         se = math.hypot(from_series.std(), pointwise.std()) / math.sqrt(n)
         assert abs(from_series.mean() - pointwise.mean()) < 4.0 * se + 1e-9
 
-    def test_threshold_policy_biases_early(self):
-        pdp = build_pdp("WLAN_C")
-        fading = FadingConfig(doppler_hz=22.24)
-        strongest = detected_excess_series(pdp, fading, 1e-3, 20000, 0.0,
-                                           np.random.default_rng(31))
-        early = detected_excess_series(pdp, fading, 1e-3, 20000, 0.0,
-                                       np.random.default_rng(31),
-                                       "first_above_threshold", 6.0)
-        assert early.mean() < strongest.mean()
+    @pytest.mark.parametrize("name, doppler_hz, period_s", [
+        ("IWLAN_B", 22.24, 0.5e-3), ("WLAN_C", 22.24, 0.125), ("IWLAN_A", 0.0, 0.5e-3),
+    ], ids=["ifft", "independent", "frozen"])
+    def test_series_is_argmax_of_tap_gains(self, name, doppler_hz, period_s):
+        pdp = build_pdp(name)
+        fading = FadingConfig(doppler_hz=doppler_hz)
+        n, offset_s = 3000, 0.0003
+        excess = detected_excess_series(pdp, fading, period_s, n, offset_s,
+                                        np.random.default_rng(37))
+        gains = tap_gain_series(pdp, fading, period_s, n, offset_s,
+                                np.random.default_rng(37))
+        delays = pdp.delays_ns
+        expected = delays[np.argmax(np.abs(gains) ** 2, axis=0)] - delays[0]
+        assert np.array_equal(excess, expected)
 
     def test_single_tap_never_errs(self):
         excess = detected_excess_series(build_pdp("AWGN"), FadingConfig(), 1e-3,

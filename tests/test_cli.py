@@ -125,29 +125,28 @@ class TestSimulateCommand:
     # otherwise loop forever or fail late, and ``too_large`` would allocate
     # 10**9-entry series, so running any of them fails the test instead.
     # The ``eth3_`` cases set wireless knobs that calnex-eth3 does not use.
+    # ``legacy_detector_key`` is a key that older summaries' config blocks
+    # carry and the config no longer has.
     @pytest.mark.parametrize("argv", [
         ["--set", "speed_kmh=NaN"], ["--set", 'channel="BOGUS"'],
         ["--set", 'scheme="bogus"'], ["--config", "missing.json"], ["--seed", "-1"],
         ["--set", "pps_interval_s=1e-13"], ["--set", "sync_period_s=1e-13"],
         ["--set", "pps_interval_s=600"], ["--set", "replicas=1.5"],
         ["--set", "burst_length=0"], ["--set", "burst_length=1.5"], ["--set", "kp=NaN"],
-        ["--set", 'detector_policy="nearest"'], ["--set", "extra_distance_m=NaN"],
-        ["--set", "sync_period_s=NaN"], ["--set", "detector_threshold_db=NaN"],
+        ["--set", "extra_distance_m=NaN"], ["--set", "sync_period_s=NaN"],
         ["--set", "drift_walk_sigma_ppm_per_s=-1"],
         ["--preset", "emulator-wsharp", "--set", "sync_period_s=1e-6"],
         ["--preset", "calnex-eth3", "--set", "kp=NaN"],
         ["--preset", "calnex-eth3", "--set", "burst_length=0"],
-        ["--preset", "calnex-eth3", "--set", 'detector_policy="nearest"'],
         ["--preset", "calnex-eth3", "--set", "sync_period_s=0"],
         ["--set", "drift_free=False"], ["--set", "cdc_stages=true"],
-        ["--set", "cdc_stages=2.0"],
+        ["--set", "cdc_stages=2.0"], ["--set", 'detector_policy="strongest_tap"'],
     ], ids=["nan_speed", "unknown_channel", "unknown_scheme", "missing_config",
             "negative_seed", "sub_ps_pps", "sub_ps_sync", "one_pps_edge",
             "fractional_replicas", "zero_burst", "fractional_burst", "nan_kp",
-            "unknown_detector", "nan_extra_distance", "nan_sync", "nan_threshold",
-            "negative_walk", "too_large", "eth3_nan_kp", "eth3_zero_burst",
-            "eth3_unknown_detector", "eth3_zero_sync", "string_drift_free",
-            "bool_cdc_stages", "float_cdc_stages"])
+            "nan_extra_distance", "nan_sync", "negative_walk", "too_large", "eth3_nan_kp",
+            "eth3_zero_burst", "eth3_zero_sync", "string_drift_free", "bool_cdc_stages",
+            "float_cdc_stages", "legacy_detector_key"])
     def test_bad_config_value_exits_2(self, capsys, monkeypatch, tmp_path, argv):
         def never_run(*args, **kwargs):
             raise AssertionError("a refused config reached run_experiment")
@@ -159,6 +158,8 @@ class TestSimulateCommand:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("simulate: ") and captured.err.count("\n") == 1
+        if "detector_policy" in argv[-1]:
+            assert captured.err.startswith("simulate: unknown config keys")
 
     def test_summary_config_round_trips(self, capsys, tmp_path):
         argv = ["simulate", "--preset", "emulator-80211", "--seed", "4",

@@ -459,9 +459,8 @@ class TestExperimentConfig:
         ExperimentConfig(preset="calnex-eth3", sync_period_s=1e-6)
 
     @pytest.mark.parametrize("overrides", [
-        dict(detector_threshold_db=float("nan")), dict(detector_threshold_db=-1.0),
         dict(drift_walk_sigma_ppm_per_s=float("nan")), dict(drift_walk_sigma_ppm_per_s=-1.0),
-    ], ids=["nan_threshold", "negative_threshold", "nan_walk", "negative_walk"])
+    ], ids=["nan_walk", "negative_walk"])
     def test_refuses_bad_hop_and_walk_settings(self, overrides):
         with pytest.raises(ValueError):
             ExperimentConfig(**overrides)
