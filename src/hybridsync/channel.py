@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Real
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "CHANNEL_CATALOG",
@@ -49,7 +49,7 @@ MAX_TAPS = 10
 
 
 class ChannelSpecError(ValueError):
-    """Raised for unknown channel names or infeasible profile targets."""
+    """Raised for unknown channel names, malformed specs or infeasible profile targets."""
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,14 @@ CHANNEL_CATALOG = {
     "IWLAN_B": ("Industrial", 89.0, 600.0),
 }
 
-_NAME_LOOKUP = {k.replace("_", ""). upper(): k for k in CHANNEL_CATALOG}
+_NAME_LOOKUP = {k.replace("_", "").upper(): k for k in CHANNEL_CATALOG}
+
+# The solver's decay constants (log of the 1/e delay in ns) for the multipath
+# catalog profiles, keyed by (rms, max excess); pinned so that a run on a
+# catalog channel never imports scipy.
+_PINNED_LOG_ALPHA = {CHANNEL_CATALOG[name][1:]: log_alpha for name, log_alpha in (
+    ("WLAN_A", 3.949718716662003), ("WLAN_C", 5.05072294688385),
+    ("IWLAN_A", 3.4866243795400926), ("IWLAN_B", 4.53097952311596))}
 
 
 def canonical_channel_name(name: str) -> str:
@@ -192,7 +199,11 @@ def _synthesize_pdp(rms_target_ns: float, max_excess_ns: float) -> PowerDelayPro
         powers = np.exp(-delays / math.exp(log_alpha))
         return _moment_rms(delays, powers) - rms_target_ns
 
-    log_alpha = brentq(spread_error, math.log(1e-3), math.log(1e9), xtol=1e-12)
+    log_alpha = _PINNED_LOG_ALPHA.get((rms_target_ns, max_excess_ns))
+    if log_alpha is None:
+        from scipy.optimize import brentq
+
+        log_alpha = brentq(spread_error, math.log(1e-3), math.log(1e9), xtol=1e-12)
     powers_db = -delays / math.exp(log_alpha) * (10.0 / math.log(10.0))
     return PowerDelayProfile(zip(delays, powers_db))
 
@@ -204,11 +215,17 @@ def _catalog_pdp(name: str) -> PowerDelayProfile:
 
 
 def build_pdp(spec) -> PowerDelayProfile:
-    """Build a profile from a catalog name or an ``(rms, max_excess)`` tuple."""
+    """Build a profile from a catalog name or an ``(rms, max_excess)`` pair."""
     if isinstance(spec, PowerDelayProfile):
         return spec
     if isinstance(spec, str):
         return _catalog_pdp(canonical_channel_name(spec))
+    if not (isinstance(spec, (tuple, list)) and len(spec) == 2 and all(
+            isinstance(x, Real) and not isinstance(x, bool) and 0 <= x < math.inf
+            for x in spec)):
+        raise ChannelSpecError(
+            f"channel must be a catalog name ({', '.join(CHANNEL_CATALOG)}) or an "
+            f"[rms_ns, max_excess_ns] pair of finite numbers >= 0, got {spec!r}")
     return _synthesize_pdp(*spec)
 
 

@@ -68,12 +68,17 @@ def _parse_sets(pairs: list[str]) -> dict:
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     doc: dict = {}
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         doc["seed"] = int(env_seed)
     if args.config:
-        doc.update(json.loads(Path(args.config).read_text()))
+        file_doc = json.loads(Path(args.config).read_text())
+        if not isinstance(file_doc, dict):
+            raise ValueError("config file must hold a JSON object")
+        doc.update(file_doc)
     if getattr(args, "preset", None):
         doc["preset"] = args.preset
     if args.seed is not None:

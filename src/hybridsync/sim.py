@@ -746,7 +746,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     topo = build_topology(config)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
     jobs = [(topo, config, s) for s in seeds]
-    if workers > 1 and config.replicas > 1:
+    workers = min(workers, config.replicas)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replica_job, jobs))
     else:

@@ -231,6 +231,24 @@ def test_chain_preset_from_fresh_interpreter(first):
     assert run_with_package(["-c", code]) == "73.0\n"
 
 
+# Catalog profiles use pinned decay constants; only a custom (rms, excess)
+# pair loads the solver.
+def test_catalog_runs_never_import_scipy():
+    code = ("import sys\n"
+            "import hybridsync, hybridsync.cli\n"
+            "from hybridsync.budget import topology_budget\n"
+            "from hybridsync.channel import CHANNEL_CATALOG, build_pdp\n"
+            "from hybridsync.sim import SIM_PRESETS, ExperimentConfig, build_topology\n"
+            "for preset in SIM_PRESETS:\n"
+            "    for channel in CHANNEL_CATALOG:\n"
+            "        config = ExperimentConfig(preset=preset, channel=channel)\n"
+            "        topology_budget(build_topology(config))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "build_pdp((40.0, 200.0))\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    assert run_with_package(["-c", code]) == "[]\nTrue\n"
+
+
 def test_budget_tables_script(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_budget_tables.py"
     rows = {line.split()[0]: line.split()

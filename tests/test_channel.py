@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import j0
 from scipy.stats import kstest
 
+from hybridsync import channel
 from hybridsync.channel import (
     CHANNEL_CATALOG,
     ChannelRealization,
@@ -28,6 +30,7 @@ from hybridsync.channel import (
 )
 
 CATALOG_NAMES = sorted(CHANNEL_CATALOG)
+MULTIPATH_NAMES = [name for name in CATALOG_NAMES if CHANNEL_CATALOG[name][2] > 0]
 
 
 class TestGeometry:
@@ -61,6 +64,27 @@ class TestCatalogProfiles:
         powers = [p for _, p in pdp.taps]
         assert all(a >= b for a, b in zip(powers, powers[1:]))
 
+    @pytest.mark.parametrize("name", MULTIPATH_NAMES)
+    def test_pinned_decay_constant_is_the_solver_root(self, name):
+        _, rms, excess = CHANNEL_CATALOG[name]
+        delays = build_pdp(name).delays_ns
+
+        def spread_error(log_alpha):
+            return channel._moment_rms(delays, np.exp(-delays / math.exp(log_alpha))) - rms
+
+        root = brentq(spread_error, math.log(1e-3), math.log(1e9), xtol=1e-12)
+        assert channel._PINNED_LOG_ALPHA[(rms, excess)] == root
+
+    @pytest.mark.parametrize("name", MULTIPATH_NAMES)
+    def test_pinned_profile_equals_solved_profile(self, name, monkeypatch):
+        _, rms, excess = CHANNEL_CATALOG[name]
+        pinned = build_pdp(name).taps
+        monkeypatch.setattr(channel, "_PINNED_LOG_ALPHA", {})
+        solved = channel._synthesize_pdp(rms, excess).taps
+        assert len(pinned) == len(solved)
+        for a, b in zip(pinned, solved):
+            assert a == b
+
     def test_name_canonicalization(self):
         assert canonical_channel_name("wlan a") == "WLAN_A"
         assert canonical_channel_name("IWLAN-B") == "IWLAN_B"
@@ -72,6 +96,13 @@ class TestCatalogProfiles:
         pdp = build_pdp((40.0, 200.0))
         assert pdp.max_excess_delay_ns == 200.0
         assert rms_delay_spread(pdp) == pytest.approx(40.0, rel=0.01)
+
+    @pytest.mark.parametrize("spec", [5, [40.0], (40.0, 200.0, 1.0), (math.nan, 200.0),
+                                      (40.0, math.inf), (40.0, -200.0), (True, 200.0),
+                                      ("40", "200"), None])
+    def test_malformed_spec_rejected(self, spec):
+        with pytest.raises(ChannelSpecError, match=r"catalog name .* pair of finite numbers"):
+            build_pdp(spec)
 
     def test_infeasible_spread_rejected(self):
         with pytest.raises(ChannelSpecError):

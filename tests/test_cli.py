@@ -99,17 +99,57 @@ class TestSimulateCommand:
 
     def test_output_bytes_stable_across_workers(self, capsys, tmp_path):
         paths = []
-        for workers, sub in (("1", "a"), ("2", "b")):
+        # Three workers on two replicas: the pool is cut to two.
+        for workers, sub in (("1", "a"), ("2", "b"), ("3", "c")):
             out_dir = tmp_path / sub
             code, _ = run(capsys, "simulate", "--preset", "calnex-eth3",
                           "--seed", "5", "--replicas", "2", *FAST,
                           "--workers", workers, "--out", str(out_dir))
             assert code == 0
             paths.append(out_dir)
-        assert (paths[0] / "samples.csv").read_bytes() == \
-            (paths[1] / "samples.csv").read_bytes()
-        assert (paths[0] / "summary.json").read_bytes() == \
-            (paths[1] / "summary.json").read_bytes()
+        for other in paths[1:]:
+            assert (paths[0] / "samples.csv").read_bytes() == \
+                (other / "samples.csv").read_bytes()
+            assert (paths[0] / "summary.json").read_bytes() == \
+                (other / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, capsys, monkeypatch, command, workers):
+        monkeypatch.setattr(cli, "run_experiment", None)
+        axis = ["--axis", "seed=1,2"] if command == "sweep" else []
+        code = main([command, "--preset", "calnex-eth3", *axis, "--workers", workers])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"{command}: --workers must be at least 1, got {workers}\n"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"calnex"', "null"])
+    def test_config_file_not_an_object_exits_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        code = main(["simulate", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "simulate: config file must hold a JSON object\n"
+
+    @pytest.mark.parametrize("spec", ["5", "[40]", "[40,200,1]", "[NaN,200]", "[40,-200]"])
+    def test_malformed_channel_exits_2(self, capsys, monkeypatch, spec):
+        monkeypatch.setattr(cli, "run_experiment", None)
+        code = main(["simulate", "--preset", "calnex", "--set", f"channel={spec}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "simulate: channel must be a catalog name (AWGN, WLAN_A, WLAN_C, IWLAN_A, "
+            "IWLAN_B) or an [rms_ns, max_excess_ns] pair of finite numbers >= 0, got ")
+        assert captured.err.count("\n") == 1
+
+    def test_custom_channel_profile_runs(self, capsys):
+        code, out = run(capsys, "simulate", "--preset", "calnex", "--set", "channel=[40,200]",
+                        *FAST)
+        assert code == 0
+        assert json.loads(out)["config"]["channel"] == [40, 200]
 
     def test_unknown_set_key_exits_2(self, capsys):
         code, _ = run(capsys, "simulate", "--preset", "calnex-eth3",

@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from hybridsync import sim
 from hybridsync.budget import HOP_CDC, HOP_WIRELESS_ONE_WAY, chain_max_error, topology_budget
 from hybridsync.cdc import cdc_read_error
 from hybridsync.channel import propagation_delay_ns
@@ -508,6 +509,19 @@ class TestRunExperiment:
         _, parallel = run_experiment(config, workers=2, return_samples=True)
         for x, y in zip(serial, parallel):
             assert np.array_equal(x, y)
+
+    def test_pool_never_outnumbers_replicas(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(sim.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        run_experiment(self.quick_config(replicas=2), workers=3)
+        run_experiment(self.quick_config(replicas=1), workers=3)
+        assert sizes == [2]
 
     def test_sample_count_and_replica_stats(self):
         config = self.quick_config()
