@@ -14,8 +14,7 @@ period: ``T_src/2 - (u mod T_src)``, with ``u = t * rate + phase`` the
 reading instant mapped through the relative drift and initial phase of the
 two oscillators.  A relative drift lets that phase slide slowly, as it does
 between asynchronous oscillators.  ``cdc_read_error`` states this law; the
-simulator evaluates it once per hop over all one-way beacons and inline in
-the two-way exchanges.
+simulator evaluates it once per hop over every stamp of every exchange.
 """
 
 from __future__ import annotations

@@ -208,10 +208,9 @@ def _synthesize_pdp(rms_target_ns: float, max_excess_ns: float) -> PowerDelayPro
     return PowerDelayProfile(zip(delays, powers_db))
 
 
-@lru_cache(maxsize=None)
-def _catalog_pdp(name: str) -> PowerDelayProfile:
-    _, rms, excess = CHANNEL_CATALOG[name]
-    return _synthesize_pdp(rms, excess)
+# Every profile is built once per (rms, max excess) pair of floats, so a
+# custom pair runs the solver once, not once per topology and replica.
+_cached_pdp = lru_cache(maxsize=64)(_synthesize_pdp)
 
 
 def build_pdp(spec) -> PowerDelayProfile:
@@ -219,14 +218,15 @@ def build_pdp(spec) -> PowerDelayProfile:
     if isinstance(spec, PowerDelayProfile):
         return spec
     if isinstance(spec, str):
-        return _catalog_pdp(canonical_channel_name(spec))
+        _, rms, excess = CHANNEL_CATALOG[canonical_channel_name(spec)]
+        return _cached_pdp(rms, excess)
     if not (isinstance(spec, (tuple, list)) and len(spec) == 2 and all(
             isinstance(x, Real) and not isinstance(x, bool) and 0 <= x < math.inf
             for x in spec)):
         raise ChannelSpecError(
             f"channel must be a catalog name ({', '.join(CHANNEL_CATALOG)}) or an "
             f"[rms_ns, max_excess_ns] pair of finite numbers >= 0, got {spec!r}")
-    return _synthesize_pdp(*spec)
+    return _cached_pdp(*map(float, spec))
 
 
 def _jakes_cdf(x: np.ndarray) -> np.ndarray:

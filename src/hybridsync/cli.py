@@ -41,7 +41,7 @@ from .channel import (
     rms_delay_spread,
     tap_gain_series,
 )
-from .sim import ExperimentConfig, SIM_PRESETS, build_topology, run_experiment
+from .sim import ExperimentConfig, SIM_PRESETS, build_topology, replica_pool, run_experiment
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -73,6 +73,9 @@ def _resolve_config(args) -> ExperimentConfig:
     doc: dict = {}
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
+        if not (env_seed.isascii() and env_seed.isdigit()):
+            raise ValueError(f"{ENV_SEED} must be a non-negative decimal integer "
+                             f"such as {ENV_SEED}=1001, got {env_seed!r}")
         doc["seed"] = int(env_seed)
     if args.config:
         file_doc = json.loads(Path(args.config).read_text())
@@ -128,13 +131,18 @@ def _replica_doc(stats) -> dict:
     }
 
 
-def _write_samples_csv(path: Path, sample_arrays) -> None:
-    """Stream one ``replica,index,error_ns`` row per sample; floats use ``repr``."""
+def _write_samples_csv(path: Path, sample_arrays, chunk: int = 8192) -> None:
+    """Stream one ``replica,index,error_ns`` row per sample; floats use ``repr``.
+
+    Samples become Python floats ``chunk`` at a time, never a whole replica.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("replica,index,error_ns\n")
         for r, arr in enumerate(sample_arrays):
-            fh.writelines(f"{r},{i},{v!r}\n" for i, v in enumerate(arr.tolist()))
+            for start in range(0, len(arr), chunk):
+                values = arr[start:start + chunk].tolist()
+                fh.writelines(f"{r},{i},{v!r}\n" for i, v in enumerate(values, start))
 
 
 # --- budget --------------------------------------------------------------------
@@ -228,10 +236,13 @@ def _cmd_sweep(args) -> int:
         return EXIT_USAGE
     points = []
     all_converged = True
-    for value, point_config in zip(values, point_configs):
-        stats = run_experiment(point_config, workers=args.workers)
-        all_converged = all_converged and stats.converged
-        points.append((value, stats))
+    # One pool, sized by the largest point, runs every point's replicas; with
+    # none, one process suffices and each point runs serially.
+    with replica_pool(args.workers, max(c.replicas for c in point_configs)) as pool:
+        for value, point_config in zip(values, point_configs):
+            stats = run_experiment(point_config, pool=pool)
+            all_converged = all_converged and stats.converged
+            points.append((value, stats))
     trend = {
         "axis": param,
         "base_config_sha256": _config_digest(config),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral
 
@@ -60,6 +61,7 @@ __all__ = [
     "TopologyError",
     "build_topology",
     "compute_stats",
+    "replica_pool",
     "run_experiment",
 ]
 
@@ -396,13 +398,15 @@ def build_topology(config: ExperimentConfig) -> Topology:
 class _HopRuntime:
     """Mutable per-replica state of one hop, laid out for the hot loop.
 
-    ``dmf``/``dmr`` hold one forward/reverse excess-delay series per burst
-    position, indexed by period.  A one-way hop keeps its series as a float64
-    array, and ``beacons`` holds what ``_set_excess_series`` derives from it:
-    a (4, periods) float64 array of each beacon's send instant ``t0``, the
-    master CDC term at ``t0``, the arrival ``ta`` and the slave CDC term at
-    ``ta``.  Burst hops keep their series as Python lists, which their
-    scalar branch reads directly.
+    ``dmf``/``dmr`` hold one forward/reverse excess-delay float64 series per
+    burst position, indexed by period.  ``beacons`` holds the clock-independent
+    terms that ``_set_excess_series`` derives from them.  On a one-way hop it
+    is a (4, periods) array of each beacon's send instant ``t0``, the master
+    CDC term at ``t0``, the arrival ``ta`` and the slave CDC term at ``ta``.
+    On a burst hop it is a (periods, burst, 8) array: per exchange the send
+    instant ``t`` and the master CDC term there, the arrival ``ta`` and the
+    slave CDC term there, the reply instant ``tr`` and the slave CDC term
+    there, and the return arrival ``tb`` and the master CDC term there.
     """
 
     __slots__ = (
@@ -489,33 +493,50 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
 def _set_excess_series(h: _HopRuntime, dmf: list, dmr: list) -> None:
     """Install a hop's excess-delay series before its first exchange.
 
-    On a one-way hop, also evaluate once every beacon's send instant, its
-    master CDC term, its arrival and the slave CDC term there, from the hop's
-    first send instant, period, delays and CDC laws as they stand.  These
-    terms do not depend on any clock, so the kernel only adds the clocks.
+    Also evaluate once every exchange's clock-independent instants and CDC
+    terms (see ``_HopRuntime``) from the hop's first send instant, period,
+    delays and CDC laws as they stand, so the kernel only adds the clocks.
     Each element is bitwise what the scalar expression gives.
     """
-    if h.scheme != SCHEME_ONE_WAY:
-        h.dmf = [np.asarray(d, dtype=float).tolist() for d in dmf]
-        h.dmr = [np.asarray(d, dtype=float).tolist() for d in dmr]
+    h.dmf = [np.asarray(d, dtype=float) for d in dmf]
+    h.dmr = [np.asarray(d, dtype=float) for d in dmr]
+    periods = h.dmf[0].size
+    send_ps = h.next_ps + h.period_ps * np.arange(periods)
+
+    def master_cdc(t):
+        return cdc_read_error(t, h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase) if h.cdc_m_T else 0.0
+
+    def slave_cdc(t):
+        return cdc_read_error(t, h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase) if h.cdc_s_T else 0.0
+
+    if h.scheme == SCHEME_ONE_WAY:
+        h.beacons = np.empty((4, periods))
+        t0, cm, ta, cs = h.beacons
+        t0[:] = send_ps * 1e-3
+        cm[:] = master_cdc(t0)
+        ta[:] = t0 + h.prop_ns + h.dmf[0]
+        cs[:] = slave_cdc(ta)
         return
-    h.dmf = [np.asarray(dmf[0], dtype=float)]
-    h.dmr = []
-    h.beacons = np.zeros((4, h.dmf[0].size))
-    t0, cm, ta, cs = h.beacons
-    t0[:] = (h.next_ps + h.period_ps * np.arange(t0.size)) * 1e-3
-    if h.cdc_m_T:
-        cm[:] = cdc_read_error(t0, h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase)
-    ta[:] = t0 + h.prop_ns + h.dmf[0]
-    if h.cdc_s_T:
-        cs[:] = cdc_read_error(ta, h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase)
+    # Burst position b sends b spacings after the period starts; the slave
+    # replies REPLY_DELAY_S after each arrival.
+    h.beacons = np.empty((periods, h.burst, 8))
+    for b, (fwd, rev) in enumerate(zip(h.dmf, h.dmr)):
+        t = send_ps * 1e-3 + b * (BURST_SPACING_S * 1e9)
+        ta = t + h.prop_ns + fwd
+        tr = ta + REPLY_DELAY_S * 1e9
+        tb = tr + h.prop_ns + rev
+        for i, column in enumerate((t, master_cdc(t), ta, slave_cdc(ta),
+                                    tr, slave_cdc(tr), tb, master_cdc(tb))):
+            h.beacons[:, b, i] = column
 
 
 def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> None:
-    """Process every exchange of one hop up to the barrier.
+    """Process every exchange of one hop up to and including the barrier.
 
     Other streams cannot fire inside the window, so the master clock state is
-    constant here and only the slave evolves.  There is one loop over the
+    constant here and only the slave evolves.  The caller ends the window
+    1 ps short of any event that wins a tie against this hop (a PPS edge, a
+    walk step, a lower-index hop's exchange).  There is one loop over the
     window's periods with two branches, each held exchange by exchange to the
     test oracle in ``tests/test_sim.py`` by ``TestEngineProtocolLockstep``:
 
@@ -527,8 +548,12 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
       estimate remain;
     * the burst branch runs ``h.burst`` two-way exchanges per period and
       averages their estimates; two-way hops are bursts of one
-      (``test_two_way_ethernet_hop`` and ``test_ftm_burst_hop``).  It stays
-      scalar: its hops fire at 8 Hz or slower.
+      (``test_two_way_ethernet_hop`` and ``test_ftm_burst_hop``).  It reads
+      the window's rows of the precomputed (periods, burst, 8) array as
+      lists: per exchange the send, arrival, reply and return instants and
+      the CDC term at each.  Per exchange only the four clock reads, the
+      quantizers (all four stamps on Ethernet ports, the two receive stamps
+      on wireless ones) and the estimate remain.
 
     Each branch yields the period's estimate and the arrival the servo slews
     at; the jam-then-PI step after them is shared.  ``test_integrator_windup``
@@ -555,12 +580,8 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
         t0s, cms, tas, css = h.beacons[:, n:n + k].tolist()
     else:
         ts_m, ph_m = h.ts_m, h.ph_m
-        cmT, cmR, cmP = h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase
-        csT, csR, csP = h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase
-        prop = h.prop_ns
-        reply, spacing = REPLY_DELAY_S * 1e9, BURST_SPACING_S * 1e9
-        dmf, dmr = h.dmf, h.dmr
         burst, egress_quant = h.burst, h.egress_quant
+        stamps = h.beacons[n:n + k].tolist()
 
     for j in range(k):
         if one_way:
@@ -571,33 +592,17 @@ def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> No
             est = t2 - t1 - calib
             anchor = ta
         else:
-            t0 = (t_ps + j * period_ps) * 1e-3
-            i = n + j
             acc = 0.0
-            for b in range(burst):
-                t = t0 + b * spacing
-                v = mo + mr * t
-                if cmT:
-                    v += 0.5 * cmT - ((t * cmR + cmP) % cmT)
+            for t, cmt, ta, csa, tr, csr, tb, cmb in stamps[j]:
+                t1 = (mo + mr * t) + cmt
                 if egress_quant:
-                    v = ts_m * (ceil(v / ts_m - ph_m - 0.5) + ph_m)
-                t1 = v
-                ta = t + prop + dmf[b][i]
-                v = so + sr * ta
-                if csT:
-                    v += 0.5 * csT - ((ta * csR + csP) % csT)
+                    t1 = ts_m * (ceil(t1 / ts_m - ph_m - 0.5) + ph_m)
+                v = (so + sr * ta) + csa
                 t2 = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
-                tr = ta + reply
-                v = so + sr * tr
-                if csT:
-                    v += 0.5 * csT - ((tr * csR + csP) % csT)
+                t3 = (so + sr * tr) + csr
                 if egress_quant:
-                    v = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
-                t3 = v
-                tb = tr + prop + dmr[b][i]
-                v = mo + mr * tb
-                if cmT:
-                    v += 0.5 * cmT - ((tb * cmR + cmP) % cmT)
+                    t3 = ts_s * (ceil(t3 / ts_s - ph_s - 0.5) + ph_s)
+                v = (mo + mr * tb) + cmb
                 t4 = ts_m * (ceil(v / ts_m - ph_m - 0.5) + ph_m)
                 acc += ((t2 - t1) - (t4 - t3)) * 0.5
             est = acc / burst
@@ -691,10 +696,14 @@ def _run_replica(topo: Topology, config: ExperimentConfig,
         if best_ps > duration_ps:
             break
         if best >= 0:
-            barrier = next_pps if next_pps < next_walk else next_walk
+            # The window ends 1 ps short of every event this hop loses a tie
+            # to, and at (inclusive) a higher-index hop's next event.
+            barrier = (next_pps if next_pps < next_walk else next_walk) - 1
             for j, other in enumerate(hops):
-                if j != best and other.next_ps < barrier:
-                    barrier = other.next_ps
+                if j != best:
+                    edge = other.next_ps - (j < best)
+                    if edge < barrier:
+                        barrier = edge
             if barrier > duration_ps:
                 barrier = duration_ps
             _run_hop_until(hops[best], off, rate, barrier)
@@ -735,23 +744,31 @@ def _replica_job(args):
     return _run_replica(topo, config, seed_seq)
 
 
+def replica_pool(workers: int, replicas: int):
+    """A process pool of ``min(workers, replicas)`` processes for runs of at
+    most ``replicas`` replicas, or a null context yielding None where one
+    process suffices.  Enter it with ``with``, which joins its children."""
+    workers = min(workers, replicas)
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1,
-                   return_samples: bool = False):
+                   return_samples: bool = False, pool=None):
     """Run every replica and pool the PPS error statistics.
 
     Replica seed streams are pre-split from the experiment seed, so the
-    result is identical whatever ``workers`` is.  Sets ``converged=False``
-    if any post-warmup sample exceeds ten times the chain budget.
+    result is identical whatever ``workers`` is.  The replicas run on
+    ``pool`` when one is given (as from ``replica_pool``, which the caller
+    closes), else on a pool of their own.  Sets ``converged=False`` if any
+    post-warmup sample exceeds ten times the chain budget.
     """
     topo = build_topology(config)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
     jobs = [(topo, config, s) for s in seeds]
-    workers = min(workers, config.replicas)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replica_job, jobs))
-    else:
-        results = [_replica_job(j) for j in jobs]
+    # A caller's pool is left open; an own one is closed here.
+    scope = replica_pool(workers, config.replicas) if pool is None else nullcontext(pool)
+    with scope as pool:
+        results = list(pool.map(_replica_job, jobs)) if pool else [_replica_job(j) for j in jobs]
     sample_arrays = [r[0] for r in results]
     converged = all(r[1] for r in results)
     pooled = np.concatenate(sample_arrays)

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from hybridsync import cli
+from hybridsync import channel, cli, sim
 from hybridsync.cli import _write_samples_csv, main
 
 FAST = [
@@ -151,6 +151,19 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(out)["config"]["channel"] == [40, 200]
 
+    def test_custom_channel_profile_solved_once(self, capsys, monkeypatch):
+        from scipy import optimize
+
+        solves = []
+        brentq = optimize.brentq
+        monkeypatch.setattr(optimize, "brentq",
+                            lambda *args, **kwargs: solves.append(args) or brentq(*args, **kwargs))
+        channel._cached_pdp.cache_clear()
+        code, _ = run(capsys, "simulate", "--preset", "calnex", "--set", "channel=[40,200]",
+                      "--replicas", "3", *FAST)
+        assert code == 0
+        assert len(solves) == 1
+
     def test_unknown_set_key_exits_2(self, capsys):
         code, _ = run(capsys, "simulate", "--preset", "calnex-eth3",
                       "--set", "bogus_knob=1")
@@ -260,7 +273,7 @@ class TestSimulateCommand:
         data = (tmp_path / "samples.csv").read_bytes()
         assert data.count(b"\n") == 1 + 2 * 6667
         assert hashlib.sha256(data).hexdigest() == \
-            "b5c8a9e7e29a87d8578f566663fbb1061373914f694022caa6b0efb467d4d6cd"
+            "f4b96063784377523c8db52f9b42bef4044511450552f6f5c92afb18c3825d29"
 
 
 def test_samples_writer_matches_csv_module(tmp_path):
@@ -275,6 +288,13 @@ def test_samples_writer_matches_csv_module(tmp_path):
     path = tmp_path / "out" / "samples.csv"
     _write_samples_csv(path, arrays)
     assert path.read_bytes() == buf.getvalue().encode()
+
+
+def test_samples_writer_chunks_are_seamless(tmp_path):
+    arrays = [np.arange(7) * 0.1 - 0.25, np.array([], dtype=float), np.array([3.5])]
+    _write_samples_csv(tmp_path / "whole.csv", arrays)
+    _write_samples_csv(tmp_path / "split.csv", arrays, chunk=2)
+    assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 class TestSeedPrecedence:
@@ -309,6 +329,17 @@ class TestSeedPrecedence:
                               "--seed", "9")
         assert seed == 9
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_malformed_env_seed_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HYBRIDSYNC_SEED", value)
+        monkeypatch.setattr(cli, "run_experiment", None)
+        code = main(["simulate", "--preset", "calnex-eth3", *FAST])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("simulate: HYBRIDSYNC_SEED must be a non-negative decimal "
+                                f"integer such as HYBRIDSYNC_SEED=1001, got {value!r}\n")
+
     def test_set_beats_seed_flag(self, capsys):
         seed = self.read_seed(capsys, "simulate", "--preset", "calnex-eth3",
                               "--replicas", "1", *FAST, "--seed", "9",
@@ -332,6 +363,31 @@ class TestSweepCommand:
         assert csv_lines[0].startswith("channel,replica,")
         assert len(csv_lines) == 1 + 2 * 2
         assert (tmp_path / "trend.json").read_text() == out
+
+    def replicas_sweep(self, capsys, tmp_path, values, workers):
+        code, _ = run(capsys, "sweep", "--preset", "emulator-80211", "--set", 'channel="IWLAN_A"',
+                      "--axis", f"replicas={values}", "--seed", "3", "--workers", str(workers),
+                      *FAST, "--out", str(tmp_path))
+        assert code == 0
+        return [(tmp_path / name).read_bytes() for name in ("trend.json", "sweep.csv")]
+
+    def test_one_pool_sized_by_the_largest_point(self, capsys, monkeypatch, tmp_path):
+        sizes = []
+
+        class RecordingPool(sim.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        self.replicas_sweep(capsys, tmp_path, "2,3,1", workers=4)
+        assert sizes == [3]
+        self.replicas_sweep(capsys, tmp_path, "1,1", workers=4)  # one process suffices
+        assert sizes == [3]
+
+    def test_output_bytes_stable_across_workers(self, capsys, tmp_path):
+        serial = self.replicas_sweep(capsys, tmp_path / "serial", "1,3", workers=1)
+        assert self.replicas_sweep(capsys, tmp_path / "pooled", "1,3", workers=3) == serial
 
     def test_unknown_axis_param_exits_2(self, capsys):
         code, _ = run(capsys, "sweep", "--preset", "calnex-eth3",

@@ -211,11 +211,16 @@ class TestWindowSplits:
 
     PERIODS = 60
 
-    def drive(self, window):
-        h = make_runtime(ONE_WAY, "wireless", prop_ns=1135.0, **WIRELESS_CDC[0].fields("m"),
-                         **WIRELESS_CDC[1].fields("s"))
-        excess = [0.25 * ((5 * n) % 11) + 1e-3 * n for n in range(len(h.dmf[0]))]
-        _set_excess_series(h, [excess], [])
+    def drive(self, window, protocol=ONE_WAY, ports=WIRELESS_CDC):
+        medium = "ethernet" if ports[0].ethernet else "wireless"
+        h = make_runtime(protocol, medium, prop_ns=1135.0, **ports[0].fields("m"),
+                         **ports[1].fields("s"))
+        count = len(h.dmf[0])
+        dmf = [[0.25 * ((5 * n + 3 * b) % 11) + 1e-3 * n for n in range(count)]
+               for b in range(h.burst)]
+        dmr = [[0.25 * ((2 * n + 5 * b) % 7) + 2e-3 * n for n in range(count)]
+               for b in range(len(h.dmr))]
+        _set_excess_series(h, dmf, dmr)
         off, rate = [15.0, -300.0], [1.0 - 1.5e-6, 1.0 + 2e-6]
         last = h.next_ps + (self.PERIODS - 1) * h.period_ps
         while h.next_ps <= last:
@@ -229,6 +234,54 @@ class TestWindowSplits:
         whole = self.drive(self.PERIODS)
         assert whole[3:5] == (True, self.PERIODS)  # locked, periods run
         assert self.drive(window) == whole
+
+    @pytest.mark.parametrize("ports", [(Port(8.0, 0.3), Port(8.0, 0.7)), WIRELESS_CDC],
+                             ids=["ethernet", "wireless-cdc"])
+    @pytest.mark.parametrize("protocol", [
+        ProtocolConfig(sync_period_s=0.125),
+        ProtocolConfig(SCHEME_FTM_BURST, sync_period_s=0.125, burst_length=3)],
+        ids=["two-way", "ftm-burst-3"])
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    def test_burst_windows_match_a_single_call(self, window, protocol, ports):
+        whole = self.drive(self.PERIODS, protocol, ports)
+        assert whole[3:5] == (True, self.PERIODS)
+        assert self.drive(window, protocol, ports) == whole
+
+
+class TestTieOrder:
+    """An exchange that lands on a PPS edge, a walk step or a lower-index hop's
+    event runs after it, inside a window as at a window's start."""
+
+    def samples(self, monkeypatch, config, per_event):
+        if per_event:
+            # One exchange per call: the event loop alone orders every tie.
+            run = sim._run_hop_until
+            monkeypatch.setattr(sim, "_run_hop_until",
+                                lambda h, off, rate, barrier: run(h, off, rate, h.next_ps))
+        # spawn() advances a SeedSequence, so each run gets a fresh one.
+        samples, _ = sim._run_replica(build_topology(config), config,
+                                      np.random.SeedSequence(7))
+        monkeypatch.undo()
+        return samples
+
+    @pytest.mark.parametrize("chain, walk, pps", [
+        # every exchange lands on a 1 s PPS edge
+        pytest.param([("gmc", "s", 1.0)], 0.0, 1.0, id="pps"),
+        # every fourth exchange lands on a 1 s walk step
+        pytest.param([("gmc", "s", 0.25)], 5.0, 3.33, id="walk"),
+        # every fourth exchange of hop 1 lands on one of hop 0
+        pytest.param([("gmc", "a", 1.0), ("a", "s", 0.25)], 0.0, 1.73, id="hop-hop"),
+    ])
+    def test_windows_match_per_event_evaluation_bitwise(self, monkeypatch, chain, walk, pps):
+        wired = PROTOCOL_PRESETS["wired-ptp"]
+        hops = tuple(HopSpec(master, slave, "ethernet", replace(wired, sync_period_s=period),
+                             PortSpec(), PortSpec()) for master, slave, period in chain)
+        nodes = tuple(dict.fromkeys(node for m, s, _ in chain for node in (m, s)))
+        config = ExperimentConfig(topology=Topology("ties", nodes, hops, "s", "gmc"),
+                                  duration_s=40.0, warmup_s=5.0, pps_interval_s=pps,
+                                  drift_walk_sigma_ppm_per_s=walk)
+        windowed = self.samples(monkeypatch, config, per_event=False)
+        assert windowed.tolist() == self.samples(monkeypatch, config, per_event=True).tolist()
 
 
 class TestPrepareHop:
