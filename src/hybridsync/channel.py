@@ -286,7 +286,9 @@ def _tap_series(power, fading, period_s, count, offset_s, rng) -> np.ndarray:
     spectrum = np.zeros(n_fft, dtype=complex)
     # Bins -n_fft/2 and +n_fft/2 alias when f_d * T nears 0.5; sum them.
     np.add.at(spectrum, k % n_fft, coeffs)
-    return (np.fft.ifft(spectrum) * n_fft)[:count]
+    # Unnormalised, in place: n_fft is a power of two, so this is bitwise
+    # ``ifft(spectrum) * n_fft`` without its two extra n_fft-point arrays.
+    return np.fft.ifft(spectrum, norm="forward", out=spectrum)[:count]
 
 
 def tap_gain_series(
@@ -315,17 +317,22 @@ def detected_excess_series(
 ) -> np.ndarray:
     """Excess delay (ns) of the strongest tap at each comb instant.
 
-    Synthesizes taps one at a time so long runs stay within memory.
+    Synthesizes taps one at a time so long runs stay within memory: only the
+    running best power (float64) and tap index (one byte up to 256 taps)
+    persist, and each tap's ``16 * n_fft``-byte inverse-DFT buffer and power
+    are freed before the next tap is drawn.  The earlier tap wins a tie.
     """
     if pdp.n_taps == 1:
         return np.zeros(count)
     powers = pdp.linear_powers
     delays = pdp.delays_ns
     best_power = np.full(count, -1.0)
-    best_tap = np.zeros(count, dtype=np.int64)
+    best_tap = np.zeros(count, dtype=np.min_scalar_type(pdp.n_taps - 1))
     for i in range(pdp.n_taps):
-        power = np.abs(_tap_series(powers[i], fading, period_s, count, offset_s, rng)) ** 2
+        power = np.abs(_tap_series(powers[i], fading, period_s, count, offset_s, rng))
+        np.square(power, out=power)
         better = power > best_power
-        best_power[better] = power[better]
-        best_tap[better] = i
+        np.copyto(best_power, power, where=better)
+        np.copyto(best_tap, i, where=better)
+        del power, better
     return delays[best_tap] - delays[0]

@@ -134,7 +134,8 @@ def _replica_doc(stats) -> dict:
 def _write_samples_csv(path: Path, sample_arrays, chunk: int = 8192) -> None:
     """Stream one ``replica,index,error_ns`` row per sample; floats use ``repr``.
 
-    Samples become Python floats ``chunk`` at a time, never a whole replica.
+    Samples become Python floats ``chunk`` at a time, never a whole replica,
+    and each chunk is formatted by one ``%`` call (``%r`` is ``repr``).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -142,7 +143,10 @@ def _write_samples_csv(path: Path, sample_arrays, chunk: int = 8192) -> None:
         for r, arr in enumerate(sample_arrays):
             for start in range(0, len(arr), chunk):
                 values = arr[start:start + chunk].tolist()
-                fh.writelines(f"{r},{i},{v!r}\n" for i, v in enumerate(values, start))
+                cells = [None] * (2 * len(values))
+                cells[::2] = range(start, start + len(values))
+                cells[1::2] = values
+                fh.write(f"{r},%d,%r\n" * len(values) % tuple(cells))
 
 
 # --- budget --------------------------------------------------------------------

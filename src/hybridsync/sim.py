@@ -73,10 +73,10 @@ WINDUP_PPM = 100.0  # anti-windup clamp on the servo's frequency integrator
 HIST_BINS = 64
 DIVERGENCE_FACTOR = 10.0
 
-# Excess-delay series entries one replica may hold: about 0.8 GB at the 98 B
-# per entry of peak RSS measured on one-way IWLAN_B (105 MB at 130 s, 178 MB
-# at 520 s; the fading synthesis sets the peak), and 4x the largest preset
-# default (emulator-wsharp, 2 kHz over 1000 s).
+# Excess-delay series entries one replica may hold: about 0.5 GB at the 63 B
+# per entry of peak RSS measured on one-way IWLAN_B (55 MB at 130 s, 102 MB
+# at 520 s, 10 km/h), and 4x the largest preset default (emulator-wsharp,
+# 2 kHz over 1000 s).
 MAX_SERIES_ENTRIES = 2 ** 23
 
 # The wireless scheme of every named setup, in the order the CLI lists them.
@@ -512,9 +512,13 @@ def _set_excess_series(h: _HopRuntime, dmf: list, dmr: list) -> None:
     if h.scheme == SCHEME_ONE_WAY:
         h.beacons = np.empty((4, periods))
         t0, cm, ta, cs = h.beacons
-        t0[:] = send_ps * 1e-3
+        # In place, in the order of ``t0 + prop_ns + dmf``, and ``send_ps`` freed
+        # before the CDC temporaries; else this step sets the replica's peak RSS.
+        np.multiply(send_ps, 1e-3, out=t0)
+        del send_ps
         cm[:] = master_cdc(t0)
-        ta[:] = t0 + h.prop_ns + h.dmf[0]
+        np.add(t0, h.prop_ns, out=ta)
+        ta += h.dmf[0]
         cs[:] = slave_cdc(ta)
         return
     # Burst position b sends b spacings after the period starts; the slave

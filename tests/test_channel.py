@@ -1,6 +1,7 @@
 """Power delay profiles, fading synthesis and arrival detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,26 @@ class TestFadingStatistics:
         ])
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.04)
 
+    @pytest.mark.parametrize("doppler_hz", [22.24, 999.8], ids=["comb", "near-nyquist"])
+    def test_ifft_route_is_unnormalised_ifft(self, monkeypatch, doppler_hz):
+        # Bitwise against ``ifft(spectrum) * n_fft`` on the spectrum a 3000-point
+        # comb built.  At f_d * T = 0.4999 the bins +-n_fft/2 alias and are summed.
+        count = 3000
+        spectra = []
+        ifft = np.fft.ifft
+
+        def recording_ifft(a, *args, **kwargs):
+            spectra.append(a.copy())
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", recording_ifft)
+        got = channel._tap_series(0.7, FadingConfig(doppler_hz=doppler_hz), 5e-4, count,
+                                  0.0003, np.random.default_rng(41))
+        (spectrum,) = spectra
+        expected = (ifft(spectrum) * spectrum.size)[:count]
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("count", [65_536, 100_000])
     def test_fast_sampling_draws_are_independent(self, count):
         # period far beyond coherence time: successive gains decorrelate,
@@ -252,6 +273,30 @@ class TestDetection:
         delays = pdp.delays_ns
         expected = delays[np.argmax(np.abs(gains) ** 2, axis=0)] - delays[0]
         assert np.array_equal(excess, expected)
+
+    def test_earlier_tap_wins_a_tie(self, monkeypatch):
+        pdp = PowerDelayProfile([(0.0, 0.0), (50.0, -1.0), (100.0, -2.0)])
+        gains = iter([np.array([1, 1, 0.5, 1], dtype=complex),
+                      np.array([1j, 2, 0.5j, -1]),
+                      np.array([-1, 2j, 0.5, 3], dtype=complex)])
+        monkeypatch.setattr(channel, "_tap_series", lambda *args: next(gains))
+        excess = detected_excess_series(pdp, FadingConfig(doppler_hz=22.24), 5e-4, 4,
+                                        0.0, np.random.default_rng(0))
+        assert excess.tolist() == [0.0, 50.0, 0.0, 100.0]
+
+    def test_series_memory_stays_near_one_spectrum(self):
+        # Per tap only the n_fft-point spectrum (transformed in place) and the
+        # tap's power live beside the running best: about 2.1 spectra.
+        count = 1 << 19
+        pdp = build_pdp("IWLAN_B")
+        fading = FadingConfig(doppler_hz=22.24)
+        tracemalloc.start()
+        try:
+            detected_excess_series(pdp, fading, 5e-4, count, 0.0, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * count * 16
 
     def test_single_tap_never_errs(self):
         excess = detected_excess_series(build_pdp("AWGN"), FadingConfig(), 1e-3,
