@@ -1,20 +1,23 @@
-"""Deterministic discrete-event simulation of synchronization chains.
+"""Deterministic simulation of synchronization chains, one hop at a time.
 
 True time is carried as integer picoseconds so periodic schedules never
 accumulate rounding drift.  Every node owns a PHC modeled affinely between
-servo events (displayed = offset + rate * true_time); exchanges, servo
-updates, drift-walk steps and PPS edges are merged chronologically.  At a
-tie the PPS edge comes first, then the walk, then hops in declaration
-order.  Each replica draws its randomness from an independently spawned
-seed stream, so results do not depend on how replicas are distributed over
-workers.
+servo events (displayed = offset + rate * true_time).  Each event has a key
+(instant_ps, rank): rank 0 is a PPS edge, 1 a drift-walk step and 2 + i an
+exchange of hop i; whatever reads a clock at key K sees exactly the writes
+with keys below K.  No node reads a clock below it, so a replica is a
+feed-forward graph run one hop at a time in dependency order (Chandy and
+Misra's conservative simulation): each hop runs all its exchanges and its
+slave's walk steps in one kernel call, masters first, recording its slave's
+clock only where child hops' exchanges or PPS edges read it.  Every event
+stream is an arithmetic progression, so who reads which state is counted
+by integer division.  Each replica draws from its own spawned seed streams,
+so results do not depend on how replicas are distributed over workers.
 
 The per-sample synchronization error follows PPS semantics: it is the
 difference of the true times at which the reference and the measured node's
 counters cross the next whole pulse boundary, positive when the measured
-clock runs ahead.  Clocks change only at hop and walk events, so PPS edges
-are recorded per affine clock segment (every edge up to the next such
-event) and evaluated in one vectorized pass after the event loop.
+clock runs ahead.
 """
 
 from __future__ import annotations
@@ -130,6 +133,8 @@ class HopSpec:
             raise ValueError(f"unknown medium {self.medium!r}")
         if self.medium == "ethernet" and self.protocol.scheme == SCHEME_ONE_WAY:
             raise ValueError("an ethernet hop cannot run the one-way scheme")
+        if not (math.isfinite(self.stagger_s) and self.stagger_s >= 0):
+            raise ValueError(f"stagger_s must be finite and >= 0, got {self.stagger_s!r}")
         if self.channel is not None:
             build_pdp(self.channel)
 
@@ -291,6 +296,10 @@ class ExperimentConfig:
         # used: in the hop specs and their protocol configs.
         topo = build_topology(self)
         duration_ps = round(self.duration_s * 1e12)
+        for i, hop in enumerate(topo.hops):
+            if round(hop.stagger_s * 1e12) > duration_ps:
+                raise ValueError(f"hop {i} ({hop.master}->{hop.slave}) starts at stagger_s="
+                                 f"{hop.stagger_s!r}, after duration_s={self.duration_s!r}")
         entries = sum(math.prod(_series_shape(hop, duration_ps)) for hop in topo.hops)
         if entries > MAX_SERIES_ENTRIES:
             raise ValueError(f"a replica would hold {entries} excess-delay entries, more than "
@@ -396,29 +405,24 @@ def build_topology(config: ExperimentConfig) -> Topology:
 
 
 class _HopRuntime:
-    """Mutable per-replica state of one hop, laid out for the hot loop.
+    """Mutable per-replica state of one hop, laid out for the kernel.
 
-    ``dmf``/``dmr`` hold one forward/reverse excess-delay float64 series per
-    burst position, indexed by period.  ``beacons`` holds the clock-independent
-    terms that ``_set_excess_series`` derives from them.  On a one-way hop it
-    is a (4, periods) array of each beacon's send instant ``t0``, the master
-    CDC term at ``t0``, the arrival ``ta`` and the slave CDC term at ``ta``.
-    On a burst hop it is a (periods, burst, 8) array: per exchange the send
-    instant ``t`` and the master CDC term there, the arrival ``ta`` and the
-    slave CDC term there, the reply instant ``tr`` and the slave CDC term
-    there, and the return arrival ``tb`` and the master CDC term there.
+    Exchange n (from 0) starts at ``first_ps + n * period_ps``; ``n`` counts
+    the exchanges run so far.  ``dmf``/``dmr`` hold one forward/reverse
+    excess-delay float64 series per burst position, indexed by period.
     """
 
     __slots__ = (
-        "mi", "si", "scheme", "egress_quant", "period_ps", "next_ps", "n",
-        "kp", "ki", "k3", "integ", "locked",
-        "ts_m", "ph_m", "ts_s", "ph_s",
-        "cdc_m_T", "cdc_m_rate", "cdc_m_phase", "cdc_s_T", "cdc_s_rate", "cdc_s_phase",
-        "prop_ns", "calib_ns", "dmf", "dmr", "burst", "beacons",
+        "mi", "si", "scheme", "egress_quant", "period_ps", "first_ps", "n", "kp", "ki", "k3",
+        "integ", "locked", "ts_m", "ph_m", "ts_s", "ph_s", "cdc_m", "cdc_s",
+        "prop_ns", "calib_ns", "dmf", "dmr", "burst",
     )
 
 
 def _draw_cdc(init_rng: np.random.Generator, t_src: float, drift_free: bool):
+    """A port's CDC law (t_src, rate, phase), or None if it reads natively."""
+    if not t_src:
+        return None
     phase = init_rng.uniform(0.0, 1.0)
     magnitude = init_rng.uniform(1.0, 5.0)
     sign = 1.0 if init_rng.random() < 0.5 else -1.0
@@ -444,9 +448,8 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
     h.si = node_index[hop.slave]
     h.scheme = hop.protocol.scheme
     h.egress_quant = hop.medium == "ethernet"
-    period_ps = round(hop.protocol.sync_period_s * 1e12)
-    h.period_ps = period_ps
-    h.next_ps = round(hop.stagger_s * 1e12)
+    h.period_ps = round(hop.protocol.sync_period_s * 1e12)
+    h.first_ps = round(hop.stagger_s * 1e12)
     h.n = 0
     h.kp = hop.protocol.kp
     h.ki = hop.protocol.ki
@@ -457,19 +460,13 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
     h.ph_m = init_rng.uniform(0.0, 1.0)
     h.ts_s = hop.slave_port.sample_period_ns
     h.ph_s = init_rng.uniform(0.0, 1.0)
-    h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase = 0.0, 1.0, 0.0
-    h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase = 0.0, 1.0, 0.0
-    if hop.master_port.cdc_t_src_ns:
-        h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase = _draw_cdc(
-            init_rng, hop.master_port.cdc_t_src_ns, config.drift_free)
-    if hop.slave_port.cdc_t_src_ns:
-        h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase = _draw_cdc(
-            init_rng, hop.slave_port.cdc_t_src_ns, config.drift_free)
+    h.cdc_m = _draw_cdc(init_rng, hop.master_port.cdc_t_src_ns, config.drift_free)
+    h.cdc_s = _draw_cdc(init_rng, hop.slave_port.cdc_t_src_ns, config.drift_free)
     h.prop_ns = propagation_delay_ns(hop.geometry)
     h.calib_ns = hop.protocol.calibrated_delay_ns
     count, h.burst, directions = _series_shape(hop, duration_ps)
-    dmf = [np.zeros(count) for _ in range(h.burst)]
-    dmr = [np.zeros(count) for _ in range(h.burst)] if directions == 2 else []
+    h.dmf = [np.zeros(count) for _ in range(h.burst)]
+    h.dmr = [np.zeros(count) for _ in range(h.burst)] if directions == 2 else []
     if hop.medium == "wireless" and hop.channel is not None:
         pdp = build_pdp(hop.channel)
         if pdp.n_taps > 1:
@@ -477,268 +474,271 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
             fwd_rng, rev_rng = fading_seeds
             period_s = hop.protocol.sync_period_s
             for b in range(h.burst):
-                dmf[b] = detected_excess_series(
+                h.dmf[b] = detected_excess_series(
                     pdp, fading, period_s, count,
                     hop.stagger_s + b * BURST_SPACING_S, fwd_rng)
             if directions == 2:
                 rev_offset = hop.stagger_s + h.prop_ns * 1e-9 + REPLY_DELAY_S
                 for b in range(h.burst):
-                    dmr[b] = detected_excess_series(
+                    h.dmr[b] = detected_excess_series(
                         pdp, fading, period_s, count,
                         rev_offset + b * BURST_SPACING_S, rev_rng)
-    _set_excess_series(h, dmf, dmr)
     return h
 
 
-def _set_excess_series(h: _HopRuntime, dmf: list, dmr: list) -> None:
-    """Install a hop's excess-delay series before its first exchange.
+# Stamps the kernel evaluates per numpy pass: enough to amortise the calls,
+# few enough that their Python floats stay small beside the series.
+_BLOCK = 4096
 
-    Also evaluate once every exchange's clock-independent instants and CDC
-    terms (see ``_HopRuntime``) from the hop's first send instant, period,
-    delays and CDC laws as they stand, so the kernel only adds the clocks.
-    Each element is bitwise what the scalar expression gives.
+
+def _stamps(h: _HopRuntime, a: int, b: int, mo: np.ndarray, mr: np.ndarray) -> list:
+    """What exchanges a..b-1 of a hop stamp without the slave clock, as lists.
+
+    With the master's offsets ``mo`` and rates ``mr`` at each exchange: the
+    send stamp ``t1`` (quantized on Ethernet egress), the arrival ``ta`` and
+    the slave CDC term there; for a burst also the reply ``tr`` and the
+    slave CDC term there, the return stamp ``t4`` and the return arrival
+    ``tb``, position p of exchange n at index ``n * burst + p``.  Each is
+    bitwise the scalar expression (``np.ceil`` is ``math.ceil``'s value).
     """
-    h.dmf = [np.asarray(d, dtype=float) for d in dmf]
-    h.dmr = [np.asarray(d, dtype=float) for d in dmr]
-    periods = h.dmf[0].size
-    send_ps = h.next_ps + h.period_ps * np.arange(periods)
+    send = (h.first_ps + h.period_ps * np.arange(a, b)) * 1e-3
 
-    def master_cdc(t):
-        return cdc_read_error(t, h.cdc_m_T, h.cdc_m_rate, h.cdc_m_phase) if h.cdc_m_T else 0.0
+    def cdc(t, law):
+        return cdc_read_error(t, *law) if law else 0.0 * t
 
-    def slave_cdc(t):
-        return cdc_read_error(t, h.cdc_s_T, h.cdc_s_rate, h.cdc_s_phase) if h.cdc_s_T else 0.0
+    def master(t):
+        return (mo + mr * t) + cdc(t, h.cdc_m)
+
+    def quantize(v):
+        return h.ts_m * (np.ceil(v / h.ts_m - h.ph_m - 0.5) + h.ph_m)
 
     if h.scheme == SCHEME_ONE_WAY:
-        h.beacons = np.empty((4, periods))
-        t0, cm, ta, cs = h.beacons
-        # In place, in the order of ``t0 + prop_ns + dmf``, and ``send_ps`` freed
-        # before the CDC temporaries; else this step sets the replica's peak RSS.
-        np.multiply(send_ps, 1e-3, out=t0)
-        del send_ps
-        cm[:] = master_cdc(t0)
-        np.add(t0, h.prop_ns, out=ta)
-        ta += h.dmf[0]
-        cs[:] = slave_cdc(ta)
-        return
-    # Burst position b sends b spacings after the period starts; the slave
-    # replies REPLY_DELAY_S after each arrival.
-    h.beacons = np.empty((periods, h.burst, 8))
-    for b, (fwd, rev) in enumerate(zip(h.dmf, h.dmr)):
-        t = send_ps * 1e-3 + b * (BURST_SPACING_S * 1e9)
-        ta = t + h.prop_ns + fwd
+        ta = send + h.prop_ns + h.dmf[0][a:b]
+        return [master(send).tolist(), ta.tolist(), cdc(ta, h.cdc_s).tolist()]
+    columns = np.empty((7, b - a, h.burst))
+    for p, (fwd, rev) in enumerate(zip(h.dmf, h.dmr)):
+        t = send + p * (BURST_SPACING_S * 1e9)
+        ta = t + h.prop_ns + fwd[a:b]
         tr = ta + REPLY_DELAY_S * 1e9
-        tb = tr + h.prop_ns + rev
-        for i, column in enumerate((t, master_cdc(t), ta, slave_cdc(ta),
-                                    tr, slave_cdc(tr), tb, master_cdc(tb))):
-            h.beacons[:, b, i] = column
+        tb = tr + h.prop_ns + rev[a:b]
+        t1 = quantize(master(t)) if h.egress_quant else master(t)
+        columns[:, :, p] = (t1, ta, cdc(ta, h.cdc_s), tr, cdc(tr, h.cdc_s),
+                            quantize(master(tb)), tb)
+    return columns.reshape(7, -1).tolist()
 
 
-def _run_hop_until(h: _HopRuntime, off: list, rate: list, barrier_ps: int) -> None:
-    """Process every exchange of one hop up to and including the barrier.
+def _run_hop(h: _HopRuntime, n_end: int, master, off: list, rate: list,
+             stops=(), walks=((), (), ())) -> list:
+    """Run exchanges ``h.n`` to ``n_end - 1`` of one hop in one call.
 
-    Other streams cannot fire inside the window, so the master clock state is
-    constant here and only the slave evolves.  The caller ends the window
-    1 ps short of any event that wins a tie against this hop (a PPS edge, a
-    walk step, a lower-index hop's exchange).  There is one loop over the
-    window's periods with two branches, each held exchange by exchange to the
-    test oracle in ``tests/test_sim.py`` by ``TestEngineProtocolLockstep``:
-
-    * the one-way branch stamps a beacon and subtracts the calibrated delay
-      (``test_one_way_wireless_hop_with_cdc``).  It reads the window's slice
-      of the per-hop series that ``_set_excess_series`` precomputed (send
-      instant, master CDC term, arrival, slave CDC term) as lists, so per
-      beacon only the two clock reads, the receive quantizer and the
-      estimate remain;
-    * the burst branch runs ``h.burst`` two-way exchanges per period and
-      averages their estimates; two-way hops are bursts of one
-      (``test_two_way_ethernet_hop`` and ``test_ftm_burst_hop``).  It reads
-      the window's rows of the precomputed (periods, burst, 8) array as
-      lists: per exchange the send, arrival, reply and return instants and
-      the CDC term at each.  Per exchange only the four clock reads, the
-      quantizers (all four stamps on Ethernet ports, the two receive stamps
-      on wireless ones) and the estimate remain.
-
-    Each branch yields the period's estimate and the arrival the servo slews
-    at; the jam-then-PI step after them is shared.  ``test_integrator_windup``
-    drives its anti-windup clamp through both branches, and
-    ``TestWindowSplits`` checks that where the barriers fall does not change
-    the result.
+    ``master`` = (offsets, rates, lengths) is the master's clock over them as
+    runs.  The slave's clock ``off[h.si]``/``rate[h.si]`` moves in place,
+    with its walk steps ``walks`` = (exchanges done before each, ppm, ns).
+    Its (offset, rate) is recorded and returned at each of the increasing
+    ``stops``, counted in exchanges plus walk steps done.  ``_stamps`` gives
+    the master side of each block, so the Python loop holds only the slave's
+    reads and quantizers, the estimate and the servo.  In ``tests/test_sim.py``
+    ``TestEngineProtocolLockstep`` holds every one-way, two-way and FTM
+    exchange and the jam-then-PI step to a per-exchange oracle, and
+    ``TestWindowSplits`` checks that how the run is cut changes nothing.
     """
     ceil = math.ceil
-    t_ps = h.next_ps
-    if t_ps > barrier_ps:
-        return
-    period_ps = h.period_ps
-    k = (barrier_ps - t_ps) // period_ps + 1
-    mo, mr = off[h.mi], rate[h.mi]
+    mo_runs, mr_runs, lengths = master
+    ends = h.n + np.cumsum(lengths)
     so, sr = off[h.si], rate[h.si]
     kp, ki, k3, windup = h.kp, h.ki, h.k3, WINDUP_PPM
     integ, locked = h.integ, h.locked
     ts_s, ph_s = h.ts_s, h.ph_s
-    n = h.n
-    # Each branch loads only what it reads.
-    one_way = h.scheme == SCHEME_ONE_WAY
-    if one_way:
-        calib = h.calib_ns
-        t0s, cms, tas, css = h.beacons[:, n:n + k].tolist()
-    else:
-        ts_m, ph_m = h.ts_m, h.ph_m
-        burst, egress_quant = h.burst, h.egress_quant
-        stamps = h.beacons[n:n + k].tolist()
-
-    for j in range(k):
-        if one_way:
-            t1 = (mo + mr * t0s[j]) + cms[j]
-            ta = tas[j]
-            v = (so + sr * ta) + css[j]
-            t2 = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
-            est = t2 - t1 - calib
-            anchor = ta
-        else:
-            acc = 0.0
-            for t, cmt, ta, csa, tr, csr, tb, cmb in stamps[j]:
-                t1 = (mo + mr * t) + cmt
-                if egress_quant:
-                    t1 = ts_m * (ceil(t1 / ts_m - ph_m - 0.5) + ph_m)
-                v = (so + sr * ta) + csa
+    one_way, calib = h.scheme == SCHEME_ONE_WAY, h.calib_ns
+    burst, last, egress_quant = h.burst, h.burst - 1, h.egress_quant
+    stops, walk_n, (_, walk_ppm, walk_ns) = [*stops, math.inf], [*walks[0], math.inf], walks
+    # Blocks of about _BLOCK stamps: three per beacon, seven per exchange.
+    width = max(1, _BLOCK // (3 if one_way else 7 * burst))
+    records = []
+    s = k = 0
+    acc = 0.0
+    j = a = b = h.n
+    while True:
+        while stops[s] == j + k or walk_n[k] == j:  # what is due, in key order
+            if stops[s] == j + k:
+                records.append((so, sr))
+                s += 1
+            else:
+                sr += walk_ppm[k] * 1e-6
+                so -= walk_ppm[k] * 1e-6 * walk_ns[k]
+                k += 1
+        if j == n_end:
+            break
+        if j == b:
+            t1s = tas = cas = replies = trs = crs = t4s = tbs = None  # free the last block
+            a, b = j, min(j + width, n_end)
+            # The master's runs over exchanges a..b-1, cut to them.
+            r0, r1 = np.searchsorted(ends, (a, b - 1), side="right")
+            cut = np.concatenate((ends[r0:r1], [b])) - np.concatenate(([a], ends[r0:r1]))
+            t1s, tas, cas, *replies = _stamps(h, a, b, np.repeat(mo_runs[r0:r1 + 1], cut),
+                                              np.repeat(mr_runs[r0:r1 + 1], cut))
+            if not one_way:
+                trs, crs, t4s, tbs = replies
+        e = min(stops[s] - k, walk_n[k], b)
+        for y in range((j - a) * burst, (e - a) * burst):
+            if one_way:
+                anchor = tas[y]
+                v = (so + sr * anchor) + cas[y]
                 t2 = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
-                t3 = (so + sr * tr) + csr
+                est = t2 - t1s[y] - calib
+            else:
+                v = (so + sr * tas[y]) + cas[y]
+                t2 = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
+                t3 = (so + sr * trs[y]) + crs[y]
                 if egress_quant:
                     t3 = ts_s * (ceil(t3 / ts_s - ph_s - 0.5) + ph_s)
-                v = (mo + mr * tb) + cmb
-                t4 = ts_m * (ceil(v / ts_m - ph_m - 0.5) + ph_m)
-                acc += ((t2 - t1) - (t4 - t3)) * 0.5
-            est = acc / burst
-            anchor = tb
-        if locked:
-            step = kp * est
-            raw = integ + ki * est / k3
-            new = windup if raw > windup else (-windup if raw < -windup else raw)
-            fstep = new - integ
-            integ = new
-        else:
-            step = est
-            fstep = 0.0
-            locked = True
-        so -= step
-        if fstep:
-            so += fstep * 1e-6 * anchor
-            sr -= fstep * 1e-6
+                est = ((t2 - t1s[y]) - (t4s[y] - t3)) * 0.5
+                anchor = tbs[y]
+                if burst > 1:  # one servo step per burst, on the running sum's mean
+                    acc += est
+                    if y % burst != last:
+                        continue
+                    est = acc / burst
+                    acc = 0.0
+            if locked:
+                step = kp * est
+                raw = integ + ki * est / k3
+                new = windup if raw > windup else (-windup if raw < -windup else raw)
+                fstep = new - integ
+                integ = new
+            else:
+                step = est
+                fstep = 0.0
+                locked = True
+            so -= step
+            if fstep:
+                so += fstep * 1e-6 * anchor
+                sr -= fstep * 1e-6
+        j = e
+    h.n, h.integ, h.locked = n_end, integ, locked
+    off[h.si], rate[h.si] = so, sr
+    return records
 
-    h.next_ps = t_ps + k * period_ps
-    h.n = n + k
-    h.integ = integ
-    h.locked = locked
-    off[h.si] = so
-    rate[h.si] = sr
+
+def _before(stream: tuple, instant, rank: int):
+    """How many events of ``stream`` = (first_ps, period_ps, count, rank) have
+    a key below (instant, rank); ``instant`` may be an integer array."""
+    first, period, count, own = stream
+    if not count:
+        return 0
+    return np.minimum(np.maximum((instant + (period - first - (own > rank))) // period, 0), count)
+
+
+def _runs(own: tuple, walk: tuple, reader: tuple):
+    """Group a reader's events by the writes to their node that precede each:
+    the node's hop exchanges ``own`` and walk steps ``walk``.  Returns each
+    state's position (how many writes made it) and run length, in key order,
+    enumerating only the shorter side, readers or writes."""
+    if reader[2] <= own[2] + walk[2]:
+        at = np.arange(reader[0], reader[0] + reader[1] * reader[2], reader[1])
+        position = _before(own, at, reader[3]) + _before(walk, at, reader[3])
+        starts = np.flatnonzero(position[1:] != position[:-1]) + 1
+        starts = np.concatenate(([0], starts, [reader[2]]))
+        return position[starts[:-1]], starts[1:] - starts[:-1]
+    # ahead[p]: how many readers come before the write that makes state p.
+    ahead = np.zeros(own[2] + walk[2] + 2, np.int64)
+    ahead[-1] = reader[2]
+    for this, other in ((own, walk), (walk, own)):
+        at = np.arange(this[0], this[0] + this[1] * this[2], this[1])
+        position = np.arange(1, this[2] + 1) + _before(other, at, this[3])
+        ahead[position] = _before(reader, at, this[3])
+    lengths = ahead[1:] - ahead[:-1]
+    keep = np.flatnonzero(lengths)
+    return keep, lengths[keep]
+
+
+def _prepare_replica(topo: Topology, config: ExperimentConfig,
+                     seed_seq: np.random.SeedSequence):
+    """Initial clocks and hop runtimes of one replica, drawn in declaration
+    order; returns (hops, offsets, rates, walk generator)."""
+    streams = seed_seq.spawn(1 + 2 * len(topo.hops) + 1)
+    init_rng = np.random.default_rng(streams[0])
+    node_index = {node: i for i, node in enumerate(topo.nodes)}
+    slaves = {hop.slave for hop in topo.hops}
+    off, rate = [], []
+    for node in topo.nodes:  # the gmc draws nothing
+        offset, drift = ((init_rng.uniform(-1e6, 1e6), init_rng.uniform(-2.0, 2.0))
+                         if node in slaves else (0.0, 0.0))
+        off.append(offset)
+        rate.append(1.0 + (0.0 if config.drift_free else drift) * 1e-6)
+    hops = [_prepare_hop(hop, node_index, config, init_rng,
+                         [np.random.default_rng(seq) for seq in streams[1 + 2 * i:3 + 2 * i]],
+                         round(config.duration_s * 1e12))
+            for i, hop in enumerate(topo.hops)]
+    return hops, off, rate, np.random.default_rng(streams[-1])
 
 
 def _run_replica(topo: Topology, config: ExperimentConfig,
                  seed_seq: np.random.SeedSequence) -> tuple[np.ndarray, bool]:
-    """Simulate one replica; returns (pps error samples, converged flag)."""
-    streams = seed_seq.spawn(1 + 2 * len(topo.hops) + 1)
-    init_rng = np.random.default_rng(streams[0])
-    walk_rng = np.random.default_rng(streams[-1])
+    """Simulate one replica; returns (pps error samples, converged flag).
 
-    node_index = {node: i for i, node in enumerate(topo.nodes)}
-    slaves = {hop.slave for hop in topo.hops}
-    off, rate, walk_sigma = [], [], []
-    for node in topo.nodes:
-        if node not in slaves:  # the gmc
-            off.append(0.0)
-            rate.append(1.0)
-            walk_sigma.append(0.0)
-            continue
-        offset = init_rng.uniform(-1e6, 1e6)
-        drift = init_rng.uniform(-2.0, 2.0)
-        if config.drift_free:
-            drift = 0.0
-        off.append(offset)
-        rate.append(1.0 + drift * 1e-6)
-        walk_sigma.append(0.0 if config.drift_free else config.drift_walk_sigma_ppm_per_s)
-
+    Each node takes its turn after its master: its hop runs every exchange and
+    walk step, recording the node's clock where the node's readers need it."""
+    hops, off, rate, walk_rng = _prepare_replica(topo, config, seed_seq)
     duration_ps = round(config.duration_s * 1e12)
-    warmup_ps = round(config.warmup_s * 1e12)
-    hops = [
-        _prepare_hop(topo.hops[i], node_index, config, init_rng,
-                     (np.random.default_rng(streams[1 + 2 * i]),
-                      np.random.default_rng(streams[2 + 2 * i])),
-                     duration_ps)
-        for i in range(len(topo.hops))
-    ]
+    pps_ps = round(config.pps_interval_s * 1e12)
+    first_k, last_k = _recorded_pps_edges(duration_ps, round(config.warmup_s * 1e12), pps_ps)
+    pps = (first_k * pps_ps, pps_ps, last_k - first_k + 1, 0)
+    events = [(h.first_ps, h.period_ps, (duration_ps - h.first_ps) // h.period_ps + 1, 2 + i)
+              for i, h in enumerate(hops)]
+    sigma = 0.0 if config.drift_free else config.drift_walk_sigma_ppm_per_s
+    walk = (10 ** 12, 10 ** 12, duration_ps // 10 ** 12 if sigma > 0 else 0, 1)
+    walk_at = np.arange(1, walk[2] + 1) * 10 ** 12
+    # Every node but the gmc walks: per step one draw per node, in node order.
+    walk_ppm = walk_rng.normal(0.0, sigma, size=(walk[2], len(hops)))
+    walk_ns = (walk_at * 1e-3).tolist()
+    writer = {h.si: i for i, h in enumerate(hops)}
+    order = [next(v for v in range(len(off)) if v not in writer)]  # the gmc
+    for v in order:
+        order += [h.si for h in hops if h.mi == v]
+    probes = [topo.nodes.index(node) for node in (topo.reference_node, topo.measured_node)]
+    feeds = {}  # reader -> the clock it reads, as runs: hop index, or "pps" and a node
+    for v in order:
+        i = writer.get(v)
+        own, node_walk = ((0, 1, 0, 0),) * 2 if i is None else (events[i], walk)  # gmc: none
+        readers = [(j, events[j]) for j, h in enumerate(hops) if h.mi == v]
+        readers += [(("pps", v), pps)] if v in probes else []
+        runs = [(j, *_runs(own, node_walk, stream)) for j, stream in readers]
+        # The states any reader sees, each once, in key order.
+        stops = sorted(set().union(*(r[1].tolist() for r in runs)))
+        if i is None:
+            records = [(off[v], rate[v])] * len(stops)
+        else:
+            walks = (_before(own, walk_at, 1).tolist(), walk_ppm[:, v - (v > order[0])].tolist(),
+                     walk_ns)
+            records = _run_hop(hops[i], own[2], feeds[i], off, rate, stops, walks)
+        states = np.array(records).reshape(-1, 2)
+        for j, position, lengths in runs:
+            at = np.searchsorted(stops, position)
+            feeds[j] = states[at, 0], states[at, 1], lengths
 
     budget_ns = chain_max_error(topology_budget(topo))
     diverged_limit = DIVERGENCE_FACTOR * budget_ns if budget_ns > 0 else math.inf
-
-    pps_ps = round(config.pps_interval_s * 1e12)
-    first_k, _ = _recorded_pps_edges(duration_ps, warmup_ps, pps_ps)
-    next_pps = first_k * pps_ps
-    walk_period_ps = 10 ** 12
-    next_walk = walk_period_ps if any(s > 0 for s in walk_sigma) else duration_ps + 1
-    mi_ref = node_index[topo.reference_node]
-    mi_slv = node_index[topo.measured_node]
-    # One entry per affine clock segment: (edge count, reference and measured
-    # offset/rate).  Warm-up edges record nothing, so they are not scheduled.
-    segments: list[tuple] = []
-
-    while True:
-        # Ties go to the PPS edge, then the walk, then the lowest hop index.
-        best_ps, best = next_walk, -2  # -2 walk, >=0 hop index
-        for i, h in enumerate(hops):
-            if h.next_ps < best_ps:
-                best_ps, best = h.next_ps, i
-        if next_pps <= best_ps:
-            if next_pps > duration_ps:
-                break
-            # Every edge up to the next walk or hop event sees these clocks.
-            last = best_ps if best_ps < duration_ps else duration_ps
-            count = (last - next_pps) // pps_ps + 1
-            segments.append((count, off[mi_ref], rate[mi_ref], off[mi_slv], rate[mi_slv]))
-            next_pps += count * pps_ps
-            continue
-        if best_ps > duration_ps:
-            break
-        if best >= 0:
-            # The window ends 1 ps short of every event this hop loses a tie
-            # to, and at (inclusive) a higher-index hop's next event.
-            barrier = (next_pps if next_pps < next_walk else next_walk) - 1
-            for j, other in enumerate(hops):
-                if j != best:
-                    edge = other.next_ps - (j < best)
-                    if edge < barrier:
-                        barrier = edge
-            if barrier > duration_ps:
-                barrier = duration_ps
-            _run_hop_until(hops[best], off, rate, barrier)
-        else:
-            t_ns = next_walk * 1e-3
-            for i in range(len(off)):
-                sigma = walk_sigma[i]
-                if sigma > 0.0:
-                    delta_ppm = walk_rng.normal(0.0, sigma)
-                    rate[i] += delta_ppm * 1e-6
-                    off[i] -= delta_ppm * 1e-6 * t_ns
-            next_walk += walk_period_ps
-
-    return _pps_samples(segments, first_k, config.pps_interval_s * 1e9, diverged_limit)
+    ref, slv = (feeds["pps", v] for v in probes)
+    return _pps_samples(ref, slv, first_k, config.pps_interval_s * 1e9, diverged_limit)
 
 
-def _pps_samples(segments: list[tuple], first_k: int, interval_ns: float,
+def _pps_samples(ref, slv, first_k: int, interval_ns: float,
                  diverged_limit: float) -> tuple[np.ndarray, bool]:
     """Errors at consecutive PPS edges from ``first_k`` on, and a converged flag.
 
-    Each segment is (edge count, reference offset, reference rate, measured
-    offset, measured rate).  Edge k is where both counters read
-    k * interval.  The expression is the scalar one applied elementwise, and
-    k stays far below 2**53, so each sample is bitwise what a per-edge
-    evaluation gives.  NaN never counts as diverged.
+    ``ref`` and ``slv`` give the reference and the measured clock as runs
+    (offsets, rates, edge counts) over the same edges.  Edge k is where both
+    counters read k * interval.  The expression is the scalar one applied
+    elementwise, and k stays far below 2**53, so each sample is bitwise what
+    a per-edge evaluation gives.  NaN never counts as diverged.
     """
-    table = np.array(segments).T
-    counts = table[0].astype(np.int64)
-    off_ref, rate_ref, off_slv, rate_slv = (np.repeat(row, counts) for row in table[1:])
-    target = np.arange(first_k, first_k + counts.sum()) * interval_ns
-    samples = (target - off_ref) / rate_ref - (target - off_slv) / rate_slv
+    (off_ref, rate_ref), (off_slv, rate_slv) = ([np.repeat(x, p[2]) for x in p[:2]]
+                                                for p in (ref, slv))
+    target = np.arange(first_k, first_k + off_ref.size) * interval_ns
+    # (target - off_ref) / rate_ref - (target - off_slv) / rate_slv, in place.
+    samples = np.divide(np.subtract(target, off_ref, out=off_ref), rate_ref, out=off_ref)
+    samples -= np.divide(np.subtract(target, off_slv, out=off_slv), rate_slv, out=off_slv)
     converged = not np.any((samples > diverged_limit) | (samples < -diverged_limit))
     return samples, converged
 

@@ -11,8 +11,7 @@ from scipy.stats import kstest
 
 from hybridsync.clocks import quantize_value
 from hybridsync.protocol import SCHEME_ONE_WAY, ProtocolConfig
-from hybridsync.sim import _pps_samples, _run_hop_until
-from test_sim import WINDUP_PPM, make_runtime
+from test_sim import WINDUP_PPM, make_runtime, pps_samples, step
 
 TA = 5e8 + 1135.0  # true arrival time of the first beacon of ``ideal_hop``
 
@@ -27,7 +26,7 @@ def ideal_hop(sync_period_s=1.0, **overrides):
 
 def exchange(h, off, rate, periods=1):
     """Run the hop's next beacons; node 0 is the master, node 1 the slave."""
-    _run_hop_until(h, off, rate, h.next_ps + (periods - 1) * h.period_ps)
+    step(h, off, rate, periods)
 
 
 class TestQuantize:
@@ -137,7 +136,7 @@ class TestPhcState:
 
     def test_crossing_inverts_time_at(self):
         off, rate = 500.0, 1.0 + 2e-6
-        leads, _ = _pps_samples([(3, 0.0, 1.0, off, rate)], 5, 1e9, np.inf)
+        leads, _ = pps_samples([(3, 0.0, 1.0, off, rate)], 5, 1e9)
         for k, lead in zip(range(5, 8), leads):
             # the measured clock reads k seconds where its edge leads the reference's
             assert off + rate * (k * 1e9 - lead) == pytest.approx(k * 1e9, abs=1e-6)

@@ -26,8 +26,8 @@ from hybridsync.protocol import (
     estimate_offset,
     estimate_path_delay,
 )
-from hybridsync.sim import ExperimentConfig, _run_hop_until, _set_excess_series
-from test_sim import make_runtime
+from hybridsync.sim import ExperimentConfig
+from test_sim import make_runtime, set_excess, step
 
 FINE = 1e-6  # effectively quantization-free timestamping grid
 ONE_WAY = ProtocolConfig(SCHEME_ONE_WAY)
@@ -42,7 +42,7 @@ def fine_hop(protocol=ProtocolConfig(), **overrides):
 def first_estimate(h, master_off=0.0, slave_off=0.0):
     """The estimate of the hop's first period: the jam step it applies."""
     off, rate = [master_off, slave_off], [1.0, 1.0]
-    _run_hop_until(h, off, rate, h.next_ps)
+    step(h, off, rate)
     return slave_off - off[1]
 
 
@@ -98,7 +98,7 @@ class TestEstimatorIdentities:
 
 
 class TestExchanges:
-    """Single exchanges through ``_run_hop_until``, read off its jam step."""
+    """Single exchanges through the kernel, read off its jam step."""
 
     def test_two_way_recovers_slave_offset(self):
         h = fine_hop(prop_ns=25.0 / 0.2998)
@@ -117,23 +117,23 @@ class TestExchanges:
 
     def test_ethernet_ports_quantize_all_four_timestamps(self):
         # Four stamps on one 8 ns grid put the estimate on a 4 ns grid.
-        h = make_runtime(ph_m=0.0, ph_s=0.0, next_ps=10**12 + 400)
+        h = make_runtime(ph_m=0.0, ph_s=0.0, first_ps=10**12 + 400)
         assert first_estimate(h, 0.3, 0.0) % 4.0 == 0.0
 
     def test_wireless_egress_is_not_quantized(self):
-        h = fine_hop(ONE_WAY, ts_s=50.0, ph_s=0.0, next_ps=10**12 + 3700)
+        h = fine_hop(ONE_WAY, ts_s=50.0, ph_s=0.0, first_ps=10**12 + 3700)
         # t1 = 1e9 + 3.7 as sent; t2 = 1e9 on the 50 ns receive grid
         assert first_estimate(h) == pytest.approx(-3.7, abs=1e-6)
 
     def test_cdc_error_enters_timestamp(self):
-        h = fine_hop(ONE_WAY, next_ps=0, cdc_m_T=32.0, cdc_m_rate=1.0, cdc_m_phase=8.0)
+        h = fine_hop(ONE_WAY, first_ps=0, cdc_m=(32.0, 1.0, 8.0))
         # at t=0 the master's stage reads 16 - (0.25 * 32 % 32) = +8 ns early
         assert first_estimate(h) == pytest.approx(-8.0, abs=1e-5)
 
     def test_estimates_bounded_by_quantization(self):
         for k in range(200):
             h = fine_hop(ts_m=50.0, ph_m=0.63, ts_s=50.0, ph_s=0.63,
-                         next_ps=round((k * 1.25e8 + 17.0) * 1e3))
+                         first_ps=round((k * 1.25e8 + 17.0) * 1e3))
             assert abs(first_estimate(h, 11.1, 11.1)) <= 25.0 + 1e-9
 
     def test_multipath_excess_delays_arrival(self):
@@ -143,13 +143,13 @@ class TestExchanges:
         excess = detect_arrival(realization, pdp)
         assert 0.0 <= excess <= pdp.max_excess_delay_ns
         h = fine_hop(ONE_WAY)
-        _set_excess_series(h, [[excess] * len(h.dmf[0])], h.dmr)
+        set_excess(h, [[excess] * len(h.dmf[0])], h.dmr)
         assert first_estimate(h) == pytest.approx(excess, abs=1e-5)
 
     def test_ftm_burst_averages_positions(self):
         h = fine_hop(ProtocolConfig(SCHEME_FTM_BURST, burst_length=3))
         # forward excess delays of 0, 3 and 6 ns bias the positions by half each
-        _set_excess_series(h, [[excess] * len(h.dmf[0]) for excess in (0.0, 3.0, 6.0)], h.dmr)
+        set_excess(h, [[excess] * len(h.dmf[0]) for excess in (0.0, 3.0, 6.0)], h.dmr)
         assert h.burst == 3
         assert first_estimate(h, 5.0, -3.0) == pytest.approx(-8.0 + 1.5, abs=1e-5)
 

@@ -1,6 +1,8 @@
-"""Discrete-event engine: topologies, determinism and the exchange kernel
-against a per-exchange oracle."""
+"""Hop-major engine: topologies, determinism, the exchange kernel against a
+per-exchange oracle and the engine against a time-major reference."""
 
+import copy
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,9 +34,9 @@ from hybridsync.sim import (
     build_topology,
     compute_stats,
     run_experiment,
-    _run_hop_until,
-    _set_excess_series,
+    _run_hop,
 )
+from test_budget import run_with_package
 
 
 def make_runtime(protocol=ProtocolConfig(), medium="ethernet", **overrides) -> _HopRuntime:
@@ -46,8 +48,19 @@ def make_runtime(protocol=ProtocolConfig(), medium="ethernet", **overrides) -> _
                      5 * 10**11 + 64 * round(protocol.sync_period_s * 1e12))
     for key, value in {"ph_m": 0.3, "ph_s": 0.7, "prop_ns": 250.5, **overrides}.items():
         setattr(h, key, value)
-    _set_excess_series(h, h.dmf, h.dmr)
     return h
+
+
+def set_excess(h, dmf, dmr=()):
+    """Install forward/reverse excess-delay series, one per burst position."""
+    h.dmf = [np.asarray(d, dtype=float) for d in dmf]
+    h.dmr = [np.asarray(d, dtype=float) for d in dmr]
+
+
+def step(h, off, rate, periods=1):
+    """Run the hop's next periods with the master's clock held at
+    ``off[h.mi]``/``rate[h.mi]``."""
+    _run_hop(h, h.n + periods, ([off[h.mi]], [rate[h.mi]], [periods]), off, rate)
 
 
 def wireless_grid_topology(preset: str, sample_period_ns: float) -> Topology:
@@ -112,10 +125,8 @@ class Port:
         return float(quantize_value(value, self.grid_ns, self.phase))
 
     def fields(self, side):
-        out = {f"ts_{side}": self.grid_ns, f"ph_{side}": self.phase}
-        if self.cdc:
-            out.update(zip((f"cdc_{side}_T", f"cdc_{side}_rate", f"cdc_{side}_phase"), self.cdc))
-        return out
+        return {f"ts_{side}": self.grid_ns, f"ph_{side}": self.phase,
+                f"cdc_{side}": self.cdc or None}
 
 
 def oracle_period(master, slave, m_port, s_port, config, t0, prop, fwd, rev):
@@ -138,26 +149,40 @@ def oracle_period(master, slave, m_port, s_port, config, t0, prop, fwd, rev):
 
 
 def run_lockstep(master, slave, m_port, s_port, config, periods, probe, prop=250.5,
-                 dmf=None, dmr=None):
-    """Step kernel and oracle one period at a time; returns the integrator trace."""
+                 dmf=None, dmr=None, master_steps=()):
+    """Step kernel and oracle one period at a time; returns the integrator trace.
+
+    ``master_steps`` moves the master's clock to a new (offset, rate) before
+    each of the first periods.  Then the whole run in one kernel call, with
+    the master's clock as one run per period and a stop after every period,
+    must record bitwise the clocks the stepped run left.
+    """
     medium = "ethernet" if m_port.ethernet else "wireless"
     h = make_runtime(config, medium, prop_ns=prop, **m_port.fields("m"), **s_port.fields("s"))
-    _set_excess_series(h, dmf or h.dmf, dmr or h.dmr)
+    set_excess(h, dmf or h.dmf, dmr or h.dmr)
+    whole = copy.copy(h)
     off, rate = [master.off, slave.off], [master.rate, slave.rate]
     # Averaging timestamps instead of estimates differs by rounding only.
     averaged = config.scheme == SCHEME_FTM_BURST and config.burst_length > 1
     clock_tol, integ_tol = (1e-5, 1e-9) if averaged else (1e-6, 1e-12)
-    trace = []
+    trace, masters, states = [], [], [(off[1], rate[1])]
     for n in range(periods):
-        t0 = h.next_ps * 1e-3
-        _run_hop_until(h, off, rate, h.next_ps)
+        if n < len(master_steps):
+            master.off, master.rate = off[0], rate[0] = master_steps[n]
+        masters.append((off[0], rate[0]))
+        t0 = (h.first_ps + n * h.period_ps) * 1e-3
+        step(h, off, rate)
         sample, anchor = oracle_period(master, slave, m_port, s_port, config, t0, prop,
                                        [d[n] for d in h.dmf], [d[n] for d in h.dmr])
         slave.discipline(estimate_offset(sample, config), config, anchor)
         assert off[1] + rate[1] * probe == pytest.approx(slave.read(probe), abs=clock_tol)
         assert h.integ == pytest.approx(slave.integ, abs=integ_tol)
         trace.append(h.integ)
+        states.append((off[1], rate[1]))
     assert h.n == periods
+    off[1], rate[1] = states[0]
+    runs = (*zip(*masters), [1] * periods)
+    assert _run_hop(whole, periods, runs, off, rate, range(periods + 1)) == states
     return trace
 
 
@@ -173,6 +198,17 @@ class TestEngineProtocolLockstep:
     def test_two_way_ethernet_hop(self):
         run_lockstep(Clock(0.0, 1.0), Clock(40.0, 1.0 + 2e-6), Port(8.0, 0.3), Port(8.0, 0.7),
                      ProtocolConfig(), periods=3, probe=10e9)
+
+    # Every exchange reads the master's clock as its upstream hop left it.
+    @pytest.mark.parametrize("protocol, ports", [
+        (ProtocolConfig(sync_period_s=0.25), (Port(8.0, 0.3), Port(8.0, 0.7))),
+        (ONE_WAY, WIRELESS_CDC),
+        (ProtocolConfig(SCHEME_FTM_BURST, sync_period_s=0.25, burst_length=2), WIRELESS_CDC),
+    ], ids=["two-way", "one-way", "ftm-burst-2"])
+    def test_master_clock_steps_between_periods(self, protocol, ports):
+        steps = [(15.0 + 40.0 * n, 1.0 + (-1) ** n * 3e-6 * n) for n in range(6)]
+        run_lockstep(Clock(15.0, 1.0), Clock(-300.0, 1.0 - 1e-6), *ports, protocol,
+                     periods=8, probe=3e9, prop=1135.0, master_steps=steps)
 
     def test_one_way_wireless_hop_with_cdc(self):
         run_lockstep(Clock(0.0, 1.0), Clock(-300.0, 1.0 - 1e-6), WIRELESS_CDC[0],
@@ -207,33 +243,51 @@ class TestEngineProtocolLockstep:
 
 
 class TestWindowSplits:
-    """Where the barriers fall must not change what the kernel computes."""
+    """A hop's run, cut into windows by recording stops, with its blocks and its
+    master's runs cut elsewhere, gives bitwise what stepping it one period per
+    call gives."""
 
     PERIODS = 60
 
-    def drive(self, window, protocol=ONE_WAY, ports=WIRELESS_CDC):
+    def hop(self, protocol, ports):
         medium = "ethernet" if ports[0].ethernet else "wireless"
         h = make_runtime(protocol, medium, prop_ns=1135.0, **ports[0].fields("m"),
                          **ports[1].fields("s"))
         count = len(h.dmf[0])
-        dmf = [[0.25 * ((5 * n + 3 * b) % 11) + 1e-3 * n for n in range(count)]
-               for b in range(h.burst)]
-        dmr = [[0.25 * ((2 * n + 5 * b) % 7) + 2e-3 * n for n in range(count)]
-               for b in range(len(h.dmr))]
-        _set_excess_series(h, dmf, dmr)
-        off, rate = [15.0, -300.0], [1.0 - 1.5e-6, 1.0 + 2e-6]
-        last = h.next_ps + (self.PERIODS - 1) * h.period_ps
-        while h.next_ps <= last:
-            # Barriers fall between send instants, as PPS edges and other hops do.
-            barrier = h.next_ps + (window - 1) * h.period_ps + h.period_ps // 3
-            _run_hop_until(h, off, rate, min(barrier, last))
-        return off, rate, h.integ, h.locked, h.n, h.next_ps
+        set_excess(h, [[0.25 * ((5 * n + 3 * b) % 11) + 1e-3 * n for n in range(count)]
+                       for b in range(h.burst)],
+                   [[0.25 * ((2 * n + 5 * b) % 7) + 2e-3 * n for n in range(count)]
+                    for b in range(len(h.dmr))])
+        return h
+
+    @staticmethod
+    def master(n):
+        # The master's clock moves every third period.
+        return 15.0 + 2.5 * (n // 3), 1.0 - 1.5e-6 + 1e-7 * (n // 3)
+
+    def drive(self, monkeypatch, window, protocol=ONE_WAY, ports=WIRELESS_CDC):
+        h, off, rate = self.hop(protocol, ports), [0.0, -300.0], [1.0, 1.0 + 2e-6]
+        states = [(off[1], rate[1])]
+        for n in range(self.PERIODS):
+            off[0], rate[0] = self.master(n)
+            step(h, off, rate)
+            states.append((off[1], rate[1]))
+        servo = (h.integ, h.locked, h.n)
+        assert servo[1:] == (True, self.PERIODS)  # locked, periods run
+        # Blocks of 2 * window + 1 exchanges (3 stamps a beacon, 7 an exchange);
+        # each three-period run of the master cut into ``window`` runs.
+        h, off, rate = self.hop(protocol, ports), [None, -300.0], [None, 1.0 + 2e-6]
+        monkeypatch.setattr(sim, "_BLOCK", (2 * window + 1) * (
+            3 if h.scheme == SCHEME_ONE_WAY else 7 * h.burst))
+        runs = [(*self.master(n), 3 // window + (k < 3 % window))
+                for n in range(0, self.PERIODS, 3) for k in range(window)]
+        stops = range(0, self.PERIODS + 1, window)
+        assert _run_hop(h, self.PERIODS, list(zip(*runs)), off, rate, stops) == states[::window]
+        assert ((off[1], rate[1]), (h.integ, h.locked, h.n)) == (states[-1], servo)
 
     @pytest.mark.parametrize("window", [1, 2, 7])
-    def test_one_way_windows_match_a_single_call(self, window):
-        whole = self.drive(self.PERIODS)
-        assert whole[3:5] == (True, self.PERIODS)  # locked, periods run
-        assert self.drive(window) == whole
+    def test_one_way_windows_match_a_single_call(self, monkeypatch, window):
+        self.drive(monkeypatch, window)
 
     @pytest.mark.parametrize("ports", [(Port(8.0, 0.3), Port(8.0, 0.7)), WIRELESS_CDC],
                              ids=["ethernet", "wireless-cdc"])
@@ -242,37 +296,70 @@ class TestWindowSplits:
         ProtocolConfig(SCHEME_FTM_BURST, sync_period_s=0.125, burst_length=3)],
         ids=["two-way", "ftm-burst-3"])
     @pytest.mark.parametrize("window", [1, 2, 5])
-    def test_burst_windows_match_a_single_call(self, window, protocol, ports):
-        whole = self.drive(self.PERIODS, protocol, ports)
-        assert whole[3:5] == (True, self.PERIODS)
-        assert self.drive(window, protocol, ports) == whole
+    def test_burst_windows_match_a_single_call(self, monkeypatch, window, protocol, ports):
+        self.drive(monkeypatch, window, protocol, ports)
+
+
+def time_major_samples(topo, config, seed):
+    """PPS samples of one replica stepped one event at a time in key order.
+
+    Keys are (instant_ps, rank): rank 0 is a PPS edge, 1 a walk step and
+    2 + i an exchange of hop i.  Only the preparation of the replica and the
+    kernel, called for one exchange at a time, are shared with the engine;
+    the walk draws one scalar at a time.
+    """
+    hops, off, rate, walk_rng = sim._prepare_replica(topo, config, np.random.SeedSequence(seed))
+    duration_ps = round(config.duration_s * 1e12)
+    pps_ps = round(config.pps_interval_s * 1e12)
+    first_k, last_k = sim._recorded_pps_edges(duration_ps, round(config.warmup_s * 1e12), pps_ps)
+    events = [(k * pps_ps, 0, k) for k in range(first_k, last_k + 1)]
+    sigma = 0.0 if config.drift_free else config.drift_walk_sigma_ppm_per_s
+    if sigma > 0:
+        events += [(t, 1, None) for t in range(10**12, duration_ps + 1, 10**12)]
+    for i, h in enumerate(hops):
+        events += [(t, 2 + i, h) for t in range(h.first_ps, duration_ps + 1, h.period_ps)]
+    gmc, = set(range(len(off))) - {h.si for h in hops}
+    ref, slv = (topo.nodes.index(node) for node in (topo.reference_node, topo.measured_node))
+    samples = []
+    for t, rank, what in sorted(events, key=lambda event: event[:2]):
+        if rank == 0:
+            target = what * (config.pps_interval_s * 1e9)
+            samples.append((target - off[ref]) / rate[ref] - (target - off[slv]) / rate[slv])
+        elif rank == 1:
+            for v in range(len(off)):
+                if v != gmc:
+                    delta_ppm = walk_rng.normal(0.0, sigma)
+                    rate[v] += delta_ppm * 1e-6
+                    off[v] -= delta_ppm * 1e-6 * (t * 1e-3)
+        else:
+            step(what, off, rate)
+    return samples
 
 
 class TestTieOrder:
-    """An exchange that lands on a PPS edge, a walk step or a lower-index hop's
-    event runs after it, inside a window as at a window's start."""
-
-    def samples(self, monkeypatch, config, per_event):
-        if per_event:
-            # One exchange per call: the event loop alone orders every tie.
-            run = sim._run_hop_until
-            monkeypatch.setattr(sim, "_run_hop_until",
-                                lambda h, off, rate, barrier: run(h, off, rate, h.next_ps))
-        # spawn() advances a SeedSequence, so each run gets a fresh one.
-        samples, _ = sim._run_replica(build_topology(config), config,
-                                      np.random.SeedSequence(7))
-        monkeypatch.undo()
-        return samples
+    """The engine reproduces the time-major reference bitwise, ties included:
+    at one instant the PPS edge reads first, then the walk steps, then the
+    hops in declaration order."""
 
     @pytest.mark.parametrize("chain, walk, pps", [
         # every exchange lands on a 1 s PPS edge
         pytest.param([("gmc", "s", 1.0)], 0.0, 1.0, id="pps"),
+        pytest.param([("gmc", "s", 1.0)], 2.0, 1.0, id="pps-walking"),
         # every fourth exchange lands on a 1 s walk step
         pytest.param([("gmc", "s", 0.25)], 5.0, 3.33, id="walk"),
+        pytest.param([("gmc", "s", 0.25)], 0.0, 3.33, id="walk-still"),
         # every fourth exchange of hop 1 lands on one of hop 0
         pytest.param([("gmc", "a", 1.0), ("a", "s", 0.25)], 0.0, 1.73, id="hop-hop"),
+        pytest.param([("gmc", "a", 1.0), ("a", "s", 0.25)], 2.0, 1.73, id="hop-hop-walking"),
+        # the master's hop is declared after its child's, and the gmc last
+        pytest.param([("a", "s", 0.25), ("gmc", "a", 1.0)], 0.0, 0.5, id="master-after-child"),
+        pytest.param([("a", "s", 0.25), ("gmc", "a", 1.0)], 2.0, 0.5,
+                     id="master-after-child-walking"),
+        # a PPS edge, a walk step and both hops at every whole second
+        pytest.param([("gmc", "a", 0.5), ("a", "s", 1.0)], 2.0, 1.0, id="all-at-once"),
+        pytest.param([("gmc", "a", 0.5), ("a", "s", 1.0)], 0.0, 1.0, id="all-at-once-still"),
     ])
-    def test_windows_match_per_event_evaluation_bitwise(self, monkeypatch, chain, walk, pps):
+    def test_windows_match_per_event_evaluation_bitwise(self, chain, walk, pps):
         wired = PROTOCOL_PRESETS["wired-ptp"]
         hops = tuple(HopSpec(master, slave, "ethernet", replace(wired, sync_period_s=period),
                              PortSpec(), PortSpec()) for master, slave, period in chain)
@@ -280,8 +367,18 @@ class TestTieOrder:
         config = ExperimentConfig(topology=Topology("ties", nodes, hops, "s", "gmc"),
                                   duration_s=40.0, warmup_s=5.0, pps_interval_s=pps,
                                   drift_walk_sigma_ppm_per_s=walk)
-        windowed = self.samples(monkeypatch, config, per_event=False)
-        assert windowed.tolist() == self.samples(monkeypatch, config, per_event=True).tolist()
+        samples, _ = sim._run_replica(build_topology(config), config, np.random.SeedSequence(7))
+        assert samples.tolist() == time_major_samples(build_topology(config), config, 7)
+
+    def test_branched_one_way_chain_with_walk(self):
+        # Two probes on branches of the switch, 2 kHz beacons and a PPS grid
+        # finer than the beacons, with every clock walking.
+        config = ExperimentConfig(preset="ota-wsharp", channel="IWLAN_B", speed_kmh=10.0,
+                                  duration_s=3.5, warmup_s=1.0, pps_interval_s=0.0007,
+                                  drift_walk_sigma_ppm_per_s=0.5)
+        topo = build_topology(config)
+        samples, _ = sim._run_replica(topo, config, np.random.SeedSequence(3))
+        assert samples.tolist() == time_major_samples(topo, config, 3)
 
 
 class TestPrepareHop:
@@ -300,11 +397,19 @@ class TestPrepareHop:
         assert len(h.dmr) == (positions if replies else 0)
 
 
+def pps_samples(segments, first_k, interval_ns, diverged_limit=np.inf):
+    """``_pps_samples`` over segments of (edge count, reference offset, reference
+    rate, measured offset, measured rate)."""
+    counts, off_ref, rate_ref, off_slv, rate_slv = zip(*segments)
+    return _pps_samples((off_ref, rate_ref, counts), (off_slv, rate_slv, counts),
+                        first_k, interval_ns, diverged_limit)
+
+
 class TestPpsError:
-    """One-segment ``_pps_samples`` calls: reference (0, 1), measured (off, rate)."""
+    """One-edge PPS samples: reference (0, 1), measured (off, rate)."""
 
     def one_edge(self, off, rate):
-        samples, _ = _pps_samples([(1, 0.0, 1.0, off, rate)], 1, 1e9, np.inf)
+        samples, _ = pps_samples([(1, 0.0, 1.0, off, rate)], 1, 1e9)
         return float(samples[0])
 
     def test_positive_when_slave_ahead(self):
@@ -321,7 +426,7 @@ class TestPpsError:
         target = 4e9
         off, rate = [12.5, -80.0], [1.0 + 2e-6, 1.0 - 3e-6]
         manual = (target - off[0]) / rate[0] - (target - off[1]) / rate[1]
-        samples, _ = _pps_samples([(1, off[0], rate[0], off[1], rate[1])], 4, 1e9, np.inf)
+        samples, _ = pps_samples([(1, off[0], rate[0], off[1], rate[1])], 4, 1e9)
         assert samples[0] == pytest.approx(manual, abs=1e-5)
 
 
@@ -439,33 +544,38 @@ class TestTopologies:
 
 
 class TestPpsSegments:
+    """Each probe's clock comes as segments (runs) of edges that see one state."""
+
     def test_matches_per_edge_evaluation_bitwise(self):
+        # The two probes' runs end at different edges.
         rng = np.random.default_rng(5)
-        segments = [(int(rng.integers(1, 50)), rng.uniform(-1e6, 1e6),
-                     1.0 + rng.uniform(-2e-6, 2e-6), rng.uniform(-1e6, 1e6),
-                     1.0 + rng.uniform(-2e-6, 2e-6)) for _ in range(40)]
+        probes = []
+        for _ in range(2):
+            counts = rng.integers(1, 50, size=40)
+            counts[-1] += 2000 - counts.sum()
+            probes.append((rng.uniform(-1e6, 1e6, 40), 1.0 + rng.uniform(-2e-6, 2e-6, 40),
+                           counts))
         first_k, interval_ns = 12_345, 2e6
-        samples, converged = _pps_samples(segments, first_k, interval_ns, np.inf)
-        expected, k = [], first_k
-        for count, off_ref, rate_ref, off_slv, rate_slv in segments:
-            for _ in range(count):
-                target = k * interval_ns
-                expected.append((target - off_ref) / rate_ref - (target - off_slv) / rate_slv)
-                k += 1
+        samples, converged = _pps_samples(*probes, first_k, interval_ns, np.inf)
+        (off_ref, rate_ref), (off_slv, rate_slv) = (
+            [np.repeat(x, counts).tolist() for x in (off, rate)] for off, rate, counts in probes)
+        expected = [(k * interval_ns - off_ref[i]) / rate_ref[i]
+                    - (k * interval_ns - off_slv[i]) / rate_slv[i]
+                    for i, k in enumerate(range(first_k, first_k + 2000))]
         assert samples.tolist() == expected
         assert converged
 
     def test_divergence_inside_a_segment(self):
         # The measured clock runs 1 ppb fast: errors 1, 2, 3, 4 ns at edges 1-4.
         segments = [(4, 0.0, 1.0, 0.0, 1.0 + 1e-9), (2, 0.0, 1.0, 0.0, 1.0)]
-        samples, converged = _pps_samples(segments, 1, 1e9, 2.5)
+        samples, converged = pps_samples(segments, 1, 1e9, 2.5)
         assert abs(samples[0]) < 2.5 < abs(samples[2])
         assert not converged
-        _, converged = _pps_samples(segments, 1, 1e9, 4.5)
+        _, converged = pps_samples(segments, 1, 1e9, 4.5)
         assert converged
 
     def test_nan_never_diverges(self):
-        _, converged = _pps_samples([(3, np.nan, 1.0, 0.0, 1.0)], 1, 1e9, 1.0)
+        _, converged = pps_samples([(3, np.nan, 1.0, 0.0, 1.0)], 1, 1e9, 1.0)
         assert converged
 
 
@@ -518,6 +628,26 @@ class TestExperimentConfig:
     def test_refuses_bad_hop_and_walk_settings(self, overrides):
         with pytest.raises(ValueError):
             ExperimentConfig(**overrides)
+
+    def stagger_config(self, stagger_s):
+        hop = HopSpec("gmc", "s", "ethernet", PROTOCOL_PRESETS["wired-ptp"], PortSpec(),
+                      PortSpec(), stagger_s=stagger_s)
+        return ExperimentConfig(topology=Topology("late", ("gmc", "s"), (hop,), "s", "gmc"),
+                                duration_s=20.0, warmup_s=5.0)
+
+    @pytest.mark.parametrize("stagger_s", [float("nan"), -0.5])
+    def test_hop_refuses_a_stagger_outside_time(self, stagger_s):
+        with pytest.raises(ValueError, match="stagger_s must be finite and >= 0"):
+            self.stagger_config(stagger_s)
+
+    def test_refuses_a_hop_that_starts_after_the_run(self):
+        # Refused before any series is allocated; a first exchange at the
+        # run's last instant still counts.
+        with pytest.raises(ValueError, match=r"hop 0 \(gmc->s\) starts at stagger_s=50.0, "
+                                             r"after duration_s=20.0"):
+            self.stagger_config(50.0)
+        stats = run_experiment(replace(self.stagger_config(20.0), pps_interval_s=5.0))
+        assert stats.n_samples == 3
 
     def test_two_pps_edges_after_warmup_suffice(self):
         config = ExperimentConfig(preset="calnex-eth3", duration_s=20.0, warmup_s=5.0,
@@ -669,3 +799,39 @@ class TestComputeStats:
         stats = compute_stats([-10.0, -12.0, -14.0])
         assert stats.mu_ns == -12.0
         assert stats.mu_plus_3sigma_ns == pytest.approx(12.0 + 3 * 2.0)
+
+
+class TestFootprint:
+    def test_one_way_replica_memory_per_beacon(self):
+        # Python memory that grows with the run: the excess-delay series (8 B
+        # per beacon) and nothing per beacon beyond it; the kernel's blocks
+        # have a fixed size.  Short runs, as tracing slows the kernel ~60x.
+        def replica(duration_s):
+            config = ExperimentConfig(preset="emulator-wsharp", channel="AWGN",
+                                      duration_s=duration_s, warmup_s=5.0)
+            sim._run_replica(build_topology(config), config, np.random.SeedSequence(1))
+
+        replica(8.0)  # first-call allocations
+        peaks = []
+        for duration_s in (13.0, 26.0):
+            tracemalloc.start()
+            try:
+                replica(duration_s)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (13 * 2000) <= 56.0
+
+    def test_replicas_never_import_numpy_ma(self):
+        # numpy.ma costs about 38 ms to import; np.unique is one lazy importer.
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from hybridsync import sim\n"
+                "for preset in sim.SIM_PRESETS:\n"
+                "    config = sim.ExperimentConfig(preset=preset, channel='IWLAN_B',\n"
+                "        speed_kmh=10.0, duration_s=12.0, warmup_s=2.0,\n"
+                "        pps_interval_s=0.25, drift_walk_sigma_ppm_per_s=0.1)\n"
+                "    sim._run_replica(sim.build_topology(config), config,\n"
+                "                     np.random.SeedSequence(0))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        assert run_with_package(["-c", code]) == "False\n"
