@@ -10,7 +10,8 @@ Subcommands:
 Determinism contract: given the same resolved configuration, output files
 are byte-identical regardless of worker count.  JSON is emitted with sorted
 keys and CSV floats use ``repr`` round-tripping; nothing time- or
-host-dependent is written.
+host-dependent is written.  ``samples.csv`` holds ``repr``'s bytes: written by a
+vectorised formatter for PPS samples, by one ``%r`` per chunk for any other.
 
 Seed resolution, lowest to highest precedence: built-in default, the
 ``HYBRIDSYNC_SEED`` environment variable, the config file, ``--seed``,
@@ -131,22 +132,87 @@ def _replica_doc(stats) -> dict:
     }
 
 
+def _repr_rows(r: int, start: int, x: np.ndarray) -> bytes:
+    """Rows ``r,start+k,repr(x[k])`` of any chunk, by one ``%`` call."""
+    values = x.tolist()
+    cells = [None] * (2 * len(values))
+    cells[::2] = range(start, start + len(values))
+    cells[1::2] = values
+    return (f"{r},%d,%r\n" * len(values) % tuple(cells)).encode()
+
+
+def _put_digits(rows: np.ndarray, v: np.ndarray, pad: bool) -> None:
+    """Write the low ``len(rows)`` decimal digits of ``v`` as ASCII rows, the
+    last digit in the last row; unless ``pad``, leading zeros become 0 bytes."""
+    for k in range(len(rows) - 1, -1, -1):
+        q = v // 10
+        digit = v - q * 10 + 48
+        rows[k] = digit if pad or k == len(rows) - 1 else np.where(v > 0, digit, 0)
+        v = q
+
+
+def _grid_rows(r: int, start: int, x: np.ndarray) -> bytes | None:
+    """The bytes of ``_repr_rows`` for a chunk of multiples of 2**-19 in
+    1e-4 <= |x| < 2**31, else None.  PPS samples are differences of times in
+    ns, so all edges after 2**33 ns (8.6 s) qualify.  Like ``repr`` (shortest
+    round trip: Steele & White 1990, Gay 1990) it picks the fewest fraction
+    digits that round back to x, then the nearest such decimal, on a tie the
+    even one."""
+    a = np.abs(x)
+    grid = a * 2.0 ** 19
+    if not np.all((a >= 1e-4) & (a < 2.0 ** 31) & (np.floor(grid) == grid)):
+        return None
+    whole = np.floor(a)
+    d = ((a - whole) * 2.0 ** 19).astype(np.uint64) * 5 ** 19  # the fraction in 1e-19
+    # Half the gap between floats in 1e-19 is 5**19 * 2**(e - 35): below 2**53
+    # and never whole, so it compares exactly with, and never equals, an integer
+    # distance.  Below a power of two the gap halves; its exact decimal wins anyway.
+    half = np.ldexp(float(5 ** 19), np.frexp(a)[1] - 35)
+    # f digits fit if fewer do, so the fewest that fit is the count that do not.
+    spacings = 10 ** np.arange(19, -1, -1, dtype=np.uint64)  # of f = 0..19 digits, in 1e-19
+    below = d % spacings[:, None]
+    f = np.count_nonzero((below > half) & (spacings[:, None] - below > half), axis=0)
+    p = spacings[f]
+    below = np.take_along_axis(below, f[None], 0)[0]
+    above = p - below
+    # The nearer neighbour that fits; on a tie the one with an even last digit.
+    hi = (above < half) & ((below > half) | (above < below)
+                           | ((above == below) & (d // p % 2 == 1)))
+    # Neither neighbour is the next integer: x is 2**-19 or more below it.
+    n, fw = len(x), max(int(f.max()), 1)
+    frac = (d - below + p * hi) // 10 ** (19 - fw)  # fw fraction digits
+    head, iw, ww = f"{r},".encode(), len(str(start + n - 1)), len(str(int(whole.max())))
+    out = np.empty((len(head) + iw + ww + fw + 4, n), np.uint8)  # text by column; 0 is dropped
+    out[:len(head)] = np.frombuffer(head, np.uint8)[:, None]
+    j = len(head) + iw
+    _put_digits(out[len(head):j], np.arange(start, start + n), pad=False)
+    out[j] = ord(",")
+    out[j + 1] = np.where(x < 0, ord("-"), 0)
+    _put_digits(out[j + 2:j + 2 + ww], whole.astype(np.uint32), pad=False)
+    j += 2 + ww
+    out[j] = ord(".")
+    for stop in range(j + 1 + fw, j + 1, -9):  # nine digits per uint32 group
+        _put_digits(out[max(stop - 9, j + 1):stop], (frac % 10 ** 9).astype(np.uint32), pad=True)
+        frac //= 10 ** 9
+    out[j + 1:j + 1 + fw] *= np.arange(fw)[:, None] < np.maximum(f, 1)
+    out[-1] = ord("\n")
+    return out.T.tobytes().translate(None, b"\0")
+
+
 def _write_samples_csv(path: Path, sample_arrays, chunk: int = 8192) -> None:
     """Stream one ``replica,index,error_ns`` row per sample; floats use ``repr``.
 
-    Samples become Python floats ``chunk`` at a time, never a whole replica,
-    and each chunk is formatted by one ``%`` call (``%r`` is ``repr``).
+    Samples are formatted ``chunk`` at a time, never a whole replica: by
+    ``_grid_rows`` where it applies, else by the general ``_repr_rows``.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write("replica,index,error_ns\n")
+    with open(path, "wb") as fh:
+        fh.write(b"replica,index,error_ns\n")
         for r, arr in enumerate(sample_arrays):
             for start in range(0, len(arr), chunk):
-                values = arr[start:start + chunk].tolist()
-                cells = [None] * (2 * len(values))
-                cells[::2] = range(start, start + len(values))
-                cells[1::2] = values
-                fh.write(f"{r},%d,%r\n" * len(values) % tuple(cells))
+                x = arr[start:start + chunk]
+                rows = _grid_rows(r, start, x)
+                fh.write(_repr_rows(r, start, x) if rows is None else rows)
 
 
 # --- budget --------------------------------------------------------------------

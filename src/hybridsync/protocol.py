@@ -57,7 +57,12 @@ class SyncSample:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Messaging scheme, cadence and servo gains for one sync hop."""
+    """Messaging scheme, cadence and servo gains for one sync hop.
+
+    Gains outside the PI loop's stable region ``0 < kp < 2``, ``ki > 0``,
+    ``2*kp + ki < 4`` (Jury's test) are refused, except ``ki = 0``: its pole at
+    z = 1 is marginal, not divergent, and the loop corrects no frequency error.
+    """
 
     scheme: str = SCHEME_TWO_WAY
     sync_period_s: float = 1.0
@@ -75,10 +80,11 @@ class ProtocolConfig:
         if (not isinstance(self.burst_length, Integral) or isinstance(self.burst_length, bool)
                 or self.burst_length < 1):
             raise ValueError(f"burst_length must be an integer >= 1, got {self.burst_length!r}")
-        for name in ("kp", "ki"):
-            gain = getattr(self, name)
-            if not (math.isfinite(gain) and gain >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {gain!r}")
+        for rule, holds in (("0 < kp < 2", 0 < self.kp < 2), ("ki >= 0", self.ki >= 0),
+                            ("2*kp + ki < 4", 2 * self.kp + self.ki < 4)):
+            if not holds:
+                raise ValueError(f"servo gains kp={self.kp!r}, ki={self.ki!r} are outside "
+                                 f"the stable region: need {rule}")
 
 
 PROTOCOL_PRESETS = {

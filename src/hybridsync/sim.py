@@ -223,14 +223,22 @@ def compute_stats(samples) -> RunStats:
 
 def _recorded_pps_edges(duration_ps: int, warmup_ps: int, pps_ps: int) -> tuple[int, int]:
     """First and last index k of the recorded PPS edges; edge k is at k * pps_ps."""
-    return max(warmup_ps // pps_ps, 0) + 1, duration_ps // pps_ps
+    return warmup_ps // pps_ps + 1, duration_ps // pps_ps
+
+
+def _to_ps(name: str, seconds: float) -> int:
+    """A time in whole picoseconds; refuses one that is no finite count."""
+    if not math.isfinite(seconds * 1e12):
+        raise ValueError(f"{name}={seconds!r} is not a finite number of picoseconds")
+    return round(seconds * 1e12)
 
 
 def _period_ps(name: str, seconds: float) -> int:
     """A period in whole picoseconds; refuses one that rounds below 1 ps."""
-    if not (math.isfinite(seconds) and round(seconds * 1e12) >= 1):
+    ps = _to_ps(name, seconds)
+    if ps < 1:
         raise ValueError(f"{name} must be at least 1 ps, got {seconds!r}")
-    return round(seconds * 1e12)
+    return ps
 
 
 # --- Experiment configuration -------------------------------------------------
@@ -269,13 +277,13 @@ class ExperimentConfig:
     topology: Topology | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration_s) and math.isfinite(self.warmup_s)):
-            raise ValueError("duration_s and warmup_s must be finite")
-        if self.duration_s <= self.warmup_s:
+        if not (math.isfinite(self.warmup_s) and self.warmup_s >= 0):
+            raise ValueError(f"warmup_s must be finite and >= 0, got {self.warmup_s!r}")
+        if not self.duration_s > self.warmup_s:
             raise ValueError("duration_s must exceed warmup_s")
-        pps_ps = _period_ps("pps_interval_s", self.pps_interval_s)
-        first_k, last_k = _recorded_pps_edges(round(self.duration_s * 1e12),
-                                              round(self.warmup_s * 1e12), pps_ps)
+        duration_ps = _to_ps("duration_s", self.duration_s)
+        first_k, last_k = _recorded_pps_edges(duration_ps, _to_ps("warmup_s", self.warmup_s),
+                                              _period_ps("pps_interval_s", self.pps_interval_s))
         if last_k - first_k < 1:
             raise ValueError(f"pps_interval_s={self.pps_interval_s!r} leaves fewer "
                              "than two PPS edges after warm-up")
@@ -295,15 +303,21 @@ class ExperimentConfig:
         # Hop settings, the channel among them, are checked where they are
         # used: in the hop specs and their protocol configs.
         topo = build_topology(self)
-        duration_ps = round(self.duration_s * 1e12)
-        for i, hop in enumerate(topo.hops):
-            if round(hop.stagger_s * 1e12) > duration_ps:
-                raise ValueError(f"hop {i} ({hop.master}->{hop.slave}) starts at stagger_s="
-                                 f"{hop.stagger_s!r}, after duration_s={self.duration_s!r}")
         entries = sum(math.prod(_series_shape(hop, duration_ps)) for hop in topo.hops)
         if entries > MAX_SERIES_ENTRIES:
             raise ValueError(f"a replica would hold {entries} excess-delay entries, more than "
                              f"{MAX_SERIES_ENTRIES}; shorten duration_s or lengthen sync_period_s")
+        for i, hop in enumerate(topo.hops):
+            name = f"hop {i} ({hop.master}->{hop.slave})"
+            if _to_ps("stagger_s", hop.stagger_s) > duration_ps:
+                raise ValueError(f"{name} starts at stagger_s={hop.stagger_s!r}, "
+                                 f"after duration_s={self.duration_s!r}")
+            # A beacon still in flight when the next is sent would land out of order.
+            flight_ns = propagation_delay_ns(hop.geometry)
+            if hop.medium == "wireless" and flight_ns >= hop.protocol.sync_period_s * 1e9:
+                raise ValueError(f"{name} has a flight time (propagation_delay_ns, see "
+                                 f"extra_distance_m) of {flight_ns!r} ns, not below "
+                                 f"sync_period_s={hop.protocol.sync_period_s!r}")
 
     def as_dict(self) -> dict:
         doc = {}
@@ -435,8 +449,8 @@ def _series_shape(hop: HopSpec, duration_ps: int) -> tuple[int, int, int]:
 
     Only FTM repeats the exchange within a period; only one-way sends no reply.
     """
-    period_ps = round(hop.protocol.sync_period_s * 1e12)
-    count = int((duration_ps - round(hop.stagger_s * 1e12)) // period_ps) + 2
+    period_ps = _period_ps("sync_period_s", hop.protocol.sync_period_s)
+    count = int((duration_ps - _to_ps("stagger_s", hop.stagger_s)) // period_ps) + 2
     burst = hop.protocol.burst_length if hop.protocol.scheme == SCHEME_FTM_BURST else 1
     return count, burst, 1 if hop.protocol.scheme == SCHEME_ONE_WAY else 2
 
@@ -448,8 +462,8 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
     h.si = node_index[hop.slave]
     h.scheme = hop.protocol.scheme
     h.egress_quant = hop.medium == "ethernet"
-    h.period_ps = round(hop.protocol.sync_period_s * 1e12)
-    h.first_ps = round(hop.stagger_s * 1e12)
+    h.period_ps = _period_ps("sync_period_s", hop.protocol.sync_period_s)
+    h.first_ps = _to_ps("stagger_s", hop.stagger_s)
     h.n = 0
     h.kp = hop.protocol.kp
     h.ki = hop.protocol.ki
@@ -668,7 +682,7 @@ def _prepare_replica(topo: Topology, config: ExperimentConfig,
         rate.append(1.0 + (0.0 if config.drift_free else drift) * 1e-6)
     hops = [_prepare_hop(hop, node_index, config, init_rng,
                          [np.random.default_rng(seq) for seq in streams[1 + 2 * i:3 + 2 * i]],
-                         round(config.duration_s * 1e12))
+                         _to_ps("duration_s", config.duration_s))
             for i, hop in enumerate(topo.hops)]
     return hops, off, rate, np.random.default_rng(streams[-1])
 
@@ -680,9 +694,9 @@ def _run_replica(topo: Topology, config: ExperimentConfig,
     Each node takes its turn after its master: its hop runs every exchange and
     walk step, recording the node's clock where the node's readers need it."""
     hops, off, rate, walk_rng = _prepare_replica(topo, config, seed_seq)
-    duration_ps = round(config.duration_s * 1e12)
-    pps_ps = round(config.pps_interval_s * 1e12)
-    first_k, last_k = _recorded_pps_edges(duration_ps, round(config.warmup_s * 1e12), pps_ps)
+    duration_ps = _to_ps("duration_s", config.duration_s)
+    pps_ps = _period_ps("pps_interval_s", config.pps_interval_s)
+    first_k, last_k = _recorded_pps_edges(duration_ps, _to_ps("warmup_s", config.warmup_s), pps_ps)
     pps = (first_k * pps_ps, pps_ps, last_k - first_k + 1, 0)
     events = [(h.first_ps, h.period_ps, (duration_ps - h.first_ps) // h.period_ps + 1, 2 + i)
               for i, h in enumerate(hops)]

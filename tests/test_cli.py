@@ -4,12 +4,17 @@ import csv
 import hashlib
 import io
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from hybridsync import channel, cli, sim
 from hybridsync.cli import _write_samples_csv, main
+from test_protocol import GAIN_EDGE_IDS, GAIN_EDGES
 
 FAST = [
     "--set", "duration_s=20",
@@ -40,6 +45,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Sizes of the samples.csv chunks left to the general ``%r`` path."""
+    sizes = []
+    general = cli._repr_rows
+    monkeypatch.setattr(cli, "_repr_rows",
+                        lambda r, start, x: sizes.append(len(x)) or general(r, start, x))
+    return sizes
 
 
 class TestBudgetCommand:
@@ -194,12 +209,21 @@ class TestSimulateCommand:
         ["--preset", "calnex-eth3", "--set", "sync_period_s=0"],
         ["--set", "drift_free=False"], ["--set", "cdc_stages=true"],
         ["--set", "cdc_stages=2.0"], ["--set", 'detector_policy="strongest_tap"'],
+        ["--preset", "emulator-wsharp", "--set", "pps_interval_s=1e300"],
+        ["--preset", "emulator-wsharp", "--set", "duration_s=1e300"],
+        ["--preset", "emulator-wsharp", "--set", "sync_period_s=1e300"],
+        ["--preset", "emulator-wsharp", "--set", "warmup_s=-1e300"],
+        ["--preset", "emulator-wsharp", "--set", "warmup_s=-1"],
+        ["--preset", "emulator-wsharp", "--set", "extra_distance_m=1e300"],
+        ["--preset", "emulator-wsharp", "--set", "kp=5"],
     ], ids=["nan_speed", "unknown_channel", "unknown_scheme", "missing_config",
             "negative_seed", "sub_ps_pps", "sub_ps_sync", "one_pps_edge",
             "fractional_replicas", "zero_burst", "fractional_burst", "nan_kp",
             "nan_extra_distance", "nan_sync", "negative_walk", "too_large", "eth3_nan_kp",
             "eth3_zero_burst", "eth3_zero_sync", "string_drift_free", "bool_cdc_stages",
-            "float_cdc_stages", "legacy_detector_key"])
+            "float_cdc_stages", "legacy_detector_key", "pps_beyond_ps_range",
+            "duration_beyond_ps_range", "sync_beyond_ps_range", "huge_negative_warmup",
+            "negative_warmup", "flight_beyond_sync_period", "unstable_kp"])
     def test_bad_config_value_exits_2(self, capsys, monkeypatch, tmp_path, argv):
         def never_run(*args, **kwargs):
             raise AssertionError("a refused config reached run_experiment")
@@ -213,6 +237,27 @@ class TestSimulateCommand:
         assert captured.err.startswith("simulate: ") and captured.err.count("\n") == 1
         if "detector_policy" in argv[-1]:
             assert captured.err.startswith("simulate: unknown config keys")
+
+    @pytest.mark.parametrize("kp, ki, inside", GAIN_EDGES, ids=GAIN_EDGE_IDS)
+    def test_servo_gains_outside_the_stable_region_exit_2(self, capsys, monkeypatch,
+                                                          kp, ki, inside):
+        class Ran(Exception):
+            pass
+
+        def ran(*args, **kwargs):
+            raise Ran
+
+        monkeypatch.setattr(cli, "run_experiment", ran)
+        argv = ["simulate", "--preset", "emulator-wsharp", "--set", f"kp={kp}",
+                "--set", f"ki={ki}"]
+        if inside:
+            with pytest.raises(Ran):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("simulate: servo gains") and \
+                captured.err.count("\n") == 1
 
     def test_summary_config_round_trips(self, capsys, tmp_path):
         argv = ["simulate", "--preset", "emulator-80211", "--seed", "4",
@@ -235,8 +280,9 @@ class TestSimulateCommand:
         code, _ = run(capsys, "simulate", "--config", str(cfg))
         assert code == 2
 
+    # Each pin also checks that every chunk takes the vectorised formatter.
     @pytest.mark.parametrize("loop", sorted(PINNED_SAMPLES))
-    def test_samples_digest_pinned(self, capsys, tmp_path, loop):
+    def test_samples_digest_pinned(self, capsys, tmp_path, fallbacks, loop):
         preset_args, digest = PINNED_SAMPLES[loop]
         code, _ = run(capsys, "simulate", *preset_args, "--seed", "11",
                       "--replicas", "2", "--set", "duration_s=40",
@@ -246,8 +292,9 @@ class TestSimulateCommand:
         assert code == 0
         data = (tmp_path / "samples.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+        assert fallbacks == []
 
-    def test_dense_pps_digest_pinned(self, capsys, tmp_path):
+    def test_dense_pps_digest_pinned(self, capsys, tmp_path, fallbacks):
         # A 0.1 ms PPS grid ties with every exchange (staggers 0.3/2.0/3.7 ms,
         # periods 1 s and 0.125 s), and the warm-up ends between two edges.
         code, _ = run(capsys, "simulate", "--preset", "calnex", "--seed", "11",
@@ -260,6 +307,7 @@ class TestSimulateCommand:
         assert data.count(b"\n") == 1 + 40_000
         assert hashlib.sha256(data).hexdigest() == \
             "0ea3932abf63d1df8e852d93ccaefd00f673ae34be2d3c17c7c8f371796327ce"
+        assert fallbacks == []
 
     def test_dense_pps_one_way_digest_pinned(self, capsys, tmp_path):
         # A 0.3 ms PPS grid cuts the 0.5 ms beacon train into windows of zero
@@ -277,8 +325,12 @@ class TestSimulateCommand:
 
 
 def test_samples_writer_matches_csv_module(tmp_path):
+    # In 3-row chunks the last array alternates between the vectorised
+    # formatter and the general path; whole, all of it takes the general path.
     arrays = [np.array([np.nan, np.inf, -np.inf, -0.0, 1e-05, 1e16, 5e-324]),
-              np.array([], dtype=float), np.array([-12.25])]
+              np.array([], dtype=float), np.array([-12.25]),
+              np.array([12.5, 3.0 + 2.0 ** -19, -7.75, np.nan, np.inf, -np.inf, 4.0, 0.5,
+                        -1234.0625, -0.0, 1e-05, 1e16, 5e-324, 2.0 ** 31 - 2.0 ** -19])]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["replica", "index", "error_ns"])
@@ -286,8 +338,44 @@ def test_samples_writer_matches_csv_module(tmp_path):
         for i, value in enumerate(arr):
             writer.writerow([r, i, repr(float(value))])
     path = tmp_path / "out" / "samples.csv"
-    _write_samples_csv(path, arrays)
-    assert path.read_bytes() == buf.getvalue().encode()
+    for chunk in (8192, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _write_samples_csv(path, arrays, chunk=chunk)
+        assert path.read_bytes() == buf.getvalue().encode()
+
+
+GRID = 2.0 ** -19
+
+
+@st.composite
+def grid_values(draw):
+    """m * 2**-k with k <= 19 and 1e-4 <= |value| < 2**31, either sign."""
+    k = draw(st.integers(0, 19))
+    m = draw(st.integers(math.ceil(1e-4 * 2 ** k), 2 ** (31 + k) - 1))
+    return draw(st.sampled_from([1.0, -1.0])) * m * 2.0 ** -k
+
+
+@seed(1001)
+@settings(max_examples=400, deadline=None)
+@given(values=st.lists(grid_values(), min_size=1, max_size=40),
+       r=st.integers(0, 12), start=st.integers(0, 10 ** 7))
+# Every binade bottom in range, where the gap below halves, and its grid
+# neighbours.
+@example(values=[2.0 ** p + s * GRID for p in range(-13, 31) for s in (-1, 0, 1)],
+         r=0, start=0)
+# The largest fractions below an integer, whose rounded-up neighbours at
+# every shorter length would carry into the next integer.
+@example(values=[1.0 - GRID, 7.0 - GRID, 2.0 ** 31 - GRID], r=1, start=9)
+@example(values=[1.0, 12.0, 1e9, 2.0 ** 31 - 1], r=2, start=99)  # integers print ".0"
+# 17 significant digits, and exact ties that round to the even digit
+# (1073741824.0039062, 1073741824.0117188).
+@example(values=[1735039634.5113373, 137899454.09350586, 234510.20166015625,
+                 2.0 ** 30 + 1 / 256, 2.0 ** 30 + 3 / 256], r=3, start=10 ** 6)
+@example(values=[-12.25, -(2.0 ** 31 - GRID), -(2.0 ** -13), -0.5], r=11, start=4)
+def test_grid_rows_match_repr(values, r, start):
+    rows = cli._grid_rows(r, start, np.array(values))
+    assert rows == "".join(f"{r},{start + k},{v!r}\n" for k, v in enumerate(values)).encode()
 
 
 def test_samples_writer_chunks_are_seamless(tmp_path):

@@ -32,6 +32,12 @@ from test_sim import make_runtime, set_excess, step
 FINE = 1e-6  # effectively quantization-free timestamping grid
 ONE_WAY = ProtocolConfig(SCHEME_ONE_WAY)
 
+# Both sides of every edge of the servo's stable region 0 < kp < 2, ki >= 0,
+# 2*kp + ki < 4: (kp, ki, inside).
+GAIN_EDGES = [(0.01, 0.0, True), (0.0, 0.1, False), (1.99, 0.01, True), (2.0, 0.0, False),
+              (1.5, 0.99, True), (1.5, 1.0, False), (0.7, 0.0, True), (0.7, -0.01, False)]
+GAIN_EDGE_IDS = ["kp_0.01", "kp_0", "kp_1.99", "kp_2", "sum_3.99", "sum_4", "ki_0", "ki_-0.01"]
+
 
 def fine_hop(protocol=ProtocolConfig(), **overrides):
     """A wireless hop on the fine grid without CDC or path delay."""
@@ -182,3 +188,11 @@ class TestPresets:
                     dict(burst_length=True)):
             with pytest.raises(ValueError):
                 ProtocolConfig(**bad)
+
+    @pytest.mark.parametrize("kp, ki, inside", GAIN_EDGES, ids=GAIN_EDGE_IDS)
+    def test_refuses_gains_outside_the_stable_region(self, kp, ki, inside):
+        if inside:
+            ProtocolConfig(kp=kp, ki=ki)
+        else:
+            with pytest.raises(ValueError, match="outside the stable region"):
+                ProtocolConfig(kp=kp, ki=ki)

@@ -602,8 +602,15 @@ class TestExperimentConfig:
         dict(seed=-1),
         dict(seed=1.5),
         dict(seed=True),
+        dict(pps_interval_s=1e300),
+        dict(duration_s=1e300),
+        dict(sync_period_s=1e300),
+        dict(warmup_s=-1e300),
+        dict(warmup_s=-1.0),
     ], ids=["sub_ps_pps", "inf_pps", "sub_ps_sync", "negative_sync", "inf_duration",
-            "no_pps_edge", "one_pps_edge", "negative_seed", "float_seed", "bool_seed"])
+            "no_pps_edge", "one_pps_edge", "negative_seed", "float_seed", "bool_seed",
+            "pps_beyond_ps_range", "duration_beyond_ps_range", "sync_beyond_ps_range",
+            "huge_negative_warmup", "negative_warmup"])
     def test_refuses_degenerate_periods_and_seeds(self, overrides):
         with pytest.raises(ValueError):
             ExperimentConfig(**overrides)
@@ -615,6 +622,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="excess-delay entries"):
             ExperimentConfig(preset="calnex", scheme="ftm_burst", burst_length=4,
                              sync_period_s=1e-4)
+
+    def test_refuses_a_flight_time_not_below_the_sync_period(self):
+        # emulator-wsharp's radio hop: 1135 ns plus the extra distance at c,
+        # one beacon every 500 us.
+        ExperimentConfig(preset="emulator-wsharp", extra_distance_m=149_559.0)  # 499,997.6 ns
+        with pytest.raises(ValueError, match=r"hop 2 \(translator->sta\) has a flight time"):
+            ExperimentConfig(preset="emulator-wsharp", extra_distance_m=149_561.0)  # 500,004.2 ns
 
     def test_largest_preset_defaults_fit(self):
         for preset in SIM_PRESETS:
