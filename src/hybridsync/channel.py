@@ -11,7 +11,8 @@ timestamps.
 Tap gains are sampled on regular combs with period ``T``, and the synthesis
 route follows from ``f_d * T`` alone: a zero Doppler freezes each tap to one
 draw, ``f_d * T >= 0.5`` gives independent draws, and every other comb is an
-inverse DFT of the Doppler spectrum.  A single instant is a one-sample comb.
+inverse DFT of the Doppler spectrum run as band-sized polyphase transforms
+(Young & Beaulieu 2000; Markel 1971).  A single instant is a one-sample comb.
 """
 
 from __future__ import annotations
@@ -187,7 +188,11 @@ def _synthesize_pdp(rms_target_ns: float, max_excess_ns: float) -> PowerDelayPro
         raise ChannelSpecError("multi-tap profile needs a positive rms delay spread")
     n_taps = max(min(MAX_TAPS, round(max_excess_ns / DEFAULT_TAP_SPACING_NS) + 1), 2)
     delays = np.linspace(0.0, max_excess_ns, n_taps)
-    uniform_limit = _moment_rms(delays, np.ones(n_taps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        uniform_limit = _moment_rms(delays, np.ones(n_taps))
+    if not math.isfinite(uniform_limit):
+        raise ChannelSpecError(f"channel [{rms_target_ns!r}, {max_excess_ns!r}] has no finite "
+                               "uniform-power limit: its delay moments overflow")
     if rms_target_ns >= uniform_limit:
         raise ChannelSpecError(
             f"rms delay spread {rms_target_ns} ns unreachable on a "
@@ -261,15 +266,20 @@ def _tap_series(power, fading, period_s, count, offset_s, rng) -> np.ndarray:
     The route depends only on the Doppler frequency ``f_d`` and the period
     ``T``: ``f_d = 0`` is one frozen draw, ``f_d * T >= 0.5`` (sampling far
     coarser than the coherence time) gives independent draws, and anything
-    else is band-limited spectral synthesis by one inverse FFT.
+    else is band-limited spectral synthesis by an inverse DFT.
+
+    Every route returns a phase-major ``(phases, m)`` block, sample ``n`` at
+    ``[n % phases, n // phases]``: draws are one row, and the inverse DFT is
+    ``n_fft // m`` transforms of the smallest power of two ``m`` holding the
+    band, row ``l`` on the bins turned by ``exp(2j * pi * k * l / n_fft)``.
     """
     f_d = fading.doppler_hz
     if f_d == 0.0:
         gain = math.sqrt(power / 2.0) * complex(rng.standard_normal(), rng.standard_normal())
-        return np.full(count, gain, dtype=complex)
+        return np.full((1, count), gain, dtype=complex)
     if f_d * period_s >= 0.5:
         return math.sqrt(power / 2.0) * (
-            rng.standard_normal(count) + 1j * rng.standard_normal(count)
+            rng.standard_normal((1, count)) + 1j * rng.standard_normal((1, count))
         )
     # Inverse DFT of the Doppler spectrum (Young & Beaulieu 2000).
     n_fft = 1 << max(4, (count - 1).bit_length())
@@ -283,12 +293,16 @@ def _tap_series(power, fading, period_s, count, offset_s, rng) -> np.ndarray:
         rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))
     )
     coeffs = coeffs * np.exp(2j * math.pi * k * df * offset_s)
-    spectrum = np.zeros(n_fft, dtype=complex)
-    # Bins -n_fft/2 and +n_fft/2 alias when f_d * T nears 0.5; sum them.
-    np.add.at(spectrum, k % n_fft, coeffs)
-    # Unnormalised, in place: n_fft is a power of two, so this is bitwise
-    # ``ifft(spectrum) * n_fft`` without its two extra n_fft-point arrays.
-    return np.fft.ifft(spectrum, norm="forward", out=spectrum)[:count]
+    m = min(1 << (2 * kmax).bit_length(), n_fft)
+    spectrum = np.zeros((n_fft // m, m), dtype=complex)
+    bins, turn = k % m, np.exp(2j * math.pi / n_fft * k)
+    for row in spectrum:
+        # Bins +-n_fft/2 alias when f_d * T nears 0.5 (one row, m == n_fft); sum them.
+        np.add.at(row, bins, coeffs)
+        coeffs *= turn
+    # Unnormalised, in place: m is a power of two, so each row is bitwise
+    # ``ifft(row) * m`` without its two extra arrays.
+    return np.fft.ifft(spectrum, norm="forward", out=spectrum, axis=1)
 
 
 def tap_gain_series(
@@ -303,7 +317,7 @@ def tap_gain_series(
     powers = pdp.linear_powers
     out = np.empty((pdp.n_taps, count), dtype=complex)
     for i in range(pdp.n_taps):
-        out[i] = _tap_series(powers[i], fading, period_s, count, offset_s, rng)
+        out[i] = _tap_series(powers[i], fading, period_s, count, offset_s, rng).T.ravel()[:count]
     return out
 
 
@@ -320,19 +334,22 @@ def detected_excess_series(
     Synthesizes taps one at a time so long runs stay within memory: only the
     running best power (float64) and tap index (one byte up to 256 taps)
     persist, and each tap's ``16 * n_fft``-byte inverse-DFT buffer and power
-    are freed before the next tap is drawn.  The earlier tap wins a tie.
+    are freed before the next tap is drawn, all in the phase-major layout of
+    ``_tap_series`` until the end.  The earlier tap wins a tie.
     """
     if pdp.n_taps == 1:
         return np.zeros(count)
     powers = pdp.linear_powers
     delays = pdp.delays_ns
-    best_power = np.full(count, -1.0)
-    best_tap = np.zeros(count, dtype=np.min_scalar_type(pdp.n_taps - 1))
     for i in range(pdp.n_taps):
         power = np.abs(_tap_series(powers[i], fading, period_s, count, offset_s, rng))
         np.square(power, out=power)
+        if i == 0:
+            best_power = power
+            best_tap = np.zeros(power.shape, dtype=np.min_scalar_type(pdp.n_taps - 1))
+            continue
         better = power > best_power
         np.copyto(best_power, power, where=better)
         np.copyto(best_tap, i, where=better)
         del power, better
-    return delays[best_tap] - delays[0]
+    return delays[best_tap.T.ravel()[:count]] - delays[0]

@@ -19,8 +19,8 @@ here state the same arithmetic on one ``SyncSample``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from numbers import Integral
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 __all__ = [
     "ProtocolConfig",
@@ -42,6 +42,15 @@ _SCHEMES = (SCHEME_TWO_WAY, SCHEME_ONE_WAY, SCHEME_FTM_BURST)
 
 class UnsupportedSchemeError(ValueError):
     """Raised when an estimator is asked for something its scheme lacks."""
+
+
+def refuse_non_reals(config) -> None:
+    """Refuse a float field holding a string, a bool, or a None it does not allow."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if (f.type == "float" or f.type == "float | None" and value is not None) and (
+                not isinstance(value, Real) or isinstance(value, bool)):
+            raise ValueError(f"{f.name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,7 @@ class ProtocolConfig:
     ki: float = 0.3
 
     def __post_init__(self):
+        refuse_non_reals(self)
         if self.scheme not in _SCHEMES:
             raise UnsupportedSchemeError(f"unknown scheme {self.scheme!r}")
         if not (math.isfinite(self.sync_period_s) and self.sync_period_s >= 1e-12):

@@ -52,6 +52,7 @@ from .protocol import (
     SCHEME_ONE_WAY,
     SCHEME_TWO_WAY,
     ProtocolConfig,
+    refuse_non_reals,
 )
 
 __all__ = [
@@ -277,6 +278,7 @@ class ExperimentConfig:
     topology: Topology | None = None
 
     def __post_init__(self):
+        refuse_non_reals(self)
         if not (math.isfinite(self.warmup_s) and self.warmup_s >= 0):
             raise ValueError(f"warmup_s must be finite and >= 0, got {self.warmup_s!r}")
         if not self.duration_s > self.warmup_s:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,21 @@ from hybridsync.channel import (
 
 CATALOG_NAMES = sorted(CHANNEL_CATALOG)
 MULTIPATH_NAMES = [name for name in CATALOG_NAMES if CHANNEL_CATALOG[name][2] > 0]
+
+
+def direct_ifft_series(power, f_d, period_s, count, offset_s, rng):
+    """One tap's gains by a single n_fft-point inverse DFT: the oracle of the
+    polyphase route, drawing the same coefficients from ``rng``."""
+    n_fft = 1 << max(4, (count - 1).bit_length())
+    df = 1.0 / (n_fft * period_s)
+    kmax = int(math.floor(f_d / df)) + 1
+    k = np.arange(-kmax, kmax + 1)
+    cdf = channel._jakes_cdf(np.clip(np.arange(-kmax - 0.5, kmax + 1) * df, -f_d, f_d) / f_d)
+    coeffs = np.sqrt(power * np.diff(cdf) / 2.0) * (
+        rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size))
+    spectrum = np.zeros(n_fft, dtype=complex)
+    np.add.at(spectrum, k % n_fft, coeffs * np.exp(2j * math.pi * k * df * offset_s))
+    return (np.fft.ifft(spectrum) * n_fft)[:count]
 
 
 class TestGeometry:
@@ -104,6 +120,14 @@ class TestCatalogProfiles:
     def test_malformed_spec_rejected(self, spec):
         with pytest.raises(ChannelSpecError, match=r"catalog name .* pair of finite numbers"):
             build_pdp(spec)
+
+    def test_overflowing_pair_rejected_without_warnings(self):
+        # delays**2 overflows, so the uniform-power limit is not a number
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ChannelSpecError,
+                               match=r"^channel \[1e\+300, 1e\+300\] has no finite"):
+                build_pdp((1e300, 1e300))
 
     def test_infeasible_spread_rejected(self):
         with pytest.raises(ChannelSpecError):
@@ -188,10 +212,11 @@ class TestFadingStatistics:
         ])
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.04)
 
-    @pytest.mark.parametrize("doppler_hz", [22.24, 999.8], ids=["comb", "near-nyquist"])
+    @pytest.mark.parametrize("doppler_hz", [999.8], ids=["near-nyquist"])
     def test_ifft_route_is_unnormalised_ifft(self, monkeypatch, doppler_hz):
-        # Bitwise against ``ifft(spectrum) * n_fft`` on the spectrum a 3000-point
-        # comb built.  At f_d * T = 0.4999 the bins +-n_fft/2 alias and are summed.
+        # At f_d * T = 0.4999 the band fills the 4096-point spectrum of a
+        # 3000-point comb: one phase, whose bins +-n_fft/2 alias and are summed,
+        # bitwise against ``ifft(spectrum) * n_fft``.
         count = 3000
         spectra = []
         ifft = np.fft.ifft
@@ -204,9 +229,57 @@ class TestFadingStatistics:
         got = channel._tap_series(0.7, FadingConfig(doppler_hz=doppler_hz), 5e-4, count,
                                   0.0003, np.random.default_rng(41))
         (spectrum,) = spectra
-        expected = (ifft(spectrum) * spectrum.size)[:count]
+        assert spectrum.shape == got.shape == (1, 4096)
+        expected = ifft(spectrum[0]) * 4096
         assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
+        assert got[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("count", [3000, 1 << 20], ids=["short", "long"])
+    @pytest.mark.parametrize("speed_kmh", [0.5, 10.0, 100.0])
+    @pytest.mark.parametrize("name", MULTIPATH_NAMES)
+    def test_polyphase_route_matches_direct_ifft(self, name, speed_kmh, count):
+        # 2 kHz combs of 4 to 512 phases.  The gains move only in their last
+        # bits (worst 5.1e-14 of the rms over these cases, measured before
+        # the tolerance was fixed); the detected series is bitwise the
+        # oracle's argmax.
+        pdp = build_pdp(name)
+        f_d = doppler_from_speed(speed_kmh)
+        fading = FadingConfig(doppler_hz=f_d)
+        offset_s = 0.0003
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        best = np.full(count, -1.0)
+        best_tap = np.zeros(count, dtype=int)
+        for i, power in enumerate(pdp.linear_powers):
+            expected = direct_ifft_series(power, f_d, 5e-4, count, offset_s, oracle_rng)
+            got = channel._tap_series(power, fading, 5e-4, count, offset_s, rng)
+            got = got.T.ravel()[:count]
+            rms = math.sqrt(np.mean(np.abs(expected) ** 2))
+            assert np.max(np.abs(got - expected)) <= 1e-12 * rms
+            tap_power = np.abs(expected) ** 2
+            best_tap[tap_power > best] = i
+            best = np.maximum(best, tap_power)
+        excess = detected_excess_series(pdp, fading, 5e-4, count, offset_s,
+                                        np.random.default_rng(11))
+        delays = pdp.delays_ns
+        assert excess.tobytes() == (delays[best_tap] - delays[0]).tobytes()
+
+    def test_trend_comb_runs_band_sized_transforms(self, monkeypatch):
+        # The one-way trend comb (IWLAN_B, 10 km/h, 2 kHz beacons over 520 s)
+        # has 23,301 bins in a 2**20-point spectrum: 32 phases of 32,768
+        # points per tap, never one 2**20-point transform.
+        shapes = []
+        ifft = np.fft.ifft
+
+        def recording_ifft(a, *args, **kwargs):
+            shapes.append((a.shape, kwargs.get("axis", -1)))
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", recording_ifft)
+        pdp = build_pdp("IWLAN_B")
+        fading = FadingConfig(doppler_hz=doppler_from_speed(10.0))
+        detected_excess_series(pdp, fading, 5e-4, 1_040_002, 0.0003, np.random.default_rng(5))
+        assert len(shapes) == pdp.n_taps
+        assert all(shape == (32, 32768) and axis in (1, -1) for shape, axis in shapes)
 
     @pytest.mark.parametrize("count", [65_536, 100_000])
     def test_fast_sampling_draws_are_independent(self, count):

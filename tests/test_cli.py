@@ -216,6 +216,12 @@ class TestSimulateCommand:
         ["--preset", "emulator-wsharp", "--set", "warmup_s=-1"],
         ["--preset", "emulator-wsharp", "--set", "extra_distance_m=1e300"],
         ["--preset", "emulator-wsharp", "--set", "kp=5"],
+        ["--preset", "emulator-wsharp", "--set", 'duration_s="30"'],
+        ["--preset", "emulator-wsharp", "--set", 'kp="0.5"'],
+        ["--preset", "emulator-wsharp", "--set", 'speed_kmh="10"'],
+        ["--preset", "emulator-wsharp", "--set", 'extra_distance_m="5"'],
+        ["--preset", "emulator-wsharp", "--set", 'pps_interval_s="1"'],
+        ["--preset", "emulator-wsharp", "--set", 'warmup_s="1"'],
     ], ids=["nan_speed", "unknown_channel", "unknown_scheme", "missing_config",
             "negative_seed", "sub_ps_pps", "sub_ps_sync", "one_pps_edge",
             "fractional_replicas", "zero_burst", "fractional_burst", "nan_kp",
@@ -223,7 +229,9 @@ class TestSimulateCommand:
             "eth3_zero_burst", "eth3_zero_sync", "string_drift_free", "bool_cdc_stages",
             "float_cdc_stages", "legacy_detector_key", "pps_beyond_ps_range",
             "duration_beyond_ps_range", "sync_beyond_ps_range", "huge_negative_warmup",
-            "negative_warmup", "flight_beyond_sync_period", "unstable_kp"])
+            "negative_warmup", "flight_beyond_sync_period", "unstable_kp",
+            "string_duration", "string_kp", "string_speed", "string_extra_distance",
+            "string_pps", "string_warmup"])
     def test_bad_config_value_exits_2(self, capsys, monkeypatch, tmp_path, argv):
         def never_run(*args, **kwargs):
             raise AssertionError("a refused config reached run_experiment")

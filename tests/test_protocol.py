@@ -189,6 +189,22 @@ class TestPresets:
             with pytest.raises(ValueError):
                 ProtocolConfig(**bad)
 
+    @pytest.mark.parametrize("cls, name", [
+        (ProtocolConfig, "sync_period_s"), (ProtocolConfig, "calibrated_delay_ns"),
+        (ProtocolConfig, "kp"), (ProtocolConfig, "ki"),
+        (ExperimentConfig, "speed_kmh"), (ExperimentConfig, "duration_s"),
+        (ExperimentConfig, "pps_interval_s"), (ExperimentConfig, "warmup_s"),
+        (ExperimentConfig, "extra_distance_m"), (ExperimentConfig, "kp"),
+        (ExperimentConfig, "ki"), (ExperimentConfig, "sync_period_s"),
+        (ExperimentConfig, "drift_walk_sigma_ppm_per_s"),
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_float_fields_refuse_non_reals(self, cls, name):
+        # None is the "take the preset's value" of the optional experiment knobs
+        optional = cls is ExperimentConfig and name in ("kp", "ki", "sync_period_s")
+        for value in ["1", True, *([] if optional else [None])]:
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+                cls(**{name: value})
+
     @pytest.mark.parametrize("kp, ki, inside", GAIN_EDGES, ids=GAIN_EDGE_IDS)
     def test_refuses_gains_outside_the_stable_region(self, kp, ki, inside):
         if inside:
