@@ -206,9 +206,16 @@ def _synthesize_pdp(rms_target_ns: float, max_excess_ns: float) -> PowerDelayPro
 
     log_alpha = _PINNED_LOG_ALPHA.get((rms_target_ns, max_excess_ns))
     if log_alpha is None:
+        bracket = (math.log(1e-3), math.log(1e9))
+        errors = [spread_error(end) for end in bracket]
+        if min(errors) > 0.0 or max(errors) < 0.0:
+            low, high = (rms_target_ns + err for err in errors)
+            raise ChannelSpecError(
+                f"channel [{rms_target_ns!r}, {max_excess_ns!r}] has no decay constant "
+                f"in 1e-3..1e9 ns: its rms delay spread runs from {low:.6g} to {high:.6g} ns")
         from scipy.optimize import brentq
 
-        log_alpha = brentq(spread_error, math.log(1e-3), math.log(1e9), xtol=1e-12)
+        log_alpha = brentq(spread_error, *bracket, xtol=1e-12)
     powers_db = -delays / math.exp(log_alpha) * (10.0 / math.log(10.0))
     return PowerDelayProfile(zip(delays, powers_db))
 

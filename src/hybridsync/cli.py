@@ -10,8 +10,10 @@ Subcommands:
 Determinism contract: given the same resolved configuration, output files
 are byte-identical regardless of worker count.  JSON is emitted with sorted
 keys and CSV floats use ``repr`` round-tripping; nothing time- or
-host-dependent is written.  ``samples.csv`` holds ``repr``'s bytes: written by a
-vectorised formatter for PPS samples, by one ``%r`` per chunk for any other.
+host-dependent is written.  ``samples.csv`` holds ``repr``'s bytes, written
+chunk by chunk: for PPS samples by a vectorised formatter that counts digits
+on a shrinking set of samples and emits four per table lookup, for any other
+chunk by one ``%r``.
 
 Seed resolution, lowest to highest precedence: built-in default, the
 ``HYBRIDSYNC_SEED`` environment variable, the config file, ``--seed``,
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -141,13 +144,67 @@ def _repr_rows(r: int, start: int, x: np.ndarray) -> bytes:
     return (f"{r},%d,%r\n" * len(values) % tuple(cells)).encode()
 
 
-def _put_digits(rows: np.ndarray, v: np.ndarray, pad: bool) -> None:
-    """Write the low ``len(rows)`` decimal digits of ``v`` as ASCII rows, the
-    last digit in the last row; unless ``pad``, leading zeros become 0 bytes."""
-    for k in range(len(rows) - 1, -1, -1):
-        q = v // 10
-        digit = v - q * 10 + 48
-        rows[k] = digit if pad or k == len(rows) - 1 else np.where(v > 0, digit, 0)
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The ASCII of 0000..9999 as uint32 words, in the five variants below,
+    10,000 apart; a 0 byte stands for a digit not printed.  Built on first
+    use, so runs that write no samples.csv never hold it."""
+    digits = np.arange(10_000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10
+    full = (digits + ord("0")).astype(np.uint8)
+    lead = full * np.logical_or.accumulate(digits > 0, axis=1)
+    trail = full * np.logical_or.accumulate(digits[:, ::-1] > 0, axis=1)[:, ::-1]
+    lead0, trail0 = lead.copy(), trail.copy()
+    lead0[0, 3] = trail0[0, 1] = ord("0")
+    words = np.ascontiguousarray([full, lead, lead0, trail, trail0]).view(np.uint32).ravel()
+    words.flags.writeable = False
+    return words
+
+
+# Offsets into the digit words: all four digits; leading zeros dropped, for a
+# word with digits above it or (LEAD0) the last word of a number, which
+# prints 0; trailing zeros dropped, for a fraction's last words or (TRAIL0)
+# its first, whose 0 prints ".0" (its first byte falls on the point).
+_FULL, _LEAD, _LEAD0, _TRAIL, _TRAIL0 = range(0, 50_000, 10_000)
+
+# In units of 2**-19 * 5**-f, decimals of f fraction digits lie 2**(19 - f)
+# apart, x = whole + m * 2**-19 lies m * 5**f past 0, and half the gap between
+# floats is 5**f * 2**(e - 35) with e = frexp(x)[1]: below 2**53 and never
+# whole, so it compares exactly with, and never equals, an integer distance.
+# Below a power of two the gap halves; its exact decimal wins anyway.
+_POW5 = np.array([5 ** f for f in range(20)], np.uint64)
+_SHIFT = np.arange(19, -1, -1, dtype=np.uint64)
+_STEP = np.array([1 << k for k in range(19, -1, -1)], np.uint64)
+# _ALWAYS[e + 13] for -13 <= e <= 31: the fewest fraction digits (at most 19)
+# whose decimals lie closer together than the gap, so that one of them fits.
+_ALWAYS = np.array([next((f for f in range(19) if 10 ** (19 - f) << (34 - e) < 5 ** 19), 19)
+                    for e in range(-13, 32)])
+
+
+def _decimals(m: np.ndarray, f: np.ndarray, half: np.ndarray):
+    """The digits of the f-digit decimal at or below ``m * 2**-19``, then, in
+    the units above, the distances from it up to x and from x up to the next
+    one, and half the gap between floats."""
+    pow5 = _POW5[f]
+    v = m * pow5
+    below = v & (_STEP[f] - 1)
+    return v >> _SHIFT[f], below, _STEP[f] - below, half * pow5
+
+
+def _word(out: np.ndarray, col: int) -> np.ndarray:
+    """Columns ``col..col+3`` of every text row, as one uint32 each."""
+    return out[:, col:col + 4].view(np.uint32)[:, 0]
+
+
+def _put_int(out: np.ndarray, end: int, v: np.ndarray, words: int) -> None:
+    """Write ``v`` in decimal ending before column ``end``, four digits per
+    word, leading zeros as 0 bytes.  The top word may spill up to three
+    columns to the left, which the caller writes afterwards."""
+    for k in range(words):
+        q = v // 10_000
+        variant = _LEAD0 if k == 0 else _LEAD
+        if k < words - 1:
+            variant = _FULL if q.all() else np.where(q > 0, _FULL, variant)
+        _word(out, end - 4 * k - 4)[:] = _digit_words()[v - q * 10_000 + variant]
         v = q
 
 
@@ -157,46 +214,63 @@ def _grid_rows(r: int, start: int, x: np.ndarray) -> bytes | None:
     ns, so all edges after 2**33 ns (8.6 s) qualify.  Like ``repr`` (shortest
     round trip: Steele & White 1990, Gay 1990) it picks the fewest fraction
     digits that round back to x, then the nearest such decimal, on a tie the
-    even one."""
+    even one.  Digits are counted down from an upper bound on a shrinking
+    set of samples (as in Ryu: Adams 2018) and written four per table word."""
     a = np.abs(x)
     grid = a * 2.0 ** 19
     if not np.all((a >= 1e-4) & (a < 2.0 ** 31) & (np.floor(grid) == grid)):
         return None
-    whole = np.floor(a)
-    d = ((a - whole) * 2.0 ** 19).astype(np.uint64) * 5 ** 19  # the fraction in 1e-19
-    # Half the gap between floats in 1e-19 is 5**19 * 2**(e - 35): below 2**53
-    # and never whole, so it compares exactly with, and never equals, an integer
-    # distance.  Below a power of two the gap halves; its exact decimal wins anyway.
-    half = np.ldexp(float(5 ** 19), np.frexp(a)[1] - 35)
-    # f digits fit if fewer do, so the fewest that fit is the count that do not.
-    spacings = 10 ** np.arange(19, -1, -1, dtype=np.uint64)  # of f = 0..19 digits, in 1e-19
-    below = d % spacings[:, None]
-    f = np.count_nonzero((below > half) & (spacings[:, None] - below > half), axis=0)
-    p = spacings[f]
-    below = np.take_along_axis(below, f[None], 0)[0]
-    above = p - below
+    q = grid.astype(np.uint64)
+    whole, m = (q >> 19).astype(np.int64), q & (2 ** 19 - 1)
+    e = np.frexp(a)[1]
+    half = np.ldexp(1.0, e - 35)
+    # m * 2**-19 has 19 - tz(m) fraction digits, the last a 5, so any shorter
+    # decimal is 5 units of that digit away: more than half the gap, if fewer
+    # digits than always fit.  Then it is the answer.
+    exact = np.where(m > 0, 20 - np.frexp((m & (0 - m)).astype(np.float64))[1], 0)
+    always = _ALWAYS[e + 13]
+    f = np.minimum(exact, always)
+    # Elsewhere drop one digit at a time while that still fits: whether f digits
+    # fit is monotone in f.
+    live = np.flatnonzero(exact >= always)
+    while live.size:
+        fewer = f[live] - 1
+        _, below, above, h = _decimals(m[live], fewer, half[live])
+        fits = (below < h) | (above < h)
+        f[live[fits]] = fewer[fits]
+        live = live[fits & (fewer > 0)]
+    d = m * 5 ** 19  # the fraction in 1e-19; rounded where f is short of exact
+    rows = np.flatnonzero(f < exact)
+    f_rows = f[rows]
+    low, below, above, h = _decimals(m[rows], f_rows, half[rows])
     # The nearer neighbour that fits; on a tie the one with an even last digit.
-    hi = (above < half) & ((below > half) | (above < below)
-                           | ((above == below) & (d // p % 2 == 1)))
     # Neither neighbour is the next integer: x is 2**-19 or more below it.
-    n, fw = len(x), max(int(f.max()), 1)
-    frac = (d - below + p * hi) // 10 ** (19 - fw)  # fw fraction digits
+    up = (above < h) & ((below > h) | (above < below) | ((above == below) & (low & 1 == 1)))
+    d[rows] = (low + up) * 10 ** _SHIFT[f_rows]
+    # One text row per sample, 0 bytes dropped at the end.  The fraction's words
+    # hold digits 1-3, 4-7, ..., the first word's first byte falling on the point.
+    n, fwords = len(x), (max(int(f.max()), 1) + 4) // 4
     head, iw, ww = f"{r},".encode(), len(str(start + n - 1)), len(str(int(whole.max())))
-    out = np.empty((len(head) + iw + ww + fw + 4, n), np.uint8)  # text by column; 0 is dropped
-    out[:len(head)] = np.frombuffer(head, np.uint8)[:, None]
-    j = len(head) + iw
-    _put_digits(out[len(head):j], np.arange(start, start + n), pad=False)
-    out[j] = ord(",")
-    out[j + 1] = np.where(x < 0, ord("-"), 0)
-    _put_digits(out[j + 2:j + 2 + ww], whole.astype(np.uint32), pad=False)
-    j += 2 + ww
-    out[j] = ord(".")
-    for stop in range(j + 1 + fw, j + 1, -9):  # nine digits per uint32 group
-        _put_digits(out[max(stop - 9, j + 1):stop], (frac % 10 ** 9).astype(np.uint32), pad=True)
-        frac //= 10 ** 9
-    out[j + 1:j + 1 + fw] *= np.arange(fw)[:, None] < np.maximum(f, 1)
-    out[-1] = ord("\n")
-    return out.T.tobytes().translate(None, b"\0")
+    pad = max(4 * -(-iw // 4) - iw - len(head), 0)  # room for the index's top word
+    comma = pad + len(head) + iw
+    point = comma + 2 + ww
+    out = np.empty((n, point + 4 * fwords + 1), np.uint8)
+    prev = 0
+    for k in range(fwords):
+        digits = d // 10 ** (16 - 4 * k)
+        variant = np.where(f <= 3 + 4 * k, _TRAIL0 if k == 0 else _TRAIL, _FULL)
+        _word(out, point + 4 * k)[:] = _digit_words()[(digits - prev * 10_000).astype(np.intp)
+                                                      + variant]
+        prev = digits
+    out[:, point] = ord(".")
+    out[:, -1] = ord("\n")
+    _put_int(out, point, whole, -(-ww // 4))
+    out[:, comma + 1] = np.where(x < 0, ord("-"), 0)
+    out[:, comma] = ord(",")
+    _put_int(out, comma, np.arange(start, start + n), -(-iw // 4))
+    for col, byte in enumerate(head, pad):
+        out[:, col] = byte
+    return out.tobytes().translate(None, b"\0")
 
 
 def _write_samples_csv(path: Path, sample_arrays, chunk: int = 8192) -> None:

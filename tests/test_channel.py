@@ -129,6 +129,20 @@ class TestCatalogProfiles:
                                match=r"^channel \[1e\+300, 1e\+300\] has no finite"):
                 build_pdp((1e300, 1e300))
 
+    def test_pair_without_root_rejected_before_the_solver(self, monkeypatch):
+        # At 1e150 ns every tap but the first has no power over the whole
+        # bracket, so the spread error has one sign at both of its ends.
+        from scipy import optimize
+
+        monkeypatch.setattr(optimize, "brentq", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in ((50.0, 1e150), (1e-8, 1e-6)):
+                with pytest.raises(ChannelSpecError) as refused:
+                    build_pdp(spec)
+                assert str(refused.value).startswith(
+                    f"channel [{spec[0]!r}, {spec[1]!r}] has no decay constant in 1e-3..1e9 ns")
+
     def test_infeasible_spread_rejected(self):
         with pytest.raises(ChannelSpecError):
             build_pdp((120.0, 200.0))  # above the uniform-power limit

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -165,6 +166,17 @@ class TestSimulateCommand:
                         *FAST)
         assert code == 0
         assert json.loads(out)["config"]["channel"] == [40, 200]
+
+    def test_custom_channel_without_root_exits_2(self, capsys):
+        code = main(["simulate", "--preset", "emulator-wsharp", "--set", "channel=[50,1e150]"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("simulate: channel [50.0, 1e+150] has no decay constant")
+        assert captured.err.count("\n") == 1 and "f(a)" not in captured.err
+        code, _ = run(capsys, "simulate", "--preset", "emulator-wsharp",
+                      "--set", "channel=[50,1e5]", *FAST)
+        assert code == 0
 
     def test_custom_channel_profile_solved_once(self, capsys, monkeypatch):
         from scipy import optimize
@@ -381,9 +393,36 @@ def grid_values(draw):
 @example(values=[1735039634.5113373, 137899454.09350586, 234510.20166015625,
                  2.0 ** 30 + 1 / 256, 2.0 ** 30 + 3 / 256], r=3, start=10 ** 6)
 @example(values=[-12.25, -(2.0 ** 31 - GRID), -(2.0 ** -13), -0.5], r=11, start=4)
+# Row indices whose width changes inside the chunk, across a four-digit word
+# and into a third word, and index 0.
+@example(values=[0.25, 1.5, -2.75, 3.0, 4.125, 5.5, 6.0625, 7.5], r=4, start=9_995)
+@example(values=[-0.5, 8.25, 9.125, 10.0], r=5, start=99_999_998)
+@example(values=[0.25], r=0, start=0)
+# Whole parts at the edges of the leading-zero words.
+@example(values=[0.0625, 9_999.75, -10_000.125, 2.0 ** 31 - 0.5], r=6, start=0)
+# Fractions whose trailing zeros fill whole words next to longer ones.
+@example(values=[0.5, 1.0625, 3.0 + GRID, -1.0625, 2.0], r=7, start=123)
+# 19 fraction digits, the most there are.
+@example(values=[k * GRID for k in (53, 97, 255, 1023, 2047)] + [-99 * GRID], r=8, start=77)
 def test_grid_rows_match_repr(values, r, start):
     rows = cli._grid_rows(r, start, np.array(values))
     assert rows == "".join(f"{r},{start + k},{v!r}\n" for k, v in enumerate(values)).encode()
+
+
+def test_samples_writer_memory_stays_small(tmp_path, fallbacks):
+    # 420,000 grid samples, as many as the dense PPS benchmark writes: text is
+    # built and written one chunk at a time, so the peak does not grow with them.
+    rng = np.random.default_rng(19)
+    arrays = [rng.choice([-1.0, 1.0], 210_000) * rng.integers(2 ** 15, 60 * 2 ** 15, 210_000)
+              * 2.0 ** -15 for _ in range(2)]
+    tracemalloc.start()
+    try:
+        _write_samples_csv(tmp_path / "samples.csv", arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fallbacks == []
+    assert peak < 3.5 * 2 ** 20
 
 
 def test_samples_writer_chunks_are_seamless(tmp_path):
