@@ -12,7 +12,8 @@ Tap gains are sampled on regular combs with period ``T``, and the synthesis
 route follows from ``f_d * T`` alone: a zero Doppler freezes each tap to one
 draw, ``f_d * T >= 0.5`` gives independent draws, and every other comb is an
 inverse DFT of the Doppler spectrum run as band-sized polyphase transforms
-(Young & Beaulieu 2000; Markel 1971).  A single instant is a one-sample comb.
+(Young & Beaulieu 2000; Markel 1971), one cache-sized row block at a time.
+A single instant is a one-sample comb.
 """
 
 from __future__ import annotations
@@ -266,50 +267,61 @@ def detect_arrival(realization: ChannelRealization, pdp: PowerDelayProfile) -> f
 
 # --- Series synthesis for periodic sampling ----------------------------------
 
+_BLOCK = 2 ** 17  # most samples per inverse-DFT row block: 2 MiB, held in cache
 
-def _tap_series(power, fading, period_s, count, offset_s, rng) -> np.ndarray:
-    """One tap's complex gains at instants ``offset_s + n * period_s``.
+
+def _comb_layout(f_d, period_s, count):
+    """``(n_fft, df, kmax, phases, m)``: sample ``n`` of a tap sits at ``[n % phases,
+    n // phases]`` of a phase-major ``(phases, m)`` block; draws have ``kmax == 0``."""
+    if f_d == 0.0 or f_d * period_s >= 0.5:
+        return count, 0.0, 0, 1, count
+    n_fft = 1 << max(4, (count - 1).bit_length())
+    df = 1.0 / (n_fft * period_s)
+    kmax = int(math.floor(f_d / df)) + 1
+    m = min(1 << (2 * kmax).bit_length(), n_fft)
+    return n_fft, df, kmax, n_fft // m, m
+
+
+def _tap_series(power, fading, period_s, count, offset_s, rng):
+    """Yield one tap's complex gains at instants ``offset_s + n * period_s``
+    as consecutive row blocks of its ``_comb_layout``.
 
     The route depends only on the Doppler frequency ``f_d`` and the period
     ``T``: ``f_d = 0`` is one frozen draw, ``f_d * T >= 0.5`` (sampling far
     coarser than the coherence time) gives independent draws, and anything
-    else is band-limited spectral synthesis by an inverse DFT.
-
-    Every route returns a phase-major ``(phases, m)`` block, sample ``n`` at
-    ``[n % phases, n // phases]``: draws are one row, and the inverse DFT is
-    ``n_fft // m`` transforms of the smallest power of two ``m`` holding the
-    band, row ``l`` on the bins turned by ``exp(2j * pi * k * l / n_fft)``.
+    else is band-limited spectral synthesis by an inverse DFT, row ``l`` on
+    the bins turned by ``exp(2j * pi * k * l / n_fft)``.  Draws are one block;
+    inverse-DFT blocks hold at most ``_BLOCK`` samples of one reused buffer.
     """
     f_d = fading.doppler_hz
-    if f_d == 0.0:
-        gain = math.sqrt(power / 2.0) * complex(rng.standard_normal(), rng.standard_normal())
-        return np.full((1, count), gain, dtype=complex)
-    if f_d * period_s >= 0.5:
-        return math.sqrt(power / 2.0) * (
-            rng.standard_normal((1, count)) + 1j * rng.standard_normal((1, count))
-        )
-    # Inverse DFT of the Doppler spectrum (Young & Beaulieu 2000).
-    n_fft = 1 << max(4, (count - 1).bit_length())
-    df = 1.0 / (n_fft * period_s)
-    kmax = int(math.floor(f_d / df)) + 1
+    n_fft, df, kmax, phases, m = _comb_layout(f_d, period_s, count)
+    if not kmax:  # one draw held over the comb if f_d = 0, else one per sample
+        shape = (1, 1 if f_d == 0.0 else count)
+        yield np.broadcast_to(math.sqrt(power / 2.0) * (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)), (1, count))
+        return
+    # Inverse DFT of the Doppler spectrum (Young & Beaulieu 2000); bin k's
+    # mass is the CDF step across its edges (k -+ 0.5) * df.
     k = np.arange(-kmax, kmax + 1)
-    upper = np.clip((k + 0.5) * df, -f_d, f_d)
-    lower = np.clip((k - 0.5) * df, -f_d, f_d)
-    masses = power * (_jakes_cdf(upper / f_d) - _jakes_cdf(lower / f_d))
-    coeffs = np.sqrt(masses / 2.0) * (
+    masses = np.diff(_jakes_cdf(np.arange(-kmax - 0.5, kmax + 1) * df / f_d))
+    coeffs = np.sqrt(power * masses / 2.0) * (
         rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))
     )
+    # Not *=: numpy reuses big exp temporaries as exp * coeffs, whose last bits differ.
     coeffs = coeffs * np.exp(2j * math.pi * k * df * offset_s)
-    m = min(1 << (2 * kmax).bit_length(), n_fft)
-    spectrum = np.zeros((n_fft // m, m), dtype=complex)
     bins, turn = k % m, np.exp(2j * math.pi / n_fft * k)
-    for row in spectrum:
-        # Bins +-n_fft/2 alias when f_d * T nears 0.5 (one row, m == n_fft); sum them.
-        np.add.at(row, bins, coeffs)
-        coeffs *= turn
-    # Unnormalised, in place: m is a power of two, so each row is bitwise
-    # ``ifft(row) * m`` without its two extra arrays.
-    return np.fft.ifft(spectrum, norm="forward", out=spectrum, axis=1)
+    del masses, k  # each as long as the spectrum on a band-filling comb
+    buffer = np.empty((min(phases, max(1, _BLOCK // m)), m), dtype=complex)
+    for first in range(0, phases, len(buffer)):
+        block = buffer[:phases - first]
+        block.fill(0.0)
+        for row in block:
+            # Bins +-n_fft/2 alias when f_d * T nears 0.5 (one row, m == n_fft); sum them.
+            np.add.at(row, bins, coeffs)
+            coeffs *= turn
+        # Unnormalised, in place: m is a power of two, so each row is bitwise
+        # ``ifft(row) * m`` without its two extra arrays.
+        yield np.fft.ifft(block, norm="forward", out=block, axis=1)
 
 
 def tap_gain_series(
@@ -320,11 +332,14 @@ def tap_gain_series(
     offset_s: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Complex gains of every tap on a regular comb, shape ``(n_taps, count)``."""
-    powers = pdp.linear_powers
+    """Complex gains of every tap on a regular comb, shape ``(n_taps, count)``,
+    each row of each tap's blocks copied straight to its strided samples."""
+    phases = _comb_layout(fading.doppler_hz, period_s, count)[3]
     out = np.empty((pdp.n_taps, count), dtype=complex)
-    for i in range(pdp.n_taps):
-        out[i] = _tap_series(powers[i], fading, period_s, count, offset_s, rng).T.ravel()[:count]
+    for i, power in enumerate(pdp.linear_powers):
+        blocks = _tap_series(power, fading, period_s, count, offset_s, rng)
+        for phase, gains in enumerate(row for block in blocks for row in block):
+            out[i, phase::phases] = gains[:len(range(phase, count, phases))]
     return out
 
 
@@ -338,25 +353,29 @@ def detected_excess_series(
 ) -> np.ndarray:
     """Excess delay (ns) of the strongest tap at each comb instant.
 
-    Synthesizes taps one at a time so long runs stay within memory: only the
-    running best power (float64) and tap index (one byte up to 256 taps)
-    persist, and each tap's ``16 * n_fft``-byte inverse-DFT buffer and power
-    are freed before the next tap is drawn, all in the phase-major layout of
-    ``_tap_series`` until the end.  The earlier tap wins a tie.
+    Synthesizes taps one at a time, a row block at a time, so long runs stay
+    within memory: only the running best power (float64) and tap index (one
+    byte up to 256 taps) persist, 9 bytes per point of the ``_comb_layout``.
+    The best power is freed before the output is written ``_BLOCK`` samples
+    at a time.  The earlier tap wins a tie.
     """
     if pdp.n_taps == 1:
         return np.zeros(count)
-    powers = pdp.linear_powers
-    delays = pdp.delays_ns
-    for i in range(pdp.n_taps):
-        power = np.abs(_tap_series(powers[i], fading, period_s, count, offset_s, rng))
-        np.square(power, out=power)
-        if i == 0:
-            best_power = power
-            best_tap = np.zeros(power.shape, dtype=np.min_scalar_type(pdp.n_taps - 1))
-            continue
-        better = power > best_power
-        np.copyto(best_power, power, where=better)
-        np.copyto(best_tap, i, where=better)
-        del power, better
-    return delays[best_tap.T.ravel()[:count]] - delays[0]
+    phases, m = _comb_layout(fading.doppler_hz, period_s, count)[3:]
+    best_power = np.zeros((phases, m))
+    best_tap = np.zeros((phases, m), dtype=np.min_scalar_type(pdp.n_taps - 1))
+    for i, power in enumerate(pdp.linear_powers):
+        first = 0
+        for block in _tap_series(power, fading, period_s, count, offset_s, rng):
+            rows, first = slice(first, first + len(block)), first + len(block)
+            tap_power = np.abs(block) ** 2
+            better = tap_power > best_power[rows]
+            np.copyto(best_power[rows], tap_power, where=better)
+            np.copyto(best_tap[rows], i, where=better)
+        del block, tap_power  # free this tap's buffer before the next tap makes one
+    del best_power
+    excess, tap = pdp.delays_ns - pdp.delays_ns[0], best_tap.T.ravel()[:count]
+    out = np.empty(count)
+    for n in range(0, count, _BLOCK):
+        out[n:n + _BLOCK] = excess[tap[n:n + _BLOCK]]
+    return out

@@ -1,5 +1,6 @@
 """Power delay profiles, fading synthesis and arrival detection."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -48,6 +49,18 @@ def direct_ifft_series(power, f_d, period_s, count, offset_s, rng):
     spectrum = np.zeros(n_fft, dtype=complex)
     np.add.at(spectrum, k % n_fft, coeffs * np.exp(2j * math.pi * k * df * offset_s))
     return (np.fft.ifft(spectrum) * n_fft)[:count]
+
+
+def tap_block(*args):
+    """One tap's ``channel._tap_series`` blocks stacked into its ``(phases, m)``
+    layout; each block is copied out before its buffer is reused."""
+    return np.concatenate([block.copy() for block in channel._tap_series(*args)])
+
+
+# One comb per synthesis route, on 3000 points.
+ROUTES = pytest.mark.parametrize("name, doppler_hz, period_s", [
+    ("IWLAN_B", 22.24, 0.5e-3), ("WLAN_C", 22.24, 0.125), ("IWLAN_A", 0.0, 0.5e-3),
+], ids=["ifft", "independent", "frozen"])
 
 
 class TestGeometry:
@@ -240,8 +253,8 @@ class TestFadingStatistics:
             return ifft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "ifft", recording_ifft)
-        got = channel._tap_series(0.7, FadingConfig(doppler_hz=doppler_hz), 5e-4, count,
-                                  0.0003, np.random.default_rng(41))
+        got = tap_block(0.7, FadingConfig(doppler_hz=doppler_hz), 5e-4, count, 0.0003,
+                        np.random.default_rng(41))
         (spectrum,) = spectra
         assert spectrum.shape == got.shape == (1, 4096)
         expected = ifft(spectrum[0]) * 4096
@@ -265,8 +278,7 @@ class TestFadingStatistics:
         best_tap = np.zeros(count, dtype=int)
         for i, power in enumerate(pdp.linear_powers):
             expected = direct_ifft_series(power, f_d, 5e-4, count, offset_s, oracle_rng)
-            got = channel._tap_series(power, fading, 5e-4, count, offset_s, rng)
-            got = got.T.ravel()[:count]
+            got = tap_block(power, fading, 5e-4, count, offset_s, rng).T.ravel()[:count]
             rms = math.sqrt(np.mean(np.abs(expected) ** 2))
             assert np.max(np.abs(got - expected)) <= 1e-12 * rms
             tap_power = np.abs(expected) ** 2
@@ -280,7 +292,8 @@ class TestFadingStatistics:
     def test_trend_comb_runs_band_sized_transforms(self, monkeypatch):
         # The one-way trend comb (IWLAN_B, 10 km/h, 2 kHz beacons over 520 s)
         # has 23,301 bins in a 2**20-point spectrum: 32 phases of 32,768
-        # points per tap, never one 2**20-point transform.
+        # points per tap, never one 2**20-point transform, and row blocks of
+        # at most _BLOCK samples.
         shapes = []
         ifft = np.fft.ifft
 
@@ -292,8 +305,44 @@ class TestFadingStatistics:
         pdp = build_pdp("IWLAN_B")
         fading = FadingConfig(doppler_hz=doppler_from_speed(10.0))
         detected_excess_series(pdp, fading, 5e-4, 1_040_002, 0.0003, np.random.default_rng(5))
-        assert len(shapes) == pdp.n_taps
-        assert all(shape == (32, 32768) and axis in (1, -1) for shape, axis in shapes)
+        assert all(shape[1] == 32768 and axis in (1, -1) for shape, axis in shapes)
+        assert sum(shape[0] for shape, _ in shapes) == 32 * pdp.n_taps
+        assert max(shape[0] * shape[1] for shape, _ in shapes) <= channel._BLOCK
+
+    def test_trend_comb_is_pinned_and_small(self):
+        # The same comb's detected series, pinned before it was synthesised in
+        # row blocks, which took its traced peak from 34.6 MB to 16.6 MB.
+        pdp = build_pdp("IWLAN_B")
+        fading = FadingConfig(doppler_hz=doppler_from_speed(10.0))
+        tracemalloc.start()
+        try:
+            excess = detected_excess_series(pdp, fading, 5e-4, 1_040_002, 0.0003,
+                                            np.random.default_rng(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hashlib.sha256(excess.tobytes()).hexdigest() == (
+            "2a0f035285155e9dcd249e436962a3541af7912a4fb0878b593be5e4fc6e6c96")
+        assert peak <= 20e6
+
+    @pytest.mark.parametrize("name, doppler_hz, period_s, count, digest", [
+        ("IWLAN_B", 22.24, 0.5e-3, 3000,
+         "25e98b94f67184b0ea580a738a4314e056f48bd4203b0219ad5b628cefbcb372"),
+        ("WLAN_C", 22.24, 0.125, 3000,
+         "b2f4dc731e9730ba784db888a8b0d1f2d45b0f99dec018ce61daf78a639b2c45"),
+        ("IWLAN_A", 0.0, 0.5e-3, 3000,
+         "50643ef13e5a5a9dadc47ca47b714d6fd854af1bf1b2ce400d53bc72c9a22800"),
+        ("IWLAN_B", 0.4995 / 5e-4, 0.5e-3, 20_000,
+         "9d94944fe7e869ebae742bd46b0452628a15a980a00124221634773c809479b9"),
+    ], ids=["ifft", "independent", "frozen", "ifft-band-filling"])
+    def test_gains_are_pinned(self, name, doppler_hz, period_s, count, digest):
+        # Digests of the gains before row blocks, on the ROUTES combs and a
+        # band-filling one.  Its 32,737 bins are enough for numpy to reuse
+        # temporaries, which sets the operand order, and so the last bits, of
+        # the bins' phase shift.
+        gains = tap_gain_series(build_pdp(name), FadingConfig(doppler_hz=doppler_hz),
+                                period_s, count, 0.0003, np.random.default_rng(37))
+        assert hashlib.sha256(gains.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("count", [65_536, 100_000])
     def test_fast_sampling_draws_are_independent(self, count):
@@ -346,9 +395,7 @@ class TestDetection:
         se = math.hypot(from_series.std(), pointwise.std()) / math.sqrt(n)
         assert abs(from_series.mean() - pointwise.mean()) < 4.0 * se + 1e-9
 
-    @pytest.mark.parametrize("name, doppler_hz, period_s", [
-        ("IWLAN_B", 22.24, 0.5e-3), ("WLAN_C", 22.24, 0.125), ("IWLAN_A", 0.0, 0.5e-3),
-    ], ids=["ifft", "independent", "frozen"])
+    @ROUTES
     def test_series_is_argmax_of_tap_gains(self, name, doppler_hz, period_s):
         pdp = build_pdp(name)
         fading = FadingConfig(doppler_hz=doppler_hz)
@@ -366,24 +413,56 @@ class TestDetection:
         gains = iter([np.array([1, 1, 0.5, 1], dtype=complex),
                       np.array([1j, 2, 0.5j, -1]),
                       np.array([-1, 2j, 0.5, 3], dtype=complex)])
-        monkeypatch.setattr(channel, "_tap_series", lambda *args: next(gains))
+
+        def blocks(*args):
+            # the comb's layout is 4 phases of 4 points: one sample per row
+            block = np.zeros((4, 4), dtype=complex)
+            block[:, 0] = next(gains)
+            yield from (block[:2], block[2:])
+
+        monkeypatch.setattr(channel, "_tap_series", blocks)
         excess = detected_excess_series(pdp, FadingConfig(doppler_hz=22.24), 5e-4, 4,
                                         0.0, np.random.default_rng(0))
         assert excess.tolist() == [0.0, 50.0, 0.0, 100.0]
 
-    def test_series_memory_stays_near_one_spectrum(self):
-        # Per tap only the n_fft-point spectrum (transformed in place) and the
-        # tap's power live beside the running best: about 2.1 spectra.
+    @pytest.mark.parametrize("doppler_hz, spectra", [(22.24, 1.5), (0.4995 / 5e-4, 6.5)],
+                             ids=["narrow", "band-filling"])
+    def test_series_memory_stays_near_one_spectrum(self, doppler_hz, spectra):
+        # In units of one 16 * n_fft-byte spectrum.  Only the running best
+        # (9 bytes a point), one row block and the tap's bins live at once:
+        # 1.13 spectra on a narrow band and 5.12 when the band fills the comb,
+        # where the bins, phase turns and the one row are each about a spectrum
+        # (2.06 and 7.06 with whole-spectrum transforms).
         count = 1 << 19
         pdp = build_pdp("IWLAN_B")
-        fading = FadingConfig(doppler_hz=22.24)
+        fading = FadingConfig(doppler_hz=doppler_hz)
         tracemalloc.start()
         try:
             detected_excess_series(pdp, fading, 5e-4, count, 0.0, np.random.default_rng(3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * count * 16
+        assert peak <= spectra * count * 16
+
+    @ROUTES
+    def test_row_blocks_do_not_change_the_series(self, monkeypatch, name, doppler_hz,
+                                                 period_s):
+        # One row per block, three rows (the ifft comb's 32 phases leave a
+        # ragged last block) and one block for the whole comb.
+        pdp = build_pdp(name)
+        fading = FadingConfig(doppler_hz=doppler_hz)
+        n, offset_s = 3000, 0.0003
+
+        def series():
+            return [f(pdp, fading, period_s, n, offset_s, np.random.default_rng(37)).tobytes()
+                    for f in (detected_excess_series, tap_gain_series)]
+
+        expected = series()
+        n_fft, _, kmax, phases, m = channel._comb_layout(doppler_hz, period_s, n)
+        assert phases == (32 if kmax else 1)
+        for block in (m, 3 * m, n_fft):
+            monkeypatch.setattr(channel, "_BLOCK", block)
+            assert series() == expected
 
     def test_single_tap_never_errs(self):
         excess = detected_excess_series(build_pdp("AWGN"), FadingConfig(), 1e-3,
