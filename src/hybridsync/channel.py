@@ -164,9 +164,9 @@ CHANNEL_CATALOG = {
 
 _NAME_LOOKUP = {k.replace("_", "").upper(): k for k in CHANNEL_CATALOG}
 
-# The solver's decay constants (log of the 1/e delay in ns) for the multipath
-# catalog profiles, keyed by (rms, max excess); pinned so that a run on a
-# catalog channel never imports scipy.
+# The decay constants (log of the 1/e delay in ns) of the multipath catalog
+# profiles, keyed by (rms, max excess), as Brent's method found them; pinned
+# so that the catalog profiles' bits do not depend on the solver.
 _PINNED_LOG_ALPHA = {CHANNEL_CATALOG[name][1:]: log_alpha for name, log_alpha in (
     ("WLAN_A", 3.949718716662003), ("WLAN_C", 5.05072294688385),
     ("IWLAN_A", 3.4866243795400926), ("IWLAN_B", 4.53097952311596))}
@@ -178,6 +178,17 @@ def canonical_channel_name(name: str) -> str:
         return _NAME_LOOKUP[key]
     except KeyError:
         raise ChannelSpecError(f"unknown channel {name!r}") from None
+
+
+def _bisect(f, low: float, high: float) -> float:
+    """Root of ``f``, which rises from ``f(low) <= 0`` to ``f(high) >= 0``: the
+    upper end of the bracket, halved until its ends are adjacent floats."""
+    while low < (mid := 0.5 * (low + high)) < high:
+        if f(mid) < 0.0:
+            low = mid
+        else:
+            high = mid
+    return high
 
 
 def _synthesize_pdp(rms_target_ns: float, max_excess_ns: float) -> PowerDelayProfile:
@@ -214,9 +225,7 @@ def _synthesize_pdp(rms_target_ns: float, max_excess_ns: float) -> PowerDelayPro
             raise ChannelSpecError(
                 f"channel [{rms_target_ns!r}, {max_excess_ns!r}] has no decay constant "
                 f"in 1e-3..1e9 ns: its rms delay spread runs from {low:.6g} to {high:.6g} ns")
-        from scipy.optimize import brentq
-
-        log_alpha = brentq(spread_error, *bracket, xtol=1e-12)
+        log_alpha = _bisect(spread_error, *bracket)
     powers_db = -delays / math.exp(log_alpha) * (10.0 / math.log(10.0))
     return PowerDelayProfile(zip(delays, powers_db))
 

@@ -2,10 +2,9 @@
 
 Subcommands:
 
-* ``budget``            analytic worst-case error for the chain presets
-* ``simulate``          Monte Carlo run of one experiment configuration
-* ``sweep``             repeat an experiment along one swept parameter
-* ``validate-channel``  self-checks of a channel model against its targets
+* ``budget``    analytic worst-case error for the chain presets
+* ``simulate``  Monte Carlo run of one experiment configuration
+* ``sweep``     repeat an experiment along one swept parameter
 
 Determinism contract: given the same resolved configuration, output files
 are byte-identical regardless of worker count.  JSON is emitted with sorted
@@ -37,14 +36,6 @@ import numpy as np
 
 from . import __version__
 from .budget import CHAIN_PRESETS, budget_report, chain_max_error, chain_preset, topology_budget
-from .channel import (
-    CHANNEL_CATALOG,
-    FadingConfig,
-    build_pdp,
-    canonical_channel_name,
-    rms_delay_spread,
-    tap_gain_series,
-)
 from .sim import ExperimentConfig, SIM_PRESETS, build_topology, replica_pool, run_experiment
 
 EXIT_OK = 0
@@ -419,96 +410,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK if all_converged else EXIT_FAIL
 
 
-# --- validate-channel ------------------------------------------------------------
-
-
-def _autocorr_deviation(pdp, fading, seed, realizations=32, count=2048,
-                        period_s=2.5e-4, max_lag_s=5e-3) -> float:
-    """Max deviation of the averaged gain autocorrelation from the Jakes law."""
-    from scipy.special import j0
-
-    rng = np.random.default_rng(seed)
-    idx = int(np.argmax(pdp.linear_powers))
-    max_lag = min(count - 1, int(round(max_lag_s / period_s)))
-    lags = np.arange(1, max_lag + 1)
-    acc = np.zeros(max_lag, dtype=complex)
-    power = 0.0
-    for _ in range(realizations):
-        series = tap_gain_series(pdp, fading, period_s, count, 0.0, rng)[idx]
-        power += float(np.mean(np.abs(series) ** 2))
-        for k, lag in enumerate(lags):
-            acc[k] += np.mean(series[lag:] * np.conj(series[:-lag]))
-    emp = np.real(acc) / power
-    theory = j0(2.0 * np.pi * fading.doppler_hz * lags * period_s)
-    return float(np.max(np.abs(emp - theory)))
-
-
-def _cmd_validate_channel(args) -> int:
-    from scipy.stats import kstest
-
-    try:
-        name = canonical_channel_name(args.channel)
-        fading = FadingConfig(doppler_hz=args.doppler_hz)
-        if args.samples < 1:
-            raise ValueError(f"--samples must be at least 1, got {args.samples}")
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    except ValueError as exc:
-        print(f"validate-channel: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _, target_rms, target_excess = CHANNEL_CATALOG[name]
-    pdp = build_pdp(name)
-    checks = []
-
-    rms = rms_delay_spread(pdp)
-    tol = max(0.01 * target_rms, 1e-9)
-    checks.append({
-        "name": "rms_delay_spread",
-        "passed": abs(rms - target_rms) <= tol,
-        "detail": f"model {rms:.4f} ns vs target {target_rms} ns",
-    })
-    checks.append({
-        "name": "max_excess_delay",
-        "passed": abs(pdp.max_excess_delay_ns - target_excess) <= 1e-9,
-        "detail": f"model {pdp.max_excess_delay_ns} ns vs target {target_excess} ns",
-    })
-    checks.append({
-        "name": "tap_count",
-        "passed": 1 <= pdp.n_taps <= 10,
-        "detail": f"{pdp.n_taps} taps",
-    })
-
-    rng = np.random.default_rng(args.seed)
-    frozen = FadingConfig(doppler_hz=0.0)
-    idx = int(np.argmax(pdp.linear_powers))
-    draws = np.empty(args.samples, dtype=complex)
-    for i in range(args.samples):
-        draws[i] = tap_gain_series(pdp, frozen, 1e-3, 1, 0.0, rng)[idx, 0]
-    scale = float(np.sqrt(pdp.linear_powers[idx] / 2.0))
-    pvalue = float(kstest(np.abs(draws), "rayleigh", args=(0.0, scale)).pvalue)
-    checks.append({
-        "name": "rayleigh_amplitude",
-        "passed": pvalue >= 0.01,
-        "detail": f"KS p={pvalue:.4f} over {args.samples} draws",
-    })
-
-    if args.doppler_hz > 0:
-        dev = _autocorr_deviation(pdp, fading, rng)
-        checks.append({
-            "name": "jakes_autocorrelation",
-            "passed": dev <= 0.05,
-            "detail": f"max |emp - J0| = {dev:.4f}",
-        })
-
-    passed = all(c["passed"] for c in checks)
-    report = {"channel": name, "checks": checks, "passed": passed,
-              "version": __version__}
-    print(_dump_json(report), end="")
-    if args.out:
-        _write(Path(args.out) / f"validate_{name}.json", _dump_json(report))
-    return EXIT_OK if passed else EXIT_FAIL
-
-
 # --- parser --------------------------------------------------------------------
 
 
@@ -544,14 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         if cmd == "sweep":
             p.add_argument("--axis", required=True, metavar="PARAM=V1,V2,...")
         p.set_defaults(func=func)
-
-    p = sub.add_parser("validate-channel", help="check a channel model")
-    p.add_argument("--channel", required=True)
-    p.add_argument("--doppler-hz", type=float, default=0.0)
-    p.add_argument("--samples", type=int, default=4000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_validate_channel)
     return parser
 
 

@@ -82,6 +82,9 @@ DIVERGENCE_FACTOR = 10.0
 # at 520 s, 10 km/h), and 4x the largest preset default (emulator-wsharp,
 # 2 kHz over 1000 s).
 MAX_SERIES_ENTRIES = 2 ** 23
+# Recorded PPS edges per replica and per run: at 48 B per edge at a replica's
+# peak and 24 B per edge kept of every replica (tracemalloc), each is ~0.4 GB.
+MAX_PPS_EDGES, MAX_RUN_PPS_EDGES = 2 ** 23, 2 ** 24
 
 # The wireless scheme of every named setup, in the order the CLI lists them.
 _PRESET_SCHEMES = {
@@ -294,6 +297,11 @@ class ExperimentConfig:
         if (not isinstance(self.replicas, Integral) or isinstance(self.replicas, bool)
                 or self.replicas < 1):
             raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
+        edges = last_k - first_k + 1
+        if edges > MAX_PPS_EDGES or edges * self.replicas > MAX_RUN_PPS_EDGES:
+            raise ValueError(f"pps_interval_s, duration_s and replicas ask for {edges} PPS "
+                             f"edges per replica and {edges * self.replicas} in all; at most "
+                             f"{MAX_PPS_EDGES} and {MAX_RUN_PPS_EDGES} fit")
         if not isinstance(self.drift_free, bool):
             raise ValueError(f"drift_free must be true or false, got {self.drift_free!r}")
         if (not isinstance(self.cdc_stages, Integral) or isinstance(self.cdc_stages, bool)

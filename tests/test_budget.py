@@ -1,6 +1,5 @@
 """Analytic worst-case error budgets."""
 
-import csv
 import math
 import os
 import subprocess
@@ -231,34 +230,23 @@ def test_chain_preset_from_fresh_interpreter(first):
     assert run_with_package(["-c", code]) == "73.0\n"
 
 
-# Catalog profiles use pinned decay constants; only a custom (rms, excess)
-# pair loads the solver.
-def test_catalog_runs_never_import_scipy():
+# No command imports scipy: catalog profiles use pinned decay constants, and
+# a custom (rms, excess) pair is solved by bisection.
+def test_catalog_runs_never_import_scipy(tmp_path):
+    fast = ["--set", "duration_s=20", "--set", "warmup_s=5", "--set", "pps_interval_s=0.5"]
     code = ("import sys\n"
-            "import hybridsync, hybridsync.cli\n"
-            "from hybridsync.budget import topology_budget\n"
-            "from hybridsync.channel import CHANNEL_CATALOG, build_pdp\n"
-            "from hybridsync.sim import SIM_PRESETS, ExperimentConfig, build_topology\n"
+            "sys.modules['scipy'] = None\n"
+            "from hybridsync.cli import main\n"
+            "from hybridsync.sim import SIM_PRESETS, ExperimentConfig\n"
+            "from hybridsync.channel import CHANNEL_CATALOG\n"
             "for preset in SIM_PRESETS:\n"
             "    for channel in CHANNEL_CATALOG:\n"
-            "        config = ExperimentConfig(preset=preset, channel=channel)\n"
-            "        topology_budget(build_topology(config))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "build_pdp((40.0, 200.0))\n"
-            "print('scipy.optimize' in sys.modules)\n")
-    assert run_with_package(["-c", code]) == "[]\nTrue\n"
-
-
-def test_budget_tables_script(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_budget_tables.py"
-    rows = {line.split()[0]: line.split()
-            for line in run_with_package([str(script), "--out", str(tmp_path)]).splitlines()
-            if line.strip()}
-    assert rows["calnex-eth3"][-1] == "24.0"
-    assert rows["IWLAN_B"][-2:] == ["325.0", "625.0"]  # two-way, one-way
-    with (tmp_path / "chain_budgets.csv").open(newline="") as fh:
-        chains = list(csv.DictReader(fh))
-    assert [r["preset"] for r in chains] == list(CHAIN_PRESETS)
-    for row in chains:
-        hops = chain_preset(row["preset"])
-        assert (int(row["hops"]), float(row["total_ns"])) == (len(hops), chain_max_error(hops))
+            "        ExperimentConfig(preset=preset, channel=channel)\n"
+            "codes = [main(['budget', '--all']),\n"
+            "         main(['simulate', '--preset', 'calnex', '--set', 'channel=[40,200]',\n"
+            f"               '--out', {str(tmp_path)!r}, *{fast!r}]),\n"
+            "         main(['sweep', '--preset', 'emulator-wsharp', '--set', 'channel=\"IWLAN_B\"',\n"
+            f"               '--axis', 'speed_kmh=0,10', *{fast!r}])]\n"
+            "print(codes)\n")
+    assert run_with_package(["-c", code]).splitlines()[-1] == "[0, 0, 0]"
+    assert (tmp_path / "samples.csv").exists()

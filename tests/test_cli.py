@@ -14,6 +14,8 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from hybridsync import channel, cli, sim
+from hybridsync.budget import HOP_WIRELESS_ONE_WAY, HOP_WIRELESS_TWO_WAY, wireless_link_budget
+from hybridsync.channel import CHANNEL_CATALOG
 from hybridsync.cli import _write_samples_csv, main
 from test_protocol import GAIN_EDGE_IDS, GAIN_EDGES
 
@@ -82,6 +84,17 @@ class TestBudgetCommand:
         assert lines[0] == "preset,kind,label,max_error_ns"
         assert lines[-1].startswith("calnex-eth3,total")
         assert (tmp_path / "budget.csv").read_text() == out
+
+    def test_csv_wireless_rows_are_the_link_budgets(self, capsys):
+        code, out = run(capsys, "budget", "--all", "--format", "csv")
+        assert code == 0
+        rows = {(r["preset"].rsplit("-", 1)[1], r["kind"]): float(r["max_error_ns"])
+                for r in csv.DictReader(io.StringIO(out)) if r["kind"].startswith("wireless_")}
+        for channel_name in CHANNEL_CATALOG:
+            for scheme, kind in (("two_way", HOP_WIRELESS_TWO_WAY),
+                                 ("one_way", HOP_WIRELESS_ONE_WAY)):
+                assert rows[(channel_name.lower(), kind)] == \
+                    wireless_link_budget(channel_name, scheme)
 
     def test_requires_preset_or_all(self, capsys):
         code, _ = run(capsys, "budget")
@@ -179,12 +192,9 @@ class TestSimulateCommand:
         assert code == 0
 
     def test_custom_channel_profile_solved_once(self, capsys, monkeypatch):
-        from scipy import optimize
-
         solves = []
-        brentq = optimize.brentq
-        monkeypatch.setattr(optimize, "brentq",
-                            lambda *args, **kwargs: solves.append(args) or brentq(*args, **kwargs))
+        bisect = channel._bisect
+        monkeypatch.setattr(channel, "_bisect", lambda *args: solves.append(args) or bisect(*args))
         channel._cached_pdp.cache_clear()
         code, _ = run(capsys, "simulate", "--preset", "calnex", "--set", "channel=[40,200]",
                       "--replicas", "3", *FAST)
@@ -234,6 +244,8 @@ class TestSimulateCommand:
         ["--preset", "emulator-wsharp", "--set", 'extra_distance_m="5"'],
         ["--preset", "emulator-wsharp", "--set", 'pps_interval_s="1"'],
         ["--preset", "emulator-wsharp", "--set", 'warmup_s="1"'],
+        ["--preset", "calnex-eth3", "--set", "pps_interval_s=1e-6", "--set", "warmup_s=1",
+         "--replicas", "1000"],
     ], ids=["nan_speed", "unknown_channel", "unknown_scheme", "missing_config",
             "negative_seed", "sub_ps_pps", "sub_ps_sync", "one_pps_edge",
             "fractional_replicas", "zero_burst", "fractional_burst", "nan_kp",
@@ -243,7 +255,7 @@ class TestSimulateCommand:
             "duration_beyond_ps_range", "sync_beyond_ps_range", "huge_negative_warmup",
             "negative_warmup", "flight_beyond_sync_period", "unstable_kp",
             "string_duration", "string_kp", "string_speed", "string_extra_distance",
-            "string_pps", "string_warmup"])
+            "string_pps", "string_warmup", "too_many_pps_edges"])
     def test_bad_config_value_exits_2(self, capsys, monkeypatch, tmp_path, argv):
         def never_run(*args, **kwargs):
             raise AssertionError("a refused config reached run_experiment")
@@ -541,38 +553,11 @@ class TestSweepCommand:
         assert code == 2
 
 
-class TestValidateChannelCommand:
-    def test_catalog_channel_passes(self, capsys):
-        code, out = run(capsys, "validate-channel", "--channel", "IWLAN_A",
-                        "--samples", "1500", "--seed", "2")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["passed"] is True
-        names = {c["name"] for c in doc["checks"]}
-        assert {"rms_delay_spread", "max_excess_delay", "rayleigh_amplitude"} <= names
-
-    def test_doppler_adds_autocorrelation_check(self, capsys):
-        code, out = run(capsys, "validate-channel", "--channel", "AWGN",
-                        "--doppler-hz", "22.24", "--samples", "800", "--seed", "2")
-        assert code == 0
-        doc = json.loads(out)
-        assert any(c["name"] == "jakes_autocorrelation" for c in doc["checks"])
-
-    def test_unknown_channel_exits_2(self, capsys):
-        code, _ = run(capsys, "validate-channel", "--channel", "WLAN_Z")
-        assert code == 2
-
-    @pytest.mark.parametrize("argv", [
-        ["--doppler-hz", "-5"], ["--doppler-hz", "nan"], ["--doppler-hz", "inf"],
-        ["--samples", "0"], ["--seed", "-1"],
-    ], ids=["negative_doppler", "nan_doppler", "inf_doppler", "zero_samples",
-            "negative_seed"])
-    def test_bad_value_exits_2(self, capsys, argv):
-        code = main(["validate-channel", "--channel", "IWLAN_A", *argv])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("validate-channel: ") and captured.err.count("\n") == 1
+def test_validate_channel_is_no_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-channel", "--channel", "IWLAN_A"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'validate-channel'" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -623,6 +623,21 @@ class TestExperimentConfig:
             ExperimentConfig(preset="calnex", scheme="ftm_burst", burst_length=4,
                              sync_period_s=1e-4)
 
+    def test_refuses_pps_edges_beyond_the_caps(self):
+        # With no warm-up, edges 1 .. duration / pps are recorded.
+        def config(edges, replicas, pps_interval_s=1e-4):
+            return ExperimentConfig(preset="calnex-eth3", duration_s=edges * pps_interval_s,
+                                    warmup_s=0.0, pps_interval_s=pps_interval_s,
+                                    replicas=replicas)
+
+        per_run = sim.MAX_RUN_PPS_EDGES // 16
+        config(sim.MAX_PPS_EDGES, 1)
+        config(per_run, 16)
+        for args in ((sim.MAX_PPS_EDGES + 1, 1), (per_run, 17), (10 ** 9, 1000, 1e-6)):
+            with pytest.raises(ValueError, match="^pps_interval_s, duration_s and replicas "
+                                                 f"ask for {args[0]} PPS edges per replica"):
+                config(*args)
+
     def test_refuses_a_flight_time_not_below_the_sync_period(self):
         # emulator-wsharp's radio hop: 1135 ns plus the extra distance at c,
         # one beacon every 500 us.
