@@ -291,6 +291,12 @@ def _comb_layout(f_d, period_s, count):
     return n_fft, df, kmax, n_fft // m, m
 
 
+def _block_rows(phases, m):
+    """Rows in each of ``_tap_series``' blocks but its last: whole rows of at
+    most ``_BLOCK`` samples, or one row."""
+    return min(phases, max(1, _BLOCK // m))
+
+
 def _tap_series(power, fading, period_s, count, offset_s, rng):
     """Yield one tap's complex gains at instants ``offset_s + n * period_s``
     as consecutive row blocks of its ``_comb_layout``.
@@ -320,7 +326,7 @@ def _tap_series(power, fading, period_s, count, offset_s, rng):
     coeffs = coeffs * np.exp(2j * math.pi * k * df * offset_s)
     bins, turn = k % m, np.exp(2j * math.pi / n_fft * k)
     del masses, k  # each as long as the spectrum on a band-filling comb
-    buffer = np.empty((min(phases, max(1, _BLOCK // m)), m), dtype=complex)
+    buffer = np.empty((_block_rows(phases, m), m), dtype=complex)
     for first in range(0, phases, len(buffer)):
         block = buffer[:phases - first]
         block.fill(0.0)
@@ -365,6 +371,7 @@ def detected_excess_series(
     Synthesizes taps one at a time, a row block at a time, so long runs stay
     within memory: only the running best power (float64) and tap index (one
     byte up to 256 taps) persist, 9 bytes per point of the ``_comb_layout``.
+    Each block's power and comparison go to one block-sized scratch each.
     The best power is freed before the output is written ``_BLOCK`` samples
     at a time.  The earlier tap wins a tie.
     """
@@ -373,16 +380,20 @@ def detected_excess_series(
     phases, m = _comb_layout(fading.doppler_hz, period_s, count)[3:]
     best_power = np.zeros((phases, m))
     best_tap = np.zeros((phases, m), dtype=np.min_scalar_type(pdp.n_taps - 1))
+    # Reused by every block; ``np.square`` is bitwise ``** 2``.
+    tap_power = np.empty((_block_rows(phases, m), m))
+    better = np.empty(tap_power.shape, dtype=bool)
     for i, power in enumerate(pdp.linear_powers):
         first = 0
         for block in _tap_series(power, fading, period_s, count, offset_s, rng):
             rows, first = slice(first, first + len(block)), first + len(block)
-            tap_power = np.abs(block) ** 2
-            better = tap_power > best_power[rows]
-            np.copyto(best_power[rows], tap_power, where=better)
-            np.copyto(best_tap[rows], i, where=better)
-        del block, tap_power  # free this tap's buffer before the next tap makes one
-    del best_power
+            p, b = tap_power[:len(block)], better[:len(block)]
+            np.square(np.abs(block, out=p), out=p)
+            np.greater(p, best_power[rows], out=b)
+            np.copyto(best_power[rows], p, where=b)
+            np.copyto(best_tap[rows], i, where=b)
+        del block  # free this tap's buffer before the next tap makes one
+    del best_power, tap_power, better
     excess, tap = pdp.delays_ns - pdp.delays_ns[0], best_tap.T.ravel()[:count]
     out = np.empty(count)
     for n in range(0, count, _BLOCK):

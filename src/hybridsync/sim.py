@@ -77,14 +77,14 @@ WINDUP_PPM = 100.0  # anti-windup clamp on the servo's frequency integrator
 HIST_BINS = 64
 DIVERGENCE_FACTOR = 10.0
 
-# Excess-delay series entries one replica may hold: about 0.5 GB at the 63 B
-# per entry of peak RSS measured on one-way IWLAN_B (55 MB at 130 s, 102 MB
-# at 520 s, 10 km/h), and 4x the largest preset default (emulator-wsharp,
-# 2 kHz over 1000 s).
+# Excess-delay series entries one replica may hold: about 0.16 GB at the 14 B
+# per entry of peak RSS measured on one-way IWLAN_B (43 MB at 130 s, 53 MB at
+# 520 s, 66 MB at 1000 s, 10 km/h), and 4x the largest preset default
+# (emulator-wsharp, 2 kHz over 1000 s).
 MAX_SERIES_ENTRIES = 2 ** 23
-# Recorded PPS edges per replica and per run: at 48 B per edge at a replica's
-# peak and 24 B per edge kept of every replica (tracemalloc), each is ~0.4 GB.
-MAX_PPS_EDGES, MAX_RUN_PPS_EDGES = 2 ** 23, 2 ** 24
+# Recorded PPS edges over all replicas: ~0.27 GB at the 16 B per edge a run
+# holds (tracemalloc), its samples and their deviations from the mean.
+MAX_RUN_PPS_EDGES = 2 ** 24
 
 # The wireless scheme of every named setup, in the order the CLI lists them.
 _PRESET_SCHEMES = {
@@ -297,11 +297,10 @@ class ExperimentConfig:
         if (not isinstance(self.replicas, Integral) or isinstance(self.replicas, bool)
                 or self.replicas < 1):
             raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
-        edges = last_k - first_k + 1
-        if edges > MAX_PPS_EDGES or edges * self.replicas > MAX_RUN_PPS_EDGES:
+        edges = (last_k - first_k + 1) * self.replicas
+        if edges > MAX_RUN_PPS_EDGES:
             raise ValueError(f"pps_interval_s, duration_s and replicas ask for {edges} PPS "
-                             f"edges per replica and {edges * self.replicas} in all; at most "
-                             f"{MAX_PPS_EDGES} and {MAX_RUN_PPS_EDGES} fit")
+                             f"edges in all; at most {MAX_RUN_PPS_EDGES} fit")
         if not isinstance(self.drift_free, bool):
             raise ValueError(f"drift_free must be true or false, got {self.drift_free!r}")
         if (not isinstance(self.cdc_stages, Integral) or isinstance(self.cdc_stages, bool)
@@ -515,6 +514,14 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
 _BLOCK = 4096
 
 
+def _cut_runs(ends, a: int, b: int, *values) -> list:
+    """Each of ``values``, given per run, repeated over positions a..b-1,
+    where run r ends before position ``ends[r]`` and starts at the previous end."""
+    r0, r1 = np.searchsorted(ends, (a, b - 1), side="right")
+    cut = np.concatenate((ends[r0:r1], [b])) - np.concatenate(([a], ends[r0:r1]))
+    return [np.repeat(x[r0:r1 + 1], cut) for x in values]
+
+
 def _stamps(h: _HopRuntime, a: int, b: int, mo: np.ndarray, mr: np.ndarray) -> list:
     """What exchanges a..b-1 of a hop stamp without the slave clock, as lists.
 
@@ -596,11 +603,7 @@ def _run_hop(h: _HopRuntime, n_end: int, master, off: list, rate: list,
         if j == b:
             t1s = tas = cas = replies = trs = crs = t4s = tbs = None  # free the last block
             a, b = j, min(j + width, n_end)
-            # The master's runs over exchanges a..b-1, cut to them.
-            r0, r1 = np.searchsorted(ends, (a, b - 1), side="right")
-            cut = np.concatenate((ends[r0:r1], [b])) - np.concatenate(([a], ends[r0:r1]))
-            t1s, tas, cas, *replies = _stamps(h, a, b, np.repeat(mo_runs[r0:r1 + 1], cut),
-                                              np.repeat(mr_runs[r0:r1 + 1], cut))
+            t1s, tas, cas, *replies = _stamps(h, a, b, *_cut_runs(ends, a, b, mo_runs, mr_runs))
             if not one_way:
                 trs, crs, t4s, tbs = replies
         e = min(stops[s] - k, walk_n[k], b)
@@ -753,17 +756,24 @@ def _pps_samples(ref, slv, first_k: int, interval_ns: float,
 
     ``ref`` and ``slv`` give the reference and the measured clock as runs
     (offsets, rates, edge counts) over the same edges.  Edge k is where both
-    counters read k * interval.  The expression is the scalar one applied
-    elementwise, and k stays far below 2**53, so each sample is bitwise what
-    a per-edge evaluation gives.  NaN never counts as diverged.
+    counters read k * interval.  Both clocks are cut to ``_BLOCK`` edges at a
+    time, so the output is the only array as long as the run.  The expression
+    is the scalar one applied elementwise, and k stays far below 2**53, so
+    each sample is bitwise what a per-edge evaluation gives, whatever the
+    block.  NaN never counts as diverged.
     """
-    (off_ref, rate_ref), (off_slv, rate_slv) = ([np.repeat(x, p[2]) for x in p[:2]]
-                                                for p in (ref, slv))
-    target = np.arange(first_k, first_k + off_ref.size) * interval_ns
-    # (target - off_ref) / rate_ref - (target - off_slv) / rate_slv, in place.
-    samples = np.divide(np.subtract(target, off_ref, out=off_ref), rate_ref, out=off_ref)
-    samples -= np.divide(np.subtract(target, off_slv, out=off_slv), rate_slv, out=off_slv)
-    converged = not np.any((samples > diverged_limit) | (samples < -diverged_limit))
+    ends = [np.cumsum(p[2]) for p in (ref, slv)]
+    samples = np.empty(int(ends[0][-1]))
+    converged = True
+    for a in range(0, samples.size, _BLOCK):
+        b = min(a + _BLOCK, samples.size)
+        (off_ref, rate_ref), (off_slv, rate_slv) = (_cut_runs(e, a, b, *p[:2])
+                                                    for e, p in zip(ends, (ref, slv)))
+        target = np.arange(first_k + a, first_k + b) * interval_ns
+        # (target - off_ref) / rate_ref - (target - off_slv) / rate_slv, in place.
+        out = np.divide(np.subtract(target, off_ref, out=off_ref), rate_ref, out=samples[a:b])
+        out -= np.divide(np.subtract(target, off_slv, out=off_slv), rate_slv, out=off_slv)
+        converged = converged and not np.any((out > diverged_limit) | (out < -diverged_limit))
     return samples, converged
 
 
@@ -787,22 +797,30 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     Replica seed streams are pre-split from the experiment seed, so the
     result is identical whatever ``workers`` is.  The replicas run on
     ``pool`` when one is given (as from ``replica_pool``, which the caller
-    closes), else on a pool of their own.  Sets ``converged=False`` if any
-    post-warmup sample exceeds ten times the chain budget.
+    closes), else on a pool of their own.  Each replica's samples are copied
+    as they arrive into one ``replicas x edges`` array; the statistics, and
+    with ``return_samples`` the per-replica arrays, are views of its rows.
+    Sets ``converged=False`` if any post-warmup sample exceeds ten times the
+    chain budget.
     """
     topo = build_topology(config)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
     jobs = [(topo, config, s) for s in seeds]
+    first_k, last_k = _recorded_pps_edges(_to_ps("duration_s", config.duration_s),
+                                          _to_ps("warmup_s", config.warmup_s),
+                                          _period_ps("pps_interval_s", config.pps_interval_s))
+    pooled = np.empty((config.replicas, last_k - first_k + 1))
+    converged = True
     # A caller's pool is left open; an own one is closed here.
     scope = replica_pool(workers, config.replicas) if pool is None else nullcontext(pool)
     with scope as pool:
-        results = list(pool.map(_replica_job, jobs)) if pool else [_replica_job(j) for j in jobs]
-    sample_arrays = [r[0] for r in results]
-    converged = all(r[1] for r in results)
-    pooled = np.concatenate(sample_arrays)
-    stats = compute_stats(pooled)
-    per_replica = tuple(compute_stats(s) for s in sample_arrays)
+        results = pool.map(_replica_job, jobs) if pool else map(_replica_job, jobs)
+        for row in pooled:  # no reference to a replica's samples outlives its copy
+            row[:], ok = next(results)
+            converged &= ok
+    stats = compute_stats(pooled.reshape(-1))
+    per_replica = tuple(compute_stats(row) for row in pooled)
     stats = replace(stats, per_replica=per_replica, converged=converged)
     if return_samples:
-        return stats, sample_arrays
+        return stats, list(pooled)
     return stats

@@ -5,7 +5,6 @@ import hashlib
 import io
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +16,7 @@ from hybridsync import channel, cli, sim
 from hybridsync.budget import HOP_WIRELESS_ONE_WAY, HOP_WIRELESS_TWO_WAY, wireless_link_budget
 from hybridsync.channel import CHANNEL_CATALOG
 from hybridsync.cli import _write_samples_csv, main
+from footprint import traced_peak
 from test_protocol import GAIN_EDGE_IDS, GAIN_EDGES
 
 FAST = [
@@ -427,12 +427,7 @@ def test_samples_writer_memory_stays_small(tmp_path, fallbacks):
     rng = np.random.default_rng(19)
     arrays = [rng.choice([-1.0, 1.0], 210_000) * rng.integers(2 ** 15, 60 * 2 ** 15, 210_000)
               * 2.0 ** -15 for _ in range(2)]
-    tracemalloc.start()
-    try:
-        _write_samples_csv(tmp_path / "samples.csv", arrays)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: _write_samples_csv(tmp_path / "samples.csv", arrays))
     assert fallbacks == []
     assert peak < 3.5 * 2 ** 20
 

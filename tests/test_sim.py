@@ -2,7 +2,6 @@
 per-exchange oracle and the engine against a time-major reference."""
 
 import copy
-import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +35,7 @@ from hybridsync.sim import (
     run_experiment,
     _run_hop,
 )
+from footprint import traced_peak
 from test_budget import run_with_package
 
 
@@ -546,7 +546,8 @@ class TestTopologies:
 class TestPpsSegments:
     """Each probe's clock comes as segments (runs) of edges that see one state."""
 
-    def test_matches_per_edge_evaluation_bitwise(self):
+    @staticmethod
+    def probes():
         # The two probes' runs end at different edges.
         rng = np.random.default_rng(5)
         probes = []
@@ -555,6 +556,10 @@ class TestPpsSegments:
             counts[-1] += 2000 - counts.sum()
             probes.append((rng.uniform(-1e6, 1e6, 40), 1.0 + rng.uniform(-2e-6, 2e-6, 40),
                            counts))
+        return probes
+
+    def test_matches_per_edge_evaluation_bitwise(self):
+        probes = self.probes()
         first_k, interval_ns = 12_345, 2e6
         samples, converged = _pps_samples(*probes, first_k, interval_ns, np.inf)
         (off_ref, rate_ref), (off_slv, rate_slv) = (
@@ -564,6 +569,23 @@ class TestPpsSegments:
                     for i, k in enumerate(range(first_k, first_k + 2000))]
         assert samples.tolist() == expected
         assert converged
+
+    @pytest.mark.parametrize("block", [1, 3, 2001])
+    def test_blocks_do_not_change_the_samples(self, monkeypatch, block):
+        # Blocks of one edge, of three (most runs end inside one) and one
+        # block for all 2000 edges give what the unblocked formula gives.
+        probes = self.probes()
+        first_k, interval_ns = 12_345, 2e6
+        (off_ref, rate_ref), (off_slv, rate_slv) = (
+            [np.repeat(x, counts) for x in (off, rate)] for off, rate, counts in probes)
+        target = np.arange(first_k, first_k + 2000) * interval_ns
+        expected = (target - off_ref) / rate_ref - (target - off_slv) / rate_slv
+        # Only the largest sample lies beyond the second-largest magnitude.
+        limit = np.sort(np.abs(expected))[-2]
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        samples, converged = _pps_samples(*probes, first_k, interval_ns, np.inf)
+        assert samples.tobytes() == expected.tobytes() and converged
+        assert _pps_samples(*probes, first_k, interval_ns, limit)[1] is False
 
     def test_divergence_inside_a_segment(self):
         # The measured clock runs 1 ppb fast: errors 1, 2, 3, 4 ns at edges 1-4.
@@ -630,12 +652,12 @@ class TestExperimentConfig:
                                     warmup_s=0.0, pps_interval_s=pps_interval_s,
                                     replicas=replicas)
 
-        per_run = sim.MAX_RUN_PPS_EDGES // 16
-        config(sim.MAX_PPS_EDGES, 1)
-        config(per_run, 16)
-        for args in ((sim.MAX_PPS_EDGES + 1, 1), (per_run, 17), (10 ** 9, 1000, 1e-6)):
+        per_replica = sim.MAX_RUN_PPS_EDGES // 16
+        config(sim.MAX_RUN_PPS_EDGES, 1)
+        config(per_replica, 16)
+        for args in ((sim.MAX_RUN_PPS_EDGES + 1, 1), (per_replica, 17), (10 ** 9, 1000, 1e-6)):
             with pytest.raises(ValueError, match="^pps_interval_s, duration_s and replicas "
-                                                 f"ask for {args[0]} PPS edges per replica"):
+                                                 f"ask for {args[0] * args[1]} PPS edges in all"):
                 config(*args)
 
     def test_refuses_a_flight_time_not_below_the_sync_period(self):
@@ -744,6 +766,15 @@ class TestRunExperiment:
         assert len(stats.per_replica) == 2
         assert stats.converged
 
+    def test_replica_samples_are_rows_of_one_pooled_array(self):
+        stats, arrays = run_experiment(self.quick_config(replicas=3), return_samples=True)
+        assert [a.ctypes.data - arrays[0].ctypes.data for a in arrays] == [
+            i * arrays[0].nbytes for i in range(3)]
+        assert all(np.shares_memory(a, arrays[0].base) for a in arrays)
+        assert stats.per_replica == tuple(compute_stats(a.copy()) for a in arrays)
+        assert replace(stats, per_replica=(), converged=True) == compute_stats(
+            np.concatenate(arrays))
+
     def test_drift_free_chain_respects_budget(self):
         config = self.quick_config(replicas=8)
         budget = chain_max_error(topology_budget(build_topology(config)))
@@ -841,15 +872,29 @@ class TestFootprint:
             sim._run_replica(build_topology(config), config, np.random.SeedSequence(1))
 
         replica(8.0)  # first-call allocations
-        peaks = []
-        for duration_s in (13.0, 26.0):
-            tracemalloc.start()
-            try:
-                replica(duration_s)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(lambda: replica(duration_s))[0] for duration_s in (13.0, 26.0)]
         assert (peaks[1] - peaks[0]) / (13 * 2000) <= 56.0
+
+    def test_pps_memory_per_edge(self):
+        # Memory that grows with the recorded PPS edges, on a drift-free chain
+        # at 1 kHz PPS: a replica holds its samples (8 B an edge) and blocks of
+        # a fixed size; a run holds every replica's samples in one array, and
+        # np.std's deviations from the mean beside it (8 B more).
+        def config(edges, replicas=1):
+            return ExperimentConfig(preset="calnex-eth3", drift_free=True, warmup_s=0.0,
+                                    pps_interval_s=1e-3, duration_s=edges * 1e-3,
+                                    replicas=replicas)
+
+        def replica(edges):
+            c = config(edges)
+            sim._run_replica(build_topology(c), c, np.random.SeedSequence(1))
+
+        replica(1000)  # first-call allocations
+        peaks = [traced_peak(lambda: replica(edges))[0] for edges in (100_000, 200_000)]
+        assert (peaks[1] - peaks[0]) / 100_000 <= 12.0
+        peaks = [traced_peak(lambda: run_experiment(config(edges, 4), return_samples=True))[0]
+                 for edges in (100_000, 200_000)]
+        assert (peaks[1] - peaks[0]) / (4 * 100_000) <= 17.0
 
     def test_replicas_never_import_numpy_ma(self):
         # numpy.ma costs about 38 ms to import; np.unique is one lazy importer.
