@@ -6,14 +6,17 @@ as a Rayleigh process under the Jakes Doppler spectrum, whose
 autocorrelation is ``J0(2 * pi * f_d * tau)``.
 A strongest-tap detector locks onto the replica with the most
 instantaneous power, which is what injects multipath error into receive
-timestamps.
+timestamps.  It gives that tap's index at each instant, one byte up to 256
+taps, which a table of tap excess delays turns into the detected delay.
 
 Tap gains are sampled on regular combs with period ``T``, and the synthesis
 route follows from ``f_d * T`` alone: a zero Doppler freezes each tap to one
 draw, ``f_d * T >= 0.5`` gives independent draws, and every other comb is an
 inverse DFT of the Doppler spectrum run as band-sized polyphase transforms
 (Young & Beaulieu 2000; Markel 1971), one cache-sized row block at a time.
-A single instant is a one-sample comb.
+The detector runs such a comb's rows in two halves, each drawing every
+tap's spectrum again from the same generator state, so that it holds the
+running best power of half the comb.  A single instant is a one-sample comb.
 """
 
 from __future__ import annotations
@@ -277,6 +280,7 @@ def detect_arrival(realization: ChannelRealization, pdp: PowerDelayProfile) -> f
 # --- Series synthesis for periodic sampling ----------------------------------
 
 _BLOCK = 2 ** 17  # most samples per inverse-DFT row block: 2 MiB, held in cache
+_GROUPS = 2  # row groups the detector runs an inverse-DFT comb in, one after another
 
 
 def _comb_layout(f_d, period_s, count):
@@ -297,38 +301,53 @@ def _block_rows(phases, m):
     return min(phases, max(1, _BLOCK // m))
 
 
-def _tap_series(power, fading, period_s, count, offset_s, rng):
+def _comb(fading, period_s, count):
+    """``(layout, shared)``: a comb's ``_comb_layout`` and what all its taps
+    share, None for draws.  For an inverse DFT that is the bins ``k``, their
+    masses (the Jakes CDF step across their edges ``(k -+ 0.5) * df``), their
+    places ``k % m`` in a row, the turn ``exp(2j * pi * k / n_fft)`` from one
+    row to the next and one row-block buffer."""
+    f_d = fading.doppler_hz
+    layout = n_fft, df, kmax, phases, m = _comb_layout(f_d, period_s, count)
+    if not kmax:
+        return layout, None
+    # int32 halves k and its places beside int64, and converts exactly.
+    k = np.arange(-kmax, kmax + 1, dtype=np.int32)
+    masses = np.diff(_jakes_cdf(np.arange(-kmax - 0.5, kmax + 1) * df / f_d))
+    # One phase has no next row; skipping its turn spares a spectrum-sized array.
+    turn = np.exp(2j * math.pi / n_fft * k) if phases > 1 else 1.0
+    return layout, (k, masses, k % m, turn, np.empty((_block_rows(phases, m), m), complex))
+
+
+def _tap_series(power, fading, comb, offset_s, rng, rows):
     """Yield one tap's complex gains at instants ``offset_s + n * period_s``
-    as consecutive row blocks of its ``_comb_layout``.
+    on rows ``rows`` (a range) of its ``_comb``, as consecutive row blocks.
 
     The route depends only on the Doppler frequency ``f_d`` and the period
     ``T``: ``f_d = 0`` is one frozen draw, ``f_d * T >= 0.5`` (sampling far
     coarser than the coherence time) gives independent draws, and anything
     else is band-limited spectral synthesis by an inverse DFT, row ``l`` on
     the bins turned by ``exp(2j * pi * k * l / n_fft)``.  Draws are one block;
-    inverse-DFT blocks hold at most ``_BLOCK`` samples of one reused buffer.
+    inverse-DFT blocks hold at most ``_BLOCK`` samples of the comb's buffer.
+    Whatever ``rows`` is, the tap draws its whole spectrum from ``rng``.
     """
-    f_d = fading.doppler_hz
-    n_fft, df, kmax, phases, m = _comb_layout(f_d, period_s, count)
+    (_, df, kmax, _, m), shared = comb
     if not kmax:  # one draw held over the comb if f_d = 0, else one per sample
-        shape = (1, 1 if f_d == 0.0 else count)
+        shape = (1, 1 if fading.doppler_hz == 0.0 else m)
         yield np.broadcast_to(math.sqrt(power / 2.0) * (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)), (1, count))
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)), (1, m))
         return
-    # Inverse DFT of the Doppler spectrum (Young & Beaulieu 2000); bin k's
-    # mass is the CDF step across its edges (k -+ 0.5) * df.
-    k = np.arange(-kmax, kmax + 1)
-    masses = np.diff(_jakes_cdf(np.arange(-kmax - 0.5, kmax + 1) * df / f_d))
+    # Inverse DFT of the Doppler spectrum (Young & Beaulieu 2000).
+    k, masses, bins, turn, buffer = shared
     coeffs = np.sqrt(power * masses / 2.0) * (
         rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))
     )
     # Not *=: numpy reuses big exp temporaries as exp * coeffs, whose last bits differ.
     coeffs = coeffs * np.exp(2j * math.pi * k * df * offset_s)
-    bins, turn = k % m, np.exp(2j * math.pi / n_fft * k)
-    del masses, k  # each as long as the spectrum on a band-filling comb
-    buffer = np.empty((_block_rows(phases, m), m), dtype=complex)
-    for first in range(0, phases, len(buffer)):
-        block = buffer[:phases - first]
+    for _ in range(rows.start):  # turned once per earlier row, as one pass turns it
+        coeffs *= turn
+    for first in range(rows.start, rows.stop, len(buffer)):
+        block = buffer[:rows.stop - first]
         block.fill(0.0)
         for row in block:
             # Bins +-n_fft/2 alias when f_d * T nears 0.5 (one row, m == n_fft); sum them.
@@ -349,13 +368,45 @@ def tap_gain_series(
 ) -> np.ndarray:
     """Complex gains of every tap on a regular comb, shape ``(n_taps, count)``,
     each row of each tap's blocks copied straight to its strided samples."""
-    phases = _comb_layout(fading.doppler_hz, period_s, count)[3]
+    comb = _comb(fading, period_s, count)
+    phases = comb[0][3]
     out = np.empty((pdp.n_taps, count), dtype=complex)
     for i, power in enumerate(pdp.linear_powers):
-        blocks = _tap_series(power, fading, period_s, count, offset_s, rng)
+        blocks = _tap_series(power, fading, comb, offset_s, rng, range(phases))
         for phase, gains in enumerate(row for block in blocks for row in block):
             out[i, phase::phases] = gains[:len(range(phase, count, phases))]
     return out
+
+
+def _strongest_taps(pdp, fading, period_s, count, offset_s, rng):
+    """The index of the strongest tap at each comb instant; see
+    ``detected_excess_series``."""
+    dtype = np.min_scalar_type(pdp.n_taps - 1)
+    if pdp.n_taps == 1:
+        return np.zeros(count, dtype)
+    comb = _comb(fading, period_s, count)
+    phases, m = comb[0][3:]
+    groups = min(_GROUPS, phases)
+    edges = [phases * g // groups for g in range(groups + 1)]
+    best_tap = np.zeros((phases, m), dtype)
+    # Reused by every block; ``np.square`` is bitwise ``** 2``.
+    tap_power = np.empty((_block_rows(phases, m), m))
+    better = np.empty(tap_power.shape, dtype=bool)
+    entry = rng.bit_generator.state
+    for lo, hi in zip(edges, edges[1:]):
+        rng.bit_generator.state = entry
+        best_power = np.zeros((hi - lo, m))
+        for i, power in enumerate(pdp.linear_powers):
+            first = 0
+            for block in _tap_series(power, fading, comb, offset_s, rng, range(lo, hi)):
+                rows, first = slice(first, first + len(block)), first + len(block)
+                p, b = tap_power[:len(block)], better[:len(block)]
+                np.square(np.abs(block, out=p), out=p)
+                np.greater(p, best_power[rows], out=b)
+                np.copyto(best_power[rows], p, where=b)
+                np.copyto(best_tap[lo:hi][rows], i, where=b)
+        del best_power  # freed before the next group's is made
+    return best_tap.T.ravel()[:count]
 
 
 def detected_excess_series(
@@ -365,37 +416,26 @@ def detected_excess_series(
     count: int,
     offset_s: float,
     rng: np.random.Generator,
+    *,
+    taps: bool = False,
 ) -> np.ndarray:
-    """Excess delay (ns) of the strongest tap at each comb instant.
+    """Excess delay (ns) of the strongest tap at each comb instant: with
+    ``taps``, that tap's index in the smallest unsigned type that holds every
+    index (one byte up to 256 taps), else the index looked up in
+    ``pdp.delays_ns - pdp.delays_ns[0]``, ``_BLOCK`` points at a time.
 
     Synthesizes taps one at a time, a row block at a time, so long runs stay
-    within memory: only the running best power (float64) and tap index (one
-    byte up to 256 taps) persist, 9 bytes per point of the ``_comb_layout``.
-    Each block's power and comparison go to one block-sized scratch each.
-    The best power is freed before the output is written ``_BLOCK`` samples
-    at a time.  The earlier tap wins a tie.
+    within memory: only the index (1 byte per point of the ``_comb_layout``)
+    and the running best power (float64) of one of ``_GROUPS`` row groups
+    persist.  Each group restores the generator's state from entry and draws
+    every tap's spectrum again, so it sees the gains of one whole pass, and
+    the generator ends where one pass leaves it.  Each block's power and
+    comparison go to one block-sized scratch each.  The earlier tap wins a tie.
     """
-    if pdp.n_taps == 1:
-        return np.zeros(count)
-    phases, m = _comb_layout(fading.doppler_hz, period_s, count)[3:]
-    best_power = np.zeros((phases, m))
-    best_tap = np.zeros((phases, m), dtype=np.min_scalar_type(pdp.n_taps - 1))
-    # Reused by every block; ``np.square`` is bitwise ``** 2``.
-    tap_power = np.empty((_block_rows(phases, m), m))
-    better = np.empty(tap_power.shape, dtype=bool)
-    for i, power in enumerate(pdp.linear_powers):
-        first = 0
-        for block in _tap_series(power, fading, period_s, count, offset_s, rng):
-            rows, first = slice(first, first + len(block)), first + len(block)
-            p, b = tap_power[:len(block)], better[:len(block)]
-            np.square(np.abs(block, out=p), out=p)
-            np.greater(p, best_power[rows], out=b)
-            np.copyto(best_power[rows], p, where=b)
-            np.copyto(best_tap[rows], i, where=b)
-        del block  # free this tap's buffer before the next tap makes one
-    del best_power, tap_power, better
-    excess, tap = pdp.delays_ns - pdp.delays_ns[0], best_tap.T.ravel()[:count]
-    out = np.empty(count)
+    best_tap = _strongest_taps(pdp, fading, period_s, count, offset_s, rng)
+    if taps:
+        return best_tap
+    excess, out = pdp.delays_ns - pdp.delays_ns[0], np.empty(count)
     for n in range(0, count, _BLOCK):
-        out[n:n + _BLOCK] = excess[tap[n:n + _BLOCK]]
+        np.take(excess, best_tap[n:n + _BLOCK], out=out[n:n + _BLOCK])
     return out

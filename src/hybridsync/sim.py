@@ -77,10 +77,10 @@ WINDUP_PPM = 100.0  # anti-windup clamp on the servo's frequency integrator
 HIST_BINS = 64
 DIVERGENCE_FACTOR = 10.0
 
-# Excess-delay series entries one replica may hold: about 0.16 GB at the 14 B
-# per entry of peak RSS measured on one-way IWLAN_B (43 MB at 130 s, 53 MB at
-# 520 s, 66 MB at 1000 s, 10 km/h), and 4x the largest preset default
-# (emulator-wsharp, 2 kHz over 1000 s).
+# Excess-delay series entries one replica may hold: about 64 MB at the 7.6 B
+# per entry of peak RSS measured on one-way IWLAN_B (42 MB at 130 s, 50 MB at
+# 520 s, 59 MB at 1000 s, 71 MB at 2000 s, 10 km/h), and 4x the largest preset
+# default (emulator-wsharp, 2 kHz over 1000 s).
 MAX_SERIES_ENTRIES = 2 ** 23
 # Recorded PPS edges over all replicas: ~0.27 GB at the 16 B per edge a run
 # holds (tracemalloc), its samples and their deviations from the mean.
@@ -212,13 +212,15 @@ def compute_stats(samples) -> RunStats:
         raise ValueError("need at least two samples")
     mu = float(samples.mean())
     sigma = float(samples.std(ddof=1))
-    counts, edges = np.histogram(samples, bins=HIST_BINS)
+    low, high = float(samples.min()), float(samples.max())
+    # The extrema are np.histogram's own default range: bitwise its edges.
+    counts, edges = np.histogram(samples, bins=HIST_BINS, range=(low, high))
     return RunStats(
         mu_ns=mu,
         sigma_ns=sigma,
         mu_plus_3sigma_ns=abs(mu) + 3.0 * sigma,
-        min_ns=float(samples.min()),
-        max_ns=float(samples.max()),
+        min_ns=low,
+        max_ns=high,
         n_samples=int(samples.size),
         hist_edges=tuple(float(e) for e in edges),
         hist_counts=tuple(int(c) for c in counts),
@@ -432,13 +434,14 @@ class _HopRuntime:
 
     Exchange n (from 0) starts at ``first_ps + n * period_ps``; ``n`` counts
     the exchanges run so far.  ``dmf``/``dmr`` hold one forward/reverse
-    excess-delay float64 series per burst position, indexed by period.
+    series per burst position, indexed by period, of indices into the hop's
+    excess-delay table ``excess`` (ns): one byte per entry up to 256 taps.
     """
 
     __slots__ = (
         "mi", "si", "scheme", "egress_quant", "period_ps", "first_ps", "n", "kp", "ki", "k3",
         "integ", "locked", "ts_m", "ph_m", "ts_s", "ph_s", "cdc_m", "cdc_s",
-        "prop_ns", "calib_ns", "dmf", "dmr", "burst",
+        "prop_ns", "calib_ns", "excess", "dmf", "dmr", "burst",
     )
 
 
@@ -488,24 +491,26 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
     h.prop_ns = propagation_delay_ns(hop.geometry)
     h.calib_ns = hop.protocol.calibrated_delay_ns
     count, h.burst, directions = _series_shape(hop, duration_ps)
-    h.dmf = [np.zeros(count) for _ in range(h.burst)]
-    h.dmr = [np.zeros(count) for _ in range(h.burst)] if directions == 2 else []
+    h.excess = np.zeros(1)
+    h.dmf = [np.zeros(count, np.uint8) for _ in range(h.burst)]
+    h.dmr = [np.zeros(count, np.uint8) for _ in range(h.burst)] if directions == 2 else []
     if hop.medium == "wireless" and hop.channel is not None:
         pdp = build_pdp(hop.channel)
         if pdp.n_taps > 1:
+            h.excess = pdp.delays_ns - pdp.delays_ns[0]
             fading = FadingConfig(doppler_hz=hop.doppler_hz)
             fwd_rng, rev_rng = fading_seeds
             period_s = hop.protocol.sync_period_s
             for b in range(h.burst):
                 h.dmf[b] = detected_excess_series(
                     pdp, fading, period_s, count,
-                    hop.stagger_s + b * BURST_SPACING_S, fwd_rng)
+                    hop.stagger_s + b * BURST_SPACING_S, fwd_rng, taps=True)
             if directions == 2:
                 rev_offset = hop.stagger_s + h.prop_ns * 1e-9 + REPLY_DELAY_S
                 for b in range(h.burst):
                     h.dmr[b] = detected_excess_series(
                         pdp, fading, period_s, count,
-                        rev_offset + b * BURST_SPACING_S, rev_rng)
+                        rev_offset + b * BURST_SPACING_S, rev_rng, taps=True)
     return h
 
 
@@ -544,14 +549,14 @@ def _stamps(h: _HopRuntime, a: int, b: int, mo: np.ndarray, mr: np.ndarray) -> l
         return h.ts_m * (np.ceil(v / h.ts_m - h.ph_m - 0.5) + h.ph_m)
 
     if h.scheme == SCHEME_ONE_WAY:
-        ta = send + h.prop_ns + h.dmf[0][a:b]
+        ta = send + h.prop_ns + h.excess[h.dmf[0][a:b]]
         return [master(send).tolist(), ta.tolist(), cdc(ta, h.cdc_s).tolist()]
     columns = np.empty((7, b - a, h.burst))
     for p, (fwd, rev) in enumerate(zip(h.dmf, h.dmr)):
         t = send + p * (BURST_SPACING_S * 1e9)
-        ta = t + h.prop_ns + fwd[a:b]
+        ta = t + h.prop_ns + h.excess[fwd[a:b]]
         tr = ta + REPLY_DELAY_S * 1e9
-        tb = tr + h.prop_ns + rev[a:b]
+        tb = tr + h.prop_ns + h.excess[rev[a:b]]
         t1 = quantize(master(t)) if h.egress_quant else master(t)
         columns[:, :, p] = (t1, ta, cdc(ta, h.cdc_s), tr, cdc(tr, h.cdc_s),
                             quantize(master(tb)), tb)

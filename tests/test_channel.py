@@ -1,6 +1,7 @@
 """Power delay profiles, fading synthesis and arrival detection."""
 
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -51,10 +52,12 @@ def direct_ifft_series(power, f_d, period_s, count, offset_s, rng):
     return (np.fft.ifft(spectrum) * n_fft)[:count]
 
 
-def tap_block(*args):
-    """One tap's ``channel._tap_series`` blocks stacked into its ``(phases, m)``
-    layout; each block is copied out before its buffer is reused."""
-    return np.concatenate([block.copy() for block in channel._tap_series(*args)])
+def tap_block(power, fading, period_s, count, offset_s, rng):
+    """One tap's ``channel._tap_series`` blocks over every row stacked into its
+    ``(phases, m)`` layout; each block is copied out before its buffer is reused."""
+    comb = channel._comb(fading, period_s, count)
+    blocks = channel._tap_series(power, fading, comb, offset_s, rng, range(comb[0][3]))
+    return np.concatenate([block.copy() for block in blocks])
 
 
 # One comb per synthesis route, on 3000 points.
@@ -313,14 +316,35 @@ class TestFadingStatistics:
         # The same comb's detected series, pinned before it was synthesised in
         # row blocks, which took its traced peak from 34.6 MB to 16.6 MB.
         # Writing each block's power and comparison into reused scratch took
-        # it from 14.7 MB to 13.7 MB.
+        # it from 14.7 MB to 13.7 MB; holding one half's best power and a
+        # one-byte tap index, to 11.5 MB.
         pdp = build_pdp("IWLAN_B")
         fading = FadingConfig(doppler_hz=doppler_from_speed(10.0))
         peak, excess = traced_peak(lambda: detected_excess_series(
             pdp, fading, 5e-4, 1_040_002, 0.0003, np.random.default_rng(5)))
         assert hashlib.sha256(excess.tobytes()).hexdigest() == (
             "2a0f035285155e9dcd249e436962a3541af7912a4fb0878b593be5e4fc6e6c96")
-        assert peak <= 14e6
+        assert peak <= 12e6
+
+    def test_trend_comb_index_series_is_small(self):
+        # The series the simulator holds: the strongest tap's index, one byte
+        # a point, whose lookup in the tap excess delays is bitwise the
+        # detected series.  Its traced growth from 260,001 to 1,040,002 points
+        # is the index and half a comb of best power: 6.7 B a point, where
+        # the float64 series and a whole comb's best power took 9.97 B.
+        pdp = build_pdp("IWLAN_B")
+        fading = FadingConfig(doppler_hz=doppler_from_speed(10.0))
+
+        def taps(count, **kwargs):
+            return detected_excess_series(pdp, fading, 5e-4, count, 0.0003,
+                                          np.random.default_rng(5), **kwargs)
+
+        (small, _), (large, index) = [traced_peak(lambda: taps(count, taps=True))
+                                      for count in (260_001, 1_040_002)]
+        assert (large - small) / (1_040_002 - 260_001) <= 8.0
+        assert index.dtype == np.uint8 and index.shape == (1_040_002,)
+        excess = (pdp.delays_ns - pdp.delays_ns[0])[index]
+        assert excess.tobytes() == taps(1_040_002).tobytes()
 
     @pytest.mark.parametrize("name, doppler_hz, period_s, count, digest", [
         ("IWLAN_B", 22.24, 0.5e-3, 3000,
@@ -407,29 +431,35 @@ class TestDetection:
 
     def test_earlier_tap_wins_a_tie(self, monkeypatch):
         pdp = PowerDelayProfile([(0.0, 0.0), (50.0, -1.0), (100.0, -2.0)])
-        gains = iter([np.array([1, 1, 0.5, 1], dtype=complex),
-                      np.array([1j, 2, 0.5j, -1]),
-                      np.array([-1, 2j, 0.5, 3], dtype=complex)])
+        gains = dict(zip(pdp.linear_powers, [np.array([1, 1, 0.5, 1], dtype=complex),
+                                             np.array([1j, 2, 0.5j, -1]),
+                                             np.array([-1, 2j, 0.5, 3], dtype=complex)]))
 
-        def blocks(*args):
-            # the comb's layout is 4 phases of 4 points: one sample per row
+        def blocks(power, fading, comb, offset_s, rng, rows):
+            # the comb's layout is 4 phases of 4 points: one sample per row,
+            # a block for each row asked for
             block = np.zeros((4, 4), dtype=complex)
-            block[:, 0] = next(gains)
-            yield from (block[:2], block[2:])
+            block[:, 0] = gains[power]
+            yield from (block[row:row + 1] for row in rows)
 
         monkeypatch.setattr(channel, "_tap_series", blocks)
-        excess = detected_excess_series(pdp, FadingConfig(doppler_hz=22.24), 5e-4, 4,
-                                        0.0, np.random.default_rng(0))
-        assert excess.tolist() == [0.0, 50.0, 0.0, 100.0]
+        for groups in (1, 2, 4):
+            monkeypatch.setattr(channel, "_GROUPS", groups)
+            excess = detected_excess_series(pdp, FadingConfig(doppler_hz=22.24), 5e-4, 4,
+                                            0.0, np.random.default_rng(0))
+            assert excess.tolist() == [0.0, 50.0, 0.0, 100.0]
 
-    @pytest.mark.parametrize("doppler_hz, spectra", [(22.24, 1.5), (0.4995 / 5e-4, 6.5)],
+    @pytest.mark.parametrize("doppler_hz, spectra", [(22.24, 1.0), (0.4995 / 5e-4, 6.5)],
                              ids=["narrow", "band-filling"])
     def test_series_memory_stays_near_one_spectrum(self, doppler_hz, spectra):
-        # In units of one 16 * n_fft-byte spectrum.  Only the running best
-        # (9 bytes a point), one row block and the tap's bins live at once:
-        # 1.13 spectra on a narrow band and 5.12 when the band fills the comb,
-        # where the bins, phase turns and the one row are each about a spectrum
-        # (2.06 and 7.06 with whole-spectrum transforms).
+        # In units of one 16 * n_fft-byte spectrum.  Only the tap index (1 byte
+        # a point), one row group's running best (8 bytes a point of the group),
+        # one row block and the bins live at once: 0.94 spectra on a narrow
+        # band (1.12 with the whole comb's best) and 6.12 when the band fills
+        # the comb (5.62 with each tap's bins drawn after its row block was
+        # freed), where the bins, the one row and the coefficients' temporaries
+        # are each about a spectrum (2.06 and 7.06 with whole-spectrum
+        # transforms).
         count = 1 << 19
         pdp = build_pdp("IWLAN_B")
         fading = FadingConfig(doppler_hz=doppler_hz)
@@ -441,21 +471,49 @@ class TestDetection:
     def test_row_blocks_do_not_change_the_series(self, monkeypatch, name, doppler_hz,
                                                  period_s):
         # One row per block, three rows (the ifft comb's 32 phases leave a
-        # ragged last block) and one block for the whole comb.
+        # ragged last block) and one block for the whole comb, with the
+        # detector's rows in one group, in three and in a group per row: the
+        # tap indices, the excess delays, the gains and the generator's state
+        # afterwards are those of the default two groups and block size.
         pdp = build_pdp(name)
         fading = FadingConfig(doppler_hz=doppler_hz)
         n, offset_s = 3000, 0.0003
 
         def series():
-            return [f(pdp, fading, period_s, n, offset_s, np.random.default_rng(37)).tobytes()
-                    for f in (detected_excess_series, tap_gain_series)]
+            out = []
+            for f, kwargs in ((detected_excess_series, {"taps": True}),
+                              (detected_excess_series, {}), (tap_gain_series, {})):
+                rng = np.random.default_rng(37)
+                out += [f(pdp, fading, period_s, n, offset_s, rng, **kwargs).tobytes(),
+                        rng.bit_generator.state]
+            return out
 
         expected = series()
         n_fft, _, kmax, phases, m = channel._comb_layout(doppler_hz, period_s, n)
         assert phases == (32 if kmax else 1)
-        for block in (m, 3 * m, n_fft):
+        for groups, block in itertools.product((1, 3, phases), (m, 3 * m, n_fft)):
+            monkeypatch.setattr(channel, "_GROUPS", groups)
             monkeypatch.setattr(channel, "_BLOCK", block)
             assert series() == expected
+
+    @pytest.mark.parametrize("doppler_hz, count, rows", [
+        (22.24, 3000, [range(0, 16), range(16, 32)]), (0.4995 / 5e-4, 20_000, [range(1)])],
+        ids=["ifft", "ifft-band-filling"])
+    def test_each_group_draws_every_tap_once(self, monkeypatch, doppler_hz, count, rows):
+        # Two halves of the 32-phase comb, each tap's spectrum drawn once per
+        # half; the band-filling comb is one row, so one group.
+        calls = []
+        tap_series = channel._tap_series
+
+        def recording(power, *args):
+            calls.append((power, args[-1]))
+            return tap_series(power, *args)
+
+        monkeypatch.setattr(channel, "_tap_series", recording)
+        pdp = build_pdp("IWLAN_B")
+        detected_excess_series(pdp, FadingConfig(doppler_hz=doppler_hz), 5e-4, count,
+                               0.0003, np.random.default_rng(37))
+        assert calls == [(power, r) for r in rows for power in pdp.linear_powers]
 
     def test_single_tap_never_errs(self):
         excess = detected_excess_series(build_pdp("AWGN"), FadingConfig(), 1e-3,
