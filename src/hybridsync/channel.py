@@ -13,10 +13,9 @@ Tap gains are sampled on regular combs with period ``T``, and the synthesis
 route follows from ``f_d * T`` alone: a zero Doppler freezes each tap to one
 draw, ``f_d * T >= 0.5`` gives independent draws, and every other comb is an
 inverse DFT of the Doppler spectrum run as band-sized polyphase transforms
-(Young & Beaulieu 2000; Markel 1971), one cache-sized row block at a time.
-The detector runs such a comb's rows in two halves, each drawing every
-tap's spectrum again from the same generator state, so that it holds the
-running best power of half the comb.  A single instant is a one-sample comb.
+(Young & Beaulieu 2000; Markel 1971), one cache-sized row block at a time,
+every tap of a block before the next, so that the detector holds the
+running best power of one block.  A single instant is a one-sample comb.
 """
 
 from __future__ import annotations
@@ -280,7 +279,6 @@ def detect_arrival(realization: ChannelRealization, pdp: PowerDelayProfile) -> f
 # --- Series synthesis for periodic sampling ----------------------------------
 
 _BLOCK = 2 ** 17  # most samples per inverse-DFT row block: 2 MiB, held in cache
-_GROUPS = 2  # row groups the detector runs an inverse-DFT comb in, one after another
 
 
 def _comb_layout(f_d, period_s, count):
@@ -296,66 +294,64 @@ def _comb_layout(f_d, period_s, count):
 
 
 def _block_rows(phases, m):
-    """Rows in each of ``_tap_series``' blocks but its last: whole rows of at
-    most ``_BLOCK`` samples, or one row."""
+    """Rows in each of ``_comb_blocks``' row blocks but its last: whole rows of
+    at most ``_BLOCK`` samples, or one row."""
     return min(phases, max(1, _BLOCK // m))
 
 
-def _comb(fading, period_s, count):
-    """``(layout, shared)``: a comb's ``_comb_layout`` and what all its taps
-    share, None for draws.  For an inverse DFT that is the bins ``k``, their
-    masses (the Jakes CDF step across their edges ``(k -+ 0.5) * df``), their
-    places ``k % m`` in a row, the turn ``exp(2j * pi * k / n_fft)`` from one
-    row to the next and one row-block buffer."""
-    f_d = fading.doppler_hz
-    layout = n_fft, df, kmax, phases, m = _comb_layout(f_d, period_s, count)
-    if not kmax:
-        return layout, None
-    # int32 halves k and its places beside int64, and converts exactly.
-    k = np.arange(-kmax, kmax + 1, dtype=np.int32)
-    masses = np.diff(_jakes_cdf(np.arange(-kmax - 0.5, kmax + 1) * df / f_d))
-    # One phase has no next row; skipping its turn spares a spectrum-sized array.
-    turn = np.exp(2j * math.pi / n_fft * k) if phases > 1 else 1.0
-    return layout, (k, masses, k % m, turn, np.empty((_block_rows(phases, m), m), complex))
-
-
-def _tap_series(power, fading, comb, offset_s, rng, rows):
-    """Yield one tap's complex gains at instants ``offset_s + n * period_s``
-    on rows ``rows`` (a range) of its ``_comb``, as consecutive row blocks.
+def _comb_blocks(pdp, fading, layout, offset_s, rng):
+    """Yield ``(tap, first_row, gains)``: every tap's complex gains at instants
+    ``offset_s + n * period_s`` on rows ``first_row...`` of its ``layout``
+    (a ``_comb_layout``), one row block after another, every tap of a block
+    before the next block.
 
     The route depends only on the Doppler frequency ``f_d`` and the period
     ``T``: ``f_d = 0`` is one frozen draw, ``f_d * T >= 0.5`` (sampling far
     coarser than the coherence time) gives independent draws, and anything
     else is band-limited spectral synthesis by an inverse DFT, row ``l`` on
     the bins turned by ``exp(2j * pi * k * l / n_fft)``.  Draws are one block;
-    inverse-DFT blocks hold at most ``_BLOCK`` samples of the comb's buffer.
-    Whatever ``rows`` is, the tap draws its whole spectrum from ``rng``.
+    inverse-DFT blocks hold at most ``_BLOCK`` samples of one buffer, reused
+    by the next yield.  Each tap draws its spectrum from ``rng`` in tap order
+    during the first block and drops it after its last.
     """
-    (_, df, kmax, _, m), shared = comb
+    n_fft, df, kmax, phases, m = layout
+    powers = pdp.linear_powers
     if not kmax:  # one draw held over the comb if f_d = 0, else one per sample
         shape = (1, 1 if fading.doppler_hz == 0.0 else m)
-        yield np.broadcast_to(math.sqrt(power / 2.0) * (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)), (1, m))
+        for i, power in enumerate(powers):
+            yield i, 0, np.broadcast_to(math.sqrt(power / 2.0) * (
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)), (1, m))
         return
-    # Inverse DFT of the Doppler spectrum (Young & Beaulieu 2000).
-    k, masses, bins, turn, buffer = shared
-    coeffs = np.sqrt(power * masses / 2.0) * (
-        rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))
-    )
-    # Not *=: numpy reuses big exp temporaries as exp * coeffs, whose last bits differ.
-    coeffs = coeffs * np.exp(2j * math.pi * k * df * offset_s)
-    for _ in range(rows.start):  # turned once per earlier row, as one pass turns it
-        coeffs *= turn
-    for first in range(rows.start, rows.stop, len(buffer)):
-        block = buffer[:rows.stop - first]
-        block.fill(0.0)
-        for row in block:
-            # Bins +-n_fft/2 alias when f_d * T nears 0.5 (one row, m == n_fft); sum them.
-            np.add.at(row, bins, coeffs)
-            coeffs *= turn
-        # Unnormalised, in place: m is a power of two, so each row is bitwise
-        # ``ifft(row) * m`` without its two extra arrays.
-        yield np.fft.ifft(block, norm="forward", out=block, axis=1)
+    # Inverse DFT of the Doppler spectrum (Young & Beaulieu 2000): the bins k,
+    # their masses (the Jakes CDF step across their edges (k -+ 0.5) * df),
+    # their places k % m in a row and the turn from one row to the next.
+    # int32 halves k and its places beside int64, and converts exactly.
+    k = np.arange(-kmax, kmax + 1, dtype=np.int32)
+    masses = np.diff(_jakes_cdf(np.arange(-kmax - 0.5, kmax + 1) * df / fading.doppler_hz))
+    bins = k % m
+    # One phase has no next row; skipping its turn spares a spectrum-sized array.
+    turn = np.exp(2j * math.pi / n_fft * k) if phases > 1 else 1.0
+    rows = _block_rows(phases, m)
+    buffer = np.empty((rows, m), complex)
+    coeffs = [None] * len(powers)
+    for first in range(0, phases, rows):
+        block = buffer[:phases - first]
+        for i, power in enumerate(powers):
+            if not first:
+                coeffs[i] = np.sqrt(power * masses / 2.0) * (
+                    rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k)))
+                # Not *=: numpy reuses big exp temporaries as exp * coeffs, whose last bits differ.
+                coeffs[i] = coeffs[i] * np.exp(2j * math.pi * k * df * offset_s)
+            block.fill(0.0)
+            for row in block:
+                # Bins +-n_fft/2 alias when f_d * T nears 0.5 (one row, m == n_fft); sum them.
+                np.add.at(row, bins, coeffs[i])
+                coeffs[i] *= turn
+            if first + rows >= phases:
+                coeffs[i] = None
+            # Unnormalised, in place: m is a power of two, so each row is bitwise
+            # ``ifft(row) * m`` without its two extra arrays.
+            yield i, first, np.fft.ifft(block, norm="forward", out=block, axis=1)
 
 
 def tap_gain_series(
@@ -367,13 +363,12 @@ def tap_gain_series(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Complex gains of every tap on a regular comb, shape ``(n_taps, count)``,
-    each row of each tap's blocks copied straight to its strided samples."""
-    comb = _comb(fading, period_s, count)
-    phases = comb[0][3]
+    each row of each block copied straight to its strided samples."""
+    layout = _comb_layout(fading.doppler_hz, period_s, count)
+    phases = layout[3]
     out = np.empty((pdp.n_taps, count), dtype=complex)
-    for i, power in enumerate(pdp.linear_powers):
-        blocks = _tap_series(power, fading, comb, offset_s, rng, range(phases))
-        for phase, gains in enumerate(row for block in blocks for row in block):
+    for i, first, block in _comb_blocks(pdp, fading, layout, offset_s, rng):
+        for phase, gains in enumerate(block, first):
             out[i, phase::phases] = gains[:len(range(phase, count, phases))]
     return out
 
@@ -384,28 +379,21 @@ def _strongest_taps(pdp, fading, period_s, count, offset_s, rng):
     dtype = np.min_scalar_type(pdp.n_taps - 1)
     if pdp.n_taps == 1:
         return np.zeros(count, dtype)
-    comb = _comb(fading, period_s, count)
-    phases, m = comb[0][3:]
-    groups = min(_GROUPS, phases)
-    edges = [phases * g // groups for g in range(groups + 1)]
+    layout = _comb_layout(fading.doppler_hz, period_s, count)
+    phases, m = layout[3:]
     best_tap = np.zeros((phases, m), dtype)
-    # Reused by every block; ``np.square`` is bitwise ``** 2``.
-    tap_power = np.empty((_block_rows(phases, m), m))
-    better = np.empty(tap_power.shape, dtype=bool)
-    entry = rng.bit_generator.state
-    for lo, hi in zip(edges, edges[1:]):
-        rng.bit_generator.state = entry
-        best_power = np.zeros((hi - lo, m))
-        for i, power in enumerate(pdp.linear_powers):
-            first = 0
-            for block in _tap_series(power, fading, comb, offset_s, rng, range(lo, hi)):
-                rows, first = slice(first, first + len(block)), first + len(block)
-                p, b = tap_power[:len(block)], better[:len(block)]
-                np.square(np.abs(block, out=p), out=p)
-                np.greater(p, best_power[rows], out=b)
-                np.copyto(best_power[rows], p, where=b)
-                np.copyto(best_tap[lo:hi][rows], i, where=b)
-        del best_power  # freed before the next group's is made
+    # One block's scratch, reused by every block; ``np.square`` is bitwise ``** 2``.
+    shape = (_block_rows(phases, m), m)
+    best_power, tap_power, better = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+    for i, first, block in _comb_blocks(pdp, fading, layout, offset_s, rng):
+        n = len(block)
+        q, p, b = best_power[:n], tap_power[:n], better[:n]
+        if not i:  # each block's contest starts afresh at its first tap
+            q.fill(0.0)
+        np.square(np.abs(block, out=p), out=p)
+        np.greater(p, q, out=b)
+        np.copyto(q, p, where=b)
+        np.copyto(best_tap[first:first + n], i, where=b)
     return best_tap.T.ravel()[:count]
 
 
@@ -424,13 +412,12 @@ def detected_excess_series(
     index (one byte up to 256 taps), else the index looked up in
     ``pdp.delays_ns - pdp.delays_ns[0]``, ``_BLOCK`` points at a time.
 
-    Synthesizes taps one at a time, a row block at a time, so long runs stay
-    within memory: only the index (1 byte per point of the ``_comb_layout``)
-    and the running best power (float64) of one of ``_GROUPS`` row groups
-    persist.  Each group restores the generator's state from entry and draws
-    every tap's spectrum again, so it sees the gains of one whole pass, and
-    the generator ends where one pass leaves it.  Each block's power and
-    comparison go to one block-sized scratch each.  The earlier tap wins a tie.
+    Synthesizes a row block at a time, every tap of it before the next, so
+    long runs stay within memory: only the index (1 byte per point of the
+    ``_comb_layout``), every tap's bins and one block's running best power,
+    tap power and comparison persist.  Each tap draws its spectrum once, so
+    the generator ends where ``tap_gain_series`` leaves it.  The earlier tap
+    wins a tie.
     """
     best_tap = _strongest_taps(pdp, fading, period_s, count, offset_s, rng)
     if taps:

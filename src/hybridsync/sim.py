@@ -46,6 +46,7 @@ from .channel import (
     doppler_from_speed,
     propagation_delay_ns,
 )
+from .clocks import quantize_value
 from .protocol import (
     PROTOCOL_PRESETS,
     SCHEME_FTM_BURST,
@@ -545,9 +546,6 @@ def _stamps(h: _HopRuntime, a: int, b: int, mo: np.ndarray, mr: np.ndarray) -> l
     def master(t):
         return (mo + mr * t) + cdc(t, h.cdc_m)
 
-    def quantize(v):
-        return h.ts_m * (np.ceil(v / h.ts_m - h.ph_m - 0.5) + h.ph_m)
-
     if h.scheme == SCHEME_ONE_WAY:
         ta = send + h.prop_ns + h.excess[h.dmf[0][a:b]]
         return [master(send).tolist(), ta.tolist(), cdc(ta, h.cdc_s).tolist()]
@@ -557,9 +555,9 @@ def _stamps(h: _HopRuntime, a: int, b: int, mo: np.ndarray, mr: np.ndarray) -> l
         ta = t + h.prop_ns + h.excess[fwd[a:b]]
         tr = ta + REPLY_DELAY_S * 1e9
         tb = tr + h.prop_ns + h.excess[rev[a:b]]
-        t1 = quantize(master(t)) if h.egress_quant else master(t)
+        t1 = quantize_value(master(t), h.ts_m, h.ph_m) if h.egress_quant else master(t)
         columns[:, :, p] = (t1, ta, cdc(ta, h.cdc_s), tr, cdc(tr, h.cdc_s),
-                            quantize(master(tb)), tb)
+                            quantize_value(master(tb), h.ts_m, h.ph_m), tb)
     return columns.reshape(7, -1).tolist()
 
 

@@ -1,8 +1,8 @@
 """Power delay profiles, fading synthesis and arrival detection."""
 
 import hashlib
-import itertools
 import math
+import types
 import warnings
 
 import numpy as np
@@ -53,11 +53,13 @@ def direct_ifft_series(power, f_d, period_s, count, offset_s, rng):
 
 
 def tap_block(power, fading, period_s, count, offset_s, rng):
-    """One tap's ``channel._tap_series`` blocks over every row stacked into its
-    ``(phases, m)`` layout; each block is copied out before its buffer is reused."""
-    comb = channel._comb(fading, period_s, count)
-    blocks = channel._tap_series(power, fading, comb, offset_s, rng, range(comb[0][3]))
-    return np.concatenate([block.copy() for block in blocks])
+    """One tap of power ``power`` through ``channel._comb_blocks``, its row
+    blocks stacked into the ``(phases, m)`` layout; each block is copied out
+    before its buffer is reused."""
+    layout = channel._comb_layout(fading.doppler_hz, period_s, count)
+    one_tap = types.SimpleNamespace(linear_powers=np.array([power]))
+    blocks = channel._comb_blocks(one_tap, fading, layout, offset_s, rng)
+    return np.concatenate([block.copy() for _, _, block in blocks])
 
 
 # One comb per synthesis route, on 3000 points.
@@ -317,7 +319,8 @@ class TestFadingStatistics:
         # row blocks, which took its traced peak from 34.6 MB to 16.6 MB.
         # Writing each block's power and comparison into reused scratch took
         # it from 14.7 MB to 13.7 MB; holding one half's best power and a
-        # one-byte tap index, to 11.5 MB.
+        # one-byte tap index, to 11.5 MB; one block's best power with every
+        # tap's bins held at once keeps it there.
         pdp = build_pdp("IWLAN_B")
         fading = FadingConfig(doppler_hz=doppler_from_speed(10.0))
         peak, excess = traced_peak(lambda: detected_excess_series(
@@ -330,8 +333,10 @@ class TestFadingStatistics:
         # The series the simulator holds: the strongest tap's index, one byte
         # a point, whose lookup in the tap excess delays is bitwise the
         # detected series.  Its traced growth from 260,001 to 1,040,002 points
-        # is the index and half a comb of best power: 6.7 B a point, where
-        # the float64 series and a whole comb's best power took 9.97 B.
+        # is the index and the longer combs' bins: 5.9 B a point, as the best
+        # power is one row block's whatever the comb's length, where half a
+        # comb of it took 6.7 B and the float64 series and a whole comb's
+        # best power 9.97 B.
         pdp = build_pdp("IWLAN_B")
         fading = FadingConfig(doppler_hz=doppler_from_speed(10.0))
 
@@ -341,7 +346,7 @@ class TestFadingStatistics:
 
         (small, _), (large, index) = [traced_peak(lambda: taps(count, taps=True))
                                       for count in (260_001, 1_040_002)]
-        assert (large - small) / (1_040_002 - 260_001) <= 8.0
+        assert (large - small) / (1_040_002 - 260_001) <= 6.5
         assert index.dtype == np.uint8 and index.shape == (1_040_002,)
         excess = (pdp.delays_ns - pdp.delays_ns[0])[index]
         assert excess.tobytes() == taps(1_040_002).tobytes()
@@ -431,20 +436,22 @@ class TestDetection:
 
     def test_earlier_tap_wins_a_tie(self, monkeypatch):
         pdp = PowerDelayProfile([(0.0, 0.0), (50.0, -1.0), (100.0, -2.0)])
-        gains = dict(zip(pdp.linear_powers, [np.array([1, 1, 0.5, 1], dtype=complex),
-                                             np.array([1j, 2, 0.5j, -1]),
-                                             np.array([-1, 2j, 0.5, 3], dtype=complex)]))
+        gains = [np.array([1, 1, 0.5, 1], dtype=complex), np.array([1j, 2, 0.5j, -1]),
+                 np.array([-1, 2j, 0.5, 3], dtype=complex)]
 
-        def blocks(power, fading, comb, offset_s, rng, rows):
+        def blocks(rows):
             # the comb's layout is 4 phases of 4 points: one sample per row,
-            # a block for each row asked for
-            block = np.zeros((4, 4), dtype=complex)
-            block[:, 0] = gains[power]
-            yield from (block[row:row + 1] for row in rows)
+            # every tap of a block of ``rows`` rows before the next block
+            def comb_blocks(pdp, fading, layout, offset_s, rng):
+                for first in range(0, 4, rows):
+                    for i, tap in enumerate(gains):
+                        block = np.zeros((4, 4), dtype=complex)
+                        block[:, 0] = tap
+                        yield i, first, block[first:first + rows]
+            return comb_blocks
 
-        monkeypatch.setattr(channel, "_tap_series", blocks)
-        for groups in (1, 2, 4):
-            monkeypatch.setattr(channel, "_GROUPS", groups)
+        for rows in (1, 2, 4):
+            monkeypatch.setattr(channel, "_comb_blocks", blocks(rows))
             excess = detected_excess_series(pdp, FadingConfig(doppler_hz=22.24), 5e-4, 4,
                                             0.0, np.random.default_rng(0))
             assert excess.tolist() == [0.0, 50.0, 0.0, 100.0]
@@ -453,13 +460,14 @@ class TestDetection:
                              ids=["narrow", "band-filling"])
     def test_series_memory_stays_near_one_spectrum(self, doppler_hz, spectra):
         # In units of one 16 * n_fft-byte spectrum.  Only the tap index (1 byte
-        # a point), one row group's running best (8 bytes a point of the group),
-        # one row block and the bins live at once: 0.94 spectra on a narrow
-        # band (1.12 with the whole comb's best) and 6.12 when the band fills
-        # the comb (5.62 with each tap's bins drawn after its row block was
-        # freed), where the bins, the one row and the coefficients' temporaries
-        # are each about a spectrum (2.06 and 7.06 with whole-spectrum
-        # transforms).
+        # a point), one row block, its running best power, every tap's bins
+        # and one tap's draw temporaries live at once: 0.91 spectra on a
+        # narrow band (0.83 with half a comb's best and one tap's bins at a
+        # time) and 6.12 when the band fills the comb, a one-block comb that
+        # holds one tap's bins at a time (5.62 with each tap's bins drawn
+        # after its row block was freed), where the bins, the one row and the
+        # coefficients' temporaries are each about a spectrum (2.06 and 7.06
+        # with whole-spectrum transforms).
         count = 1 << 19
         pdp = build_pdp("IWLAN_B")
         fading = FadingConfig(doppler_hz=doppler_hz)
@@ -471,10 +479,9 @@ class TestDetection:
     def test_row_blocks_do_not_change_the_series(self, monkeypatch, name, doppler_hz,
                                                  period_s):
         # One row per block, three rows (the ifft comb's 32 phases leave a
-        # ragged last block) and one block for the whole comb, with the
-        # detector's rows in one group, in three and in a group per row: the
-        # tap indices, the excess delays, the gains and the generator's state
-        # afterwards are those of the default two groups and block size.
+        # ragged last block) and one block for the whole comb: the tap
+        # indices, the excess delays, the gains and the generator's state
+        # afterwards are those of the default block size.
         pdp = build_pdp(name)
         fading = FadingConfig(doppler_hz=doppler_hz)
         n, offset_s = 3000, 0.0003
@@ -491,29 +498,46 @@ class TestDetection:
         expected = series()
         n_fft, _, kmax, phases, m = channel._comb_layout(doppler_hz, period_s, n)
         assert phases == (32 if kmax else 1)
-        for groups, block in itertools.product((1, 3, phases), (m, 3 * m, n_fft)):
-            monkeypatch.setattr(channel, "_GROUPS", groups)
+        for block in (m, 3 * m, n_fft):
             monkeypatch.setattr(channel, "_BLOCK", block)
             assert series() == expected
 
-    @pytest.mark.parametrize("doppler_hz, count, rows", [
-        (22.24, 3000, [range(0, 16), range(16, 32)]), (0.4995 / 5e-4, 20_000, [range(1)])],
-        ids=["ifft", "ifft-band-filling"])
-    def test_each_group_draws_every_tap_once(self, monkeypatch, doppler_hz, count, rows):
-        # Two halves of the 32-phase comb, each tap's spectrum drawn once per
-        # half; the band-filling comb is one row, so one group.
-        calls = []
-        tap_series = channel._tap_series
+    @pytest.mark.parametrize("doppler_hz, count, blocks", [
+        (22.24, 3000, 1), (22.24, 3000, 2), (0.4995 / 5e-4, 20_000, 1)],
+        ids=["ifft", "ifft-two-blocks", "ifft-band-filling"])
+    def test_each_tap_draws_its_spectrum_once(self, monkeypatch, doppler_hz, count, blocks):
+        # The 32-phase comb in one row block and in two, and the band-filling
+        # comb, which is one row: each tap draws its bins' real and imaginary
+        # parts once, in tap order, before its first transform, and no later
+        # block draws again.
+        events = []
+        ifft = np.fft.ifft
 
-        def recording(power, *args):
-            calls.append((power, args[-1]))
-            return tap_series(power, *args)
+        def recording_ifft(a, *args, **kwargs):
+            events.append(("ifft", len(a)))
+            return ifft(a, *args, **kwargs)
 
-        monkeypatch.setattr(channel, "_tap_series", recording)
+        class RecordingRng:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                events.append(("draw", size))
+                return self.rng.standard_normal(size)
+
+        _, _, kmax, phases, m = channel._comb_layout(doppler_hz, 5e-4, count)
+        monkeypatch.setattr(channel, "_BLOCK", phases * m // blocks)
+        monkeypatch.setattr(np.fft, "ifft", recording_ifft)
         pdp = build_pdp("IWLAN_B")
-        detected_excess_series(pdp, FadingConfig(doppler_hz=doppler_hz), 5e-4, count,
-                               0.0003, np.random.default_rng(37))
-        assert calls == [(power, r) for r in rows for power in pdp.linear_powers]
+        fading = FadingConfig(doppler_hz=doppler_hz)
+        got = detected_excess_series(pdp, fading, 5e-4, count, 0.0003,
+                                     RecordingRng(np.random.default_rng(37)))
+        rows = phases // blocks
+        first_block = [("draw", 2 * kmax + 1)] * 2 + [("ifft", rows)]
+        assert events == (first_block * pdp.n_taps
+                          + [("ifft", rows)] * (pdp.n_taps * (blocks - 1)))
+        assert got.tobytes() == detected_excess_series(
+            pdp, fading, 5e-4, count, 0.0003, np.random.default_rng(37)).tobytes()
 
     def test_single_tap_never_errs(self):
         excess = detected_excess_series(build_pdp("AWGN"), FadingConfig(), 1e-3,
