@@ -13,9 +13,11 @@ Tap gains are sampled on regular combs with period ``T``, and the synthesis
 route follows from ``f_d * T`` alone: a zero Doppler freezes each tap to one
 draw, ``f_d * T >= 0.5`` gives independent draws, and every other comb is an
 inverse DFT of the Doppler spectrum run as band-sized polyphase transforms
-(Young & Beaulieu 2000; Markel 1971), one cache-sized row block at a time,
-every tap of a block before the next, so that the detector holds the
-running best power of one block.  A single instant is a one-sample comb.
+(Young & Beaulieu 2000; Markel 1971), one row block at a time, every tap of
+a block before the next, so that the detector holds the running best power
+of one block: whole rows of at most ``2 ** 15`` samples (512 KiB), such
+as one 32,768-point row of the one-way trend comb, or one longer row.  A
+single instant is a one-sample comb.
 """
 
 from __future__ import annotations
@@ -278,7 +280,11 @@ def detect_arrival(realization: ChannelRealization, pdp: PowerDelayProfile) -> f
 
 # --- Series synthesis for periodic sampling ----------------------------------
 
-_BLOCK = 2 ** 17  # most samples per inverse-DFT row block: 2 MiB, held in cache
+# Most samples per inverse-DFT row block: 512 KiB, one 32,768-point row of the
+# one-way trend comb, whose block, best power, tap power and comparison are
+# then a quarter of 2 MiB blocks'; shorter rows batch up to 2 ** 15 samples.
+# With 2 ** 16, every trend-comb call took 76k minor faults, not 2-3k.
+_BLOCK = 2 ** 15
 
 
 def _comb_layout(f_d, period_s, count):
@@ -297,6 +303,15 @@ def _block_rows(phases, m):
     """Rows in each of ``_comb_blocks``' row blocks but its last: whole rows of
     at most ``_BLOCK`` samples, or one row."""
     return min(phases, max(1, _BLOCK // m))
+
+
+def _place_bins(row, coeffs, kmax):
+    """Add the bins ``k = -kmax..kmax`` of ``coeffs`` at places ``k % m`` of the
+    zeroed ``m``-point ``row``: bitwise ``np.add.at(row, k % m, coeffs)``, by
+    two slice adds in its order.  The bins +-m/2 of a band-filling comb
+    (``m == 2 * kmax``) alias and sum as ``(0 + coeffs[0]) + coeffs[-1]``."""
+    row[len(row) - kmax:] += coeffs[:kmax]
+    row[:kmax + 1] += coeffs[kmax:]
 
 
 def _comb_blocks(pdp, fading, layout, offset_s, rng):
@@ -323,12 +338,11 @@ def _comb_blocks(pdp, fading, layout, offset_s, rng):
                 rng.standard_normal(shape) + 1j * rng.standard_normal(shape)), (1, m))
         return
     # Inverse DFT of the Doppler spectrum (Young & Beaulieu 2000): the bins k,
-    # their masses (the Jakes CDF step across their edges (k -+ 0.5) * df),
-    # their places k % m in a row and the turn from one row to the next.
-    # int32 halves k and its places beside int64, and converts exactly.
+    # their masses (the Jakes CDF step across their edges (k -+ 0.5) * df)
+    # and the turn from one row to the next.  int32 halves k beside int64,
+    # and converts exactly.
     k = np.arange(-kmax, kmax + 1, dtype=np.int32)
     masses = np.diff(_jakes_cdf(np.arange(-kmax - 0.5, kmax + 1) * df / fading.doppler_hz))
-    bins = k % m
     # One phase has no next row; skipping its turn spares a spectrum-sized array.
     turn = np.exp(2j * math.pi / n_fft * k) if phases > 1 else 1.0
     rows = _block_rows(phases, m)
@@ -340,12 +354,15 @@ def _comb_blocks(pdp, fading, layout, offset_s, rng):
             if not first:
                 coeffs[i] = np.sqrt(power * masses / 2.0) * (
                     rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k)))
-                # Not *=: numpy reuses big exp temporaries as exp * coeffs, whose last bits differ.
-                coeffs[i] = coeffs[i] * np.exp(2j * math.pi * k * df * offset_s)
+                # coeffs * exp at every size, written over the exp: written over
+                # coeffs[i] instead, a fresh process's trend comb took 72k minor
+                # faults, not 3k, as glibc's malloc laid the heap out otherwise.
+                shift = np.exp(2j * math.pi * k * df * offset_s)
+                coeffs[i] = np.multiply(coeffs[i], shift, out=shift)
+                del shift
             block.fill(0.0)
             for row in block:
-                # Bins +-n_fft/2 alias when f_d * T nears 0.5 (one row, m == n_fft); sum them.
-                np.add.at(row, bins, coeffs[i])
+                _place_bins(row, coeffs[i], kmax)
                 coeffs[i] *= turn
             if first + rows >= phases:
                 coeffs[i] = None
@@ -412,12 +429,13 @@ def detected_excess_series(
     index (one byte up to 256 taps), else the index looked up in
     ``pdp.delays_ns - pdp.delays_ns[0]``, ``_BLOCK`` points at a time.
 
-    Synthesizes a row block at a time, every tap of it before the next, so
-    long runs stay within memory: only the index (1 byte per point of the
-    ``_comb_layout``), every tap's bins and one block's running best power,
-    tap power and comparison persist.  Each tap draws its spectrum once, so
-    the generator ends where ``tap_gain_series`` leaves it.  The earlier tap
-    wins a tie.
+    Synthesizes a row block at a time (one 32,768-point row, 512 KiB, on the
+    one-way trend comb), every tap of it before the next, so long runs stay
+    within memory: only the index (1 byte per point of the ``_comb_layout``),
+    every tap's bins and one block's gains, running best power, tap power
+    and comparison persist.  Each tap draws its spectrum once, so the
+    generator ends where ``tap_gain_series`` leaves it.  The earlier tap wins
+    a tie.
     """
     best_tap = _strongest_taps(pdp, fading, period_s, count, offset_s, rng)
     if taps:

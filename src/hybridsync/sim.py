@@ -78,9 +78,9 @@ WINDUP_PPM = 100.0  # anti-windup clamp on the servo's frequency integrator
 HIST_BINS = 64
 DIVERGENCE_FACTOR = 10.0
 
-# Excess-delay series entries one replica may hold: about 64 MB at the 7.6 B
-# per entry of peak RSS measured on one-way IWLAN_B (42 MB at 130 s, 50 MB at
-# 520 s, 59 MB at 1000 s, 71 MB at 2000 s, 10 km/h), and 4x the largest preset
+# Excess-delay series entries one replica may hold: about 63 MB at the 7.5 B
+# per entry of peak RSS measured on one-way IWLAN_B (41 MB at 130 s, 46 MB at
+# 520 s, 53 MB at 1000 s, 68 MB at 2000 s, 10 km/h), and 4x the largest preset
 # default (emulator-wsharp, 2 kHz over 1000 s).
 MAX_SERIES_ENTRIES = 2 ** 23
 # Recorded PPS edges over all replicas: ~0.27 GB at the 16 B per edge a run
