@@ -27,7 +27,6 @@ from .channel import (
     LinkGeometry,
     PowerDelayProfile,
     build_pdp,
-    detect_arrival,
     detected_excess_series,
     doppler_from_speed,
     propagation_delay_ns,
@@ -82,7 +81,6 @@ __all__ = [
     "chain_max_error",
     "chain_preset",
     "compute_stats",
-    "detect_arrival",
     "detected_excess_series",
     "doppler_from_speed",
     "estimate_offset",

@@ -7,7 +7,8 @@ autocorrelation is ``J0(2 * pi * f_d * tau)``.
 A strongest-tap detector locks onto the replica with the most
 instantaneous power, which is what injects multipath error into receive
 timestamps.  It gives that tap's index at each instant, one byte up to 256
-taps, which a table of tap excess delays turns into the detected delay.
+taps, which the profile's ``delays_ns`` turns into the detected excess
+delay, as the first tap sits at delay 0.
 
 Tap gains are sampled on regular combs with period ``T``, and the synthesis
 route follows from ``f_d * T`` alone: a zero Doppler freezes each tap to one
@@ -39,7 +40,6 @@ __all__ = [
     "SPEED_OF_LIGHT_M_PER_NS",
     "build_pdp",
     "canonical_channel_name",
-    "detect_arrival",
     "detected_excess_series",
     "doppler_from_speed",
     "propagation_delay_ns",
@@ -271,13 +271,6 @@ def realize_channel(pdp, fading, true_time_ns, rng) -> ChannelRealization:
     return ChannelRealization(gains)
 
 
-def detect_arrival(realization: ChannelRealization, pdp: PowerDelayProfile) -> float:
-    """Excess delay (ns) of the instantaneous strongest tap."""
-    idx = int(np.argmax(np.abs(realization.tap_gains) ** 2))
-    delays = pdp.delays_ns
-    return float(delays[idx] - delays[0])
-
-
 # --- Series synthesis for periodic sampling ----------------------------------
 
 # Most samples per inverse-DFT row block: 512 KiB, one 32,768-point row of the
@@ -390,9 +383,26 @@ def tap_gain_series(
     return out
 
 
-def _strongest_taps(pdp, fading, period_s, count, offset_s, rng):
-    """The index of the strongest tap at each comb instant; see
-    ``detected_excess_series``."""
+def detected_excess_series(
+    pdp: PowerDelayProfile,
+    fading: FadingConfig,
+    period_s: float,
+    count: int,
+    offset_s: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The index of the strongest tap at each comb instant, in the smallest
+    unsigned type that holds every index (one byte up to 256 taps);
+    ``pdp.delays_ns[index]`` is that tap's excess delay (ns).
+
+    Synthesizes a row block at a time (one 32,768-point row, 512 KiB, on the
+    one-way trend comb), every tap of it before the next, so long runs stay
+    within memory: only the index (1 byte per point of the ``_comb_layout``),
+    every tap's bins and one block's gains, running best power, tap power
+    and comparison persist.  Each tap draws its spectrum once, so the
+    generator ends where ``tap_gain_series`` leaves it.  The earlier tap wins
+    a tie.
+    """
     dtype = np.min_scalar_type(pdp.n_taps - 1)
     if pdp.n_taps == 1:
         return np.zeros(count, dtype)
@@ -412,35 +422,3 @@ def _strongest_taps(pdp, fading, period_s, count, offset_s, rng):
         np.copyto(q, p, where=b)
         np.copyto(best_tap[first:first + n], i, where=b)
     return best_tap.T.ravel()[:count]
-
-
-def detected_excess_series(
-    pdp: PowerDelayProfile,
-    fading: FadingConfig,
-    period_s: float,
-    count: int,
-    offset_s: float,
-    rng: np.random.Generator,
-    *,
-    taps: bool = False,
-) -> np.ndarray:
-    """Excess delay (ns) of the strongest tap at each comb instant: with
-    ``taps``, that tap's index in the smallest unsigned type that holds every
-    index (one byte up to 256 taps), else the index looked up in
-    ``pdp.delays_ns - pdp.delays_ns[0]``, ``_BLOCK`` points at a time.
-
-    Synthesizes a row block at a time (one 32,768-point row, 512 KiB, on the
-    one-way trend comb), every tap of it before the next, so long runs stay
-    within memory: only the index (1 byte per point of the ``_comb_layout``),
-    every tap's bins and one block's gains, running best power, tap power
-    and comparison persist.  Each tap draws its spectrum once, so the
-    generator ends where ``tap_gain_series`` leaves it.  The earlier tap wins
-    a tie.
-    """
-    best_tap = _strongest_taps(pdp, fading, period_s, count, offset_s, rng)
-    if taps:
-        return best_tap
-    excess, out = pdp.delays_ns - pdp.delays_ns[0], np.empty(count)
-    for n in range(0, count, _BLOCK):
-        np.take(excess, best_tap[n:n + _BLOCK], out=out[n:n + _BLOCK])
-    return out

@@ -87,6 +87,9 @@ class ProtocolConfig:
         if not (math.isfinite(self.sync_period_s) and self.sync_period_s >= 1e-12):
             raise ValueError(f"sync_period_s must be finite and at least 1 ps, "
                              f"got {self.sync_period_s!r}")
+        if not math.isfinite(self.calibrated_delay_ns):
+            raise ValueError(f"calibrated_delay_ns must be finite, "
+                             f"got {self.calibrated_delay_ns!r}")
         if (not isinstance(self.burst_length, Integral) or isinstance(self.burst_length, bool)
                 or self.burst_length < 1):
             raise ValueError(f"burst_length must be an integer >= 1, got {self.burst_length!r}")

@@ -138,8 +138,10 @@ class HopSpec:
             raise ValueError(f"unknown medium {self.medium!r}")
         if self.medium == "ethernet" and self.protocol.scheme == SCHEME_ONE_WAY:
             raise ValueError("an ethernet hop cannot run the one-way scheme")
+        refuse_non_reals(self)
         if not (math.isfinite(self.stagger_s) and self.stagger_s >= 0):
             raise ValueError(f"stagger_s must be finite and >= 0, got {self.stagger_s!r}")
+        FadingConfig(doppler_hz=self.doppler_hz)
         if self.channel is not None:
             build_pdp(self.channel)
 
@@ -492,26 +494,23 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
     h.prop_ns = propagation_delay_ns(hop.geometry)
     h.calib_ns = hop.protocol.calibrated_delay_ns
     count, h.burst, directions = _series_shape(hop, duration_ps)
-    h.excess = np.zeros(1)
-    h.dmf = [np.zeros(count, np.uint8) for _ in range(h.burst)]
-    h.dmr = [np.zeros(count, np.uint8) for _ in range(h.burst)] if directions == 2 else []
-    if hop.medium == "wireless" and hop.channel is not None:
-        pdp = build_pdp(hop.channel)
-        if pdp.n_taps > 1:
-            h.excess = pdp.delays_ns - pdp.delays_ns[0]
-            fading = FadingConfig(doppler_hz=hop.doppler_hz)
-            fwd_rng, rev_rng = fading_seeds
-            period_s = hop.protocol.sync_period_s
-            for b in range(h.burst):
-                h.dmf[b] = detected_excess_series(
-                    pdp, fading, period_s, count,
-                    hop.stagger_s + b * BURST_SPACING_S, fwd_rng, taps=True)
-            if directions == 2:
-                rev_offset = hop.stagger_s + h.prop_ns * 1e-9 + REPLY_DELAY_S
-                for b in range(h.burst):
-                    h.dmr[b] = detected_excess_series(
-                        pdp, fading, period_s, count,
-                        rev_offset + b * BURST_SPACING_S, rev_rng, taps=True)
+    pdp = build_pdp(hop.channel) if hop.medium == "wireless" and hop.channel is not None else None
+    if pdp is None or pdp.n_taps == 1:
+        h.excess = np.zeros(1)
+        h.dmf = [np.zeros(count, np.uint8) for _ in range(h.burst)]
+        h.dmr = [np.zeros(count, np.uint8) for _ in range(h.burst)] if directions == 2 else []
+        return h
+    h.excess = pdp.delays_ns
+    fading = FadingConfig(doppler_hz=hop.doppler_hz)
+    fwd_rng, rev_rng = fading_seeds
+    period_s = hop.protocol.sync_period_s
+    rev_offset = hop.stagger_s + h.prop_ns * 1e-9 + REPLY_DELAY_S
+    h.dmf = [detected_excess_series(pdp, fading, period_s, count,
+                                    hop.stagger_s + b * BURST_SPACING_S, fwd_rng)
+             for b in range(h.burst)]
+    h.dmr = [detected_excess_series(pdp, fading, period_s, count,
+                                    rev_offset + b * BURST_SPACING_S, rev_rng)
+             for b in range(h.burst)] if directions == 2 else []
     return h
 
 
@@ -611,14 +610,12 @@ def _run_hop(h: _HopRuntime, n_end: int, master, off: list, rate: list,
                 trs, crs, t4s, tbs = replies
         e = min(stops[s] - k, walk_n[k], b)
         for y in range((j - a) * burst, (e - a) * burst):
+            anchor = tas[y]
+            v = (so + sr * anchor) + cas[y]
+            t2 = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
             if one_way:
-                anchor = tas[y]
-                v = (so + sr * anchor) + cas[y]
-                t2 = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
                 est = t2 - t1s[y] - calib
             else:
-                v = (so + sr * tas[y]) + cas[y]
-                t2 = ts_s * (ceil(v / ts_s - ph_s - 0.5) + ph_s)
                 t3 = (so + sr * trs[y]) + crs[y]
                 if egress_quant:
                     t3 = ts_s * (ceil(t3 / ts_s - ph_s - 0.5) + ph_s)

@@ -16,14 +16,12 @@ from scipy.stats import kstest
 from hybridsync import channel
 from hybridsync.channel import (
     CHANNEL_CATALOG,
-    ChannelRealization,
     ChannelSpecError,
     FadingConfig,
     LinkGeometry,
     PowerDelayProfile,
     build_pdp,
     canonical_channel_name,
-    detect_arrival,
     detected_excess_series,
     doppler_from_speed,
     propagation_delay_ns,
@@ -60,6 +58,17 @@ def tap_block(power, fading, period_s, count, offset_s, rng):
     one_tap = types.SimpleNamespace(linear_powers=np.array([power]))
     blocks = channel._comb_blocks(one_tap, fading, layout, offset_s, rng)
     return np.concatenate([block.copy() for _, _, block in blocks])
+
+
+# The detected series of the one-way trend comb (IWLAN_B, 10 km/h, 2 kHz
+# beacons over 520 s) as excess delays, pinned before it was synthesised in
+# row blocks.
+TREND_COMB_DIGEST = "2a0f035285155e9dcd249e436962a3541af7912a4fb0878b593be5e4fc6e6c96"
+
+
+def strongest_taps(gains):
+    """The oracle detector: the index of the tap of most power at each instant."""
+    return np.argmax(np.abs(gains) ** 2, axis=0)
 
 
 # One comb per synthesis route, on 3000 points.
@@ -292,8 +301,8 @@ class TestFadingStatistics:
     def test_polyphase_route_matches_direct_ifft(self, name, speed_kmh, count):
         # 2 kHz combs of 4 to 512 phases.  The gains move only in their last
         # bits (worst 5.1e-14 of the rms over these cases, measured before
-        # the tolerance was fixed); the detected series is bitwise the
-        # oracle's argmax.
+        # the tolerance was fixed); the detected tap indices are the oracle's
+        # argmax.
         pdp = build_pdp(name)
         f_d = doppler_from_speed(speed_kmh)
         fading = FadingConfig(doppler_hz=f_d)
@@ -309,10 +318,9 @@ class TestFadingStatistics:
             tap_power = np.abs(expected) ** 2
             best_tap[tap_power > best] = i
             best = np.maximum(best, tap_power)
-        excess = detected_excess_series(pdp, fading, 5e-4, count, offset_s,
-                                        np.random.default_rng(11))
-        delays = pdp.delays_ns
-        assert excess.tobytes() == (delays[best_tap] - delays[0]).tobytes()
+        index = detected_excess_series(pdp, fading, 5e-4, count, offset_s,
+                                       np.random.default_rng(11))
+        assert index.tobytes() == best_tap.astype(np.uint8).tobytes()
 
     def test_trend_comb_runs_band_sized_transforms(self, monkeypatch):
         # The one-way trend comb (IWLAN_B, 10 km/h, 2 kHz beacons over 520 s)
@@ -333,44 +341,38 @@ class TestFadingStatistics:
         assert shapes == [((1, 32768), 1)] * (32 * pdp.n_taps)
 
     def test_trend_comb_is_pinned_and_small(self):
-        # The same comb's detected series, pinned before it was synthesised in
-        # row blocks, which took its traced peak from 34.6 MB to 16.6 MB.
-        # Writing each block's power and comparison into reused scratch took
-        # it from 14.7 MB to 13.7 MB; holding one half's best power and a
-        # one-byte tap index, to 11.5 MB; one block's best power with every
-        # tap's bins held at once kept it there, and blocks of one 32,768-point
-        # row (512 KiB, a quarter of the 2 MiB blocks), to 9.9 MB.  Called
-        # first in a process, the call also holds the transform's plan: 12.4
-        # MB with 2 MiB blocks, 10.8 MB with one-row blocks.
+        # The same comb's detected excess delays, pinned.  Row blocks took the
+        # call's traced peak from 34.6 MB to 16.6 MB.  Writing each block's
+        # power and comparison into reused scratch took it from 14.7 MB to
+        # 13.7 MB; holding one half's best power and a one-byte tap index, to
+        # 11.5 MB; one block's best power with every tap's bins held at once
+        # kept it there, and blocks of one 32,768-point row (512 KiB, a
+        # quarter of the 2 MiB blocks), to 9.9 MB.  Returning the index alone,
+        # not its float64 lookup, took it to 7.3 MB.  Called first in a
+        # process, the call also holds the transform's plan: 12.4 MB with 2
+        # MiB blocks, 10.8 MB with one-row blocks, 8.1 MB with the index alone.
         pdp = build_pdp("IWLAN_B")
         fading = FadingConfig(doppler_hz=doppler_from_speed(10.0))
-        peak, excess = traced_peak(lambda: detected_excess_series(
+        peak, index = traced_peak(lambda: detected_excess_series(
             pdp, fading, 5e-4, 1_040_002, 0.0003, np.random.default_rng(5)))
-        assert hashlib.sha256(excess.tobytes()).hexdigest() == (
-            "2a0f035285155e9dcd249e436962a3541af7912a4fb0878b593be5e4fc6e6c96")
-        assert peak <= 11e6
+        assert hashlib.sha256(pdp.delays_ns[index].tobytes()).hexdigest() == TREND_COMB_DIGEST
+        assert peak <= 9e6
 
     def test_trend_comb_index_series_is_small(self):
         # The series the simulator holds: the strongest tap's index, one byte
-        # a point, whose lookup in the tap excess delays is bitwise the
-        # detected series.  Its traced growth from 260,001 to 1,040,002 points
-        # is the index and the longer combs' bins: 5.8 B a point, as the best
-        # power is one row block's whatever the comb's length, where half a
-        # comb of it took 6.7 B and the float64 series and a whole comb's
-        # best power 9.97 B.
+        # a point, whose lookup in the tap delays is the pinned series.  Its
+        # traced growth from 260,001 to 1,040,002 points is the index and the
+        # longer combs' bins: 5.8 B a point, as the best power is one row
+        # block's whatever the comb's length, where half a comb of it took
+        # 6.7 B and the float64 series and a whole comb's best power 9.97 B.
         pdp = build_pdp("IWLAN_B")
         fading = FadingConfig(doppler_hz=doppler_from_speed(10.0))
-
-        def taps(count, **kwargs):
-            return detected_excess_series(pdp, fading, 5e-4, count, 0.0003,
-                                          np.random.default_rng(5), **kwargs)
-
-        (small, _), (large, index) = [traced_peak(lambda: taps(count, taps=True))
-                                      for count in (260_001, 1_040_002)]
+        (small, _), (large, index) = [traced_peak(lambda: detected_excess_series(
+            pdp, fading, 5e-4, count, 0.0003, np.random.default_rng(5)))
+            for count in (260_001, 1_040_002)]
         assert (large - small) / (1_040_002 - 260_001) <= 6.5
         assert index.dtype == np.uint8 and index.shape == (1_040_002,)
-        excess = (pdp.delays_ns - pdp.delays_ns[0])[index]
-        assert excess.tobytes() == taps(1_040_002).tobytes()
+        assert hashlib.sha256(pdp.delays_ns[index].tobytes()).hexdigest() == TREND_COMB_DIGEST
 
     @pytest.mark.parametrize("name, doppler_hz, period_s, count, digest", [
         ("IWLAN_B", 22.24, 0.5e-3, 3000,
@@ -404,22 +406,36 @@ class TestFadingStatistics:
 
 
 class TestDetection:
-    def two_tap_pdp(self):
-        return PowerDelayProfile([(0.0, 0.0), (100.0, -3.0)])
+    @staticmethod
+    def detect(monkeypatch, pdp, gains, rows=4):
+        """The detector on each tap's ``gains`` at up to four instants, fed as
+        the comb's layout of 4 phases of 4 points: one instant per row, every
+        tap of a block of ``rows`` rows before the next block."""
+        def comb_blocks(pdp, fading, layout, offset_s, rng):
+            for first in range(0, 4, rows):
+                for i, tap in enumerate(gains):
+                    block = np.zeros((4, 4), dtype=complex)
+                    block[:len(tap), 0] = tap
+                    yield i, first, block[first:first + rows]
 
-    def test_strongest_tap_policy(self):
-        pdp = self.two_tap_pdp()
-        real = ChannelRealization(tap_gains=np.array([1.0 + 0j, 2.0 + 0j]))
-        assert detect_arrival(real, pdp) == 100.0
-        real = ChannelRealization(tap_gains=np.array([2.0 + 0j, 1.0 + 0j]))
-        assert detect_arrival(real, pdp) == 0.0
+        monkeypatch.setattr(channel, "_comb_blocks", comb_blocks)
+        return detected_excess_series(pdp, FadingConfig(doppler_hz=22.24), 5e-4,
+                                      len(gains[0]), 0.0, np.random.default_rng(0))
+
+    def test_strongest_tap_policy(self, monkeypatch):
+        pdp = PowerDelayProfile([(0.0, 0.0), (100.0, -3.0)])
+        index = self.detect(monkeypatch, pdp, [[1.0, 2.0], [2.0, 1.0]])
+        assert index.tolist() == [1, 0]
+        assert pdp.delays_ns[index].tolist() == [100.0, 0.0]
 
     @pytest.mark.parametrize("name", ["WLAN_A", "IWLAN_B"])
     def test_series_stays_on_tap_grid(self, name):
         pdp = build_pdp(name)
         fading = FadingConfig(doppler_hz=22.24)
-        excess = detected_excess_series(pdp, fading, 1e-3, 5000, 0.0,
-                                        np.random.default_rng(19))
+        index = detected_excess_series(pdp, fading, 1e-3, 5000, 0.0,
+                                       np.random.default_rng(19))
+        assert index.dtype == np.uint8 and index.max() < pdp.n_taps
+        excess = pdp.delays_ns[index]
         assert excess.min() >= 0.0
         assert excess.max() <= pdp.max_excess_delay_ns
         assert set(np.unique(excess)).issubset(set(pdp.delays_ns))
@@ -430,15 +446,15 @@ class TestDetection:
         fading = FadingConfig(doppler_hz=0.0)
         n = 3000
         rng = np.random.default_rng(23)
-        from_series = np.array([
+        from_series = pdp.delays_ns[[
             detected_excess_series(pdp, fading, 1e-3, 1, 0.0, rng)[0]
             for _ in range(n)
-        ])
+        ]]
         rng = np.random.default_rng(24)
-        pointwise = np.array([
-            detect_arrival(realize_channel(pdp, fading, 0.0, rng), pdp)
+        pointwise = pdp.delays_ns[[
+            strongest_taps(realize_channel(pdp, fading, 0.0, rng).tap_gains)
             for _ in range(n)
-        ])
+        ]]
         se = math.hypot(from_series.std(), pointwise.std()) / math.sqrt(n)
         assert abs(from_series.mean() - pointwise.mean()) < 4.0 * se + 1e-9
 
@@ -447,45 +463,39 @@ class TestDetection:
         pdp = build_pdp(name)
         fading = FadingConfig(doppler_hz=doppler_hz)
         n, offset_s = 3000, 0.0003
-        excess = detected_excess_series(pdp, fading, period_s, n, offset_s,
-                                        np.random.default_rng(37))
+        index = detected_excess_series(pdp, fading, period_s, n, offset_s,
+                                       np.random.default_rng(37))
         gains = tap_gain_series(pdp, fading, period_s, n, offset_s,
                                 np.random.default_rng(37))
-        delays = pdp.delays_ns
-        expected = delays[np.argmax(np.abs(gains) ** 2, axis=0)] - delays[0]
-        assert np.array_equal(excess, expected)
+        assert index.dtype == np.uint8
+        assert np.array_equal(index, strongest_taps(gains))
+
+    def test_indices_past_one_byte_widen(self):
+        # 257 taps need a two-byte index, still the argmax of the gains.
+        pdp = PowerDelayProfile([(25.0 * i, -0.1 * i) for i in range(257)])
+        fading = FadingConfig(doppler_hz=22.24)
+        index = detected_excess_series(pdp, fading, 5e-4, 3000, 0.0003,
+                                       np.random.default_rng(41))
+        gains = tap_gain_series(pdp, fading, 5e-4, 3000, 0.0003, np.random.default_rng(41))
+        assert index.dtype == np.uint16
+        assert np.array_equal(index, strongest_taps(gains))
 
     def test_earlier_tap_wins_a_tie(self, monkeypatch):
         pdp = PowerDelayProfile([(0.0, 0.0), (50.0, -1.0), (100.0, -2.0)])
-        gains = [np.array([1, 1, 0.5, 1], dtype=complex), np.array([1j, 2, 0.5j, -1]),
-                 np.array([-1, 2j, 0.5, 3], dtype=complex)]
-
-        def blocks(rows):
-            # the comb's layout is 4 phases of 4 points: one sample per row,
-            # every tap of a block of ``rows`` rows before the next block
-            def comb_blocks(pdp, fading, layout, offset_s, rng):
-                for first in range(0, 4, rows):
-                    for i, tap in enumerate(gains):
-                        block = np.zeros((4, 4), dtype=complex)
-                        block[:, 0] = tap
-                        yield i, first, block[first:first + rows]
-            return comb_blocks
-
+        gains = [[1, 1, 0.5, 1], [1j, 2, 0.5j, -1], [-1, 2j, 0.5, 3]]
         for rows in (1, 2, 4):
-            monkeypatch.setattr(channel, "_comb_blocks", blocks(rows))
-            excess = detected_excess_series(pdp, FadingConfig(doppler_hz=22.24), 5e-4, 4,
-                                            0.0, np.random.default_rng(0))
-            assert excess.tolist() == [0.0, 50.0, 0.0, 100.0]
+            assert self.detect(monkeypatch, pdp, gains, rows).tolist() == [0, 1, 0, 2]
 
-    @pytest.mark.parametrize("doppler_hz, spectra", [(22.24, 0.7), (0.4995 / 5e-4, 6.5)],
+    @pytest.mark.parametrize("doppler_hz, spectra", [(22.24, 0.57), (0.4995 / 5e-4, 6.5)],
                              ids=["narrow", "band-filling"])
     def test_series_memory_stays_near_one_spectrum(self, doppler_hz, spectra):
         # In units of one 16 * n_fft-byte spectrum.  Only the tap index (1 byte
-        # a point), the float64 series, one row block, its running best power,
-        # every tap's bins and one tap's draw temporaries live at once: 0.63
-        # spectra on a narrow band, whose 512 KiB row blocks are a
-        # sixteenth of a spectrum (0.91 with 2 MiB blocks, 0.83 with half a
-        # comb's best and one tap's bins at a time), and 5.87 when the band
+        # a point), one row block, its running best power, every tap's bins
+        # and one tap's draw temporaries live at once: 0.51 spectra on a
+        # narrow band, whose 512 KiB row blocks are a sixteenth of a spectrum
+        # (0.63 with the float64 series looked up from the index, 0.91 with
+        # 2 MiB blocks, 0.83 with half a comb's best and one tap's bins at a
+        # time), and 5.87 when the band
         # fills the comb, a one-row comb that holds one tap's bins at a time
         # (6.12 with an int32 place per bin, 5.62 with each tap's bins drawn
         # after its row block was freed), where the bins, the one row and the
@@ -503,18 +513,17 @@ class TestDetection:
                                                  period_s):
         # One row per block, three rows (the ifft comb's 32 phases leave a
         # ragged last block) and one block for the whole comb: the tap
-        # indices, the excess delays, the gains and the generator's state
-        # afterwards are those of the default block size.
+        # indices, the gains and the generator's state afterwards are those
+        # of the default block size.
         pdp = build_pdp(name)
         fading = FadingConfig(doppler_hz=doppler_hz)
         n, offset_s = 3000, 0.0003
 
         def series():
             out = []
-            for f, kwargs in ((detected_excess_series, {"taps": True}),
-                              (detected_excess_series, {}), (tap_gain_series, {})):
+            for f in (detected_excess_series, tap_gain_series):
                 rng = np.random.default_rng(37)
-                out += [f(pdp, fading, period_s, n, offset_s, rng, **kwargs).tobytes(),
+                out += [f(pdp, fading, period_s, n, offset_s, rng).tobytes(),
                         rng.bit_generator.state]
             return out
 
@@ -563,9 +572,9 @@ class TestDetection:
             pdp, fading, 5e-4, count, 0.0003, np.random.default_rng(37)).tobytes()
 
     def test_single_tap_never_errs(self):
-        excess = detected_excess_series(build_pdp("AWGN"), FadingConfig(), 1e-3,
-                                        100, 0.0, np.random.default_rng(0))
-        assert np.all(excess == 0.0)
+        index = detected_excess_series(build_pdp("AWGN"), FadingConfig(), 1e-3,
+                                       100, 0.0, np.random.default_rng(0))
+        assert index.dtype == np.uint8 and not index.any()
 
 
 @given(rms=st.floats(5.0, 60.0), excess=st.floats(150.0, 1000.0))

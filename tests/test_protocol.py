@@ -11,7 +11,6 @@ from hybridsync.channel import (
     FadingConfig,
     LinkGeometry,
     build_pdp,
-    detect_arrival,
     propagation_delay_ns,
     realize_channel,
 )
@@ -144,9 +143,9 @@ class TestExchanges:
 
     def test_multipath_excess_delays_arrival(self):
         pdp = build_pdp("IWLAN_B")
-        realization = realize_channel(pdp, FadingConfig(doppler_hz=0.0), 0.0,
-                                      np.random.default_rng(8))
-        excess = detect_arrival(realization, pdp)
+        gains = realize_channel(pdp, FadingConfig(doppler_hz=0.0), 0.0,
+                                np.random.default_rng(8)).tap_gains
+        excess = float(pdp.delays_ns[np.argmax(np.abs(gains) ** 2)])
         assert 0.0 <= excess <= pdp.max_excess_delay_ns
         h = fine_hop(ONE_WAY)
         set_excess(h, [[excess] * len(h.dmf[0])], h.dmr)
@@ -188,6 +187,13 @@ class TestPresets:
                     dict(burst_length=True)):
             with pytest.raises(ValueError):
                 ProtocolConfig(**bad)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_calibrated_delay(self, delay):
+        # Refused where it is set: inf overflowed the kernel's integer chain
+        # budget, and nan met only the hop budget's misleading >= 0 check.
+        with pytest.raises(ValueError, match="^calibrated_delay_ns must be finite"):
+            ProtocolConfig(calibrated_delay_ns=delay)
 
     @pytest.mark.parametrize("cls, name", [
         (ProtocolConfig, "sync_period_s"), (ProtocolConfig, "calibrated_delay_ns"),

@@ -2,6 +2,7 @@
 per-exchange oracle and the engine against a time-major reference."""
 
 import copy
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hybridsync import sim
 from hybridsync.budget import HOP_CDC, HOP_WIRELESS_ONE_WAY, chain_max_error, topology_budget
 from hybridsync.cdc import cdc_read_error
-from hybridsync.channel import propagation_delay_ns
+from hybridsync.channel import PowerDelayProfile, propagation_delay_ns
 from hybridsync.clocks import quantize_value
 from hybridsync.protocol import (
     PROTOCOL_PRESETS,
@@ -401,6 +402,18 @@ class TestPrepareHop:
         assert len(h.dmf) == positions
         assert len(h.dmr) == (positions if replies else 0)
 
+    def test_series_of_many_taps_widen(self):
+        # A 257-tap profile's tap indices take two bytes each.
+        pdp = PowerDelayProfile([(25.0 * i, -0.1 * i) for i in range(257)])
+        hop = HopSpec("m", "s", "wireless", PROTOCOL_PRESETS["80211-ptp"], PortSpec(),
+                      PortSpec(), channel=pdp, doppler_hz=22.24)
+        config = ExperimentConfig(preset="calnex-eth3", drift_free=True)
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        h = _prepare_hop(hop, {"m": 0, "s": 1}, config, rngs[0], rngs[1:], 10**13)
+        assert h.excess is pdp.delays_ns
+        assert [d.dtype for d in (*h.dmf, *h.dmr)] == [np.uint16] * 2
+        assert [len(d) for d in (*h.dmf, *h.dmr)] == [82] * 2
+
 
 def pps_samples(segments, first_k, interval_ns, diverged_limit=np.inf):
     """``_pps_samples`` over segments of (edge count, reference offset, reference
@@ -524,6 +537,13 @@ class TestTopologies:
         # Construction only: no preset builds these hops.
         with pytest.raises(ValueError):
             HopSpec("m", "s", medium, protocol, PortSpec(), PortSpec(), channel=channel)
+
+    @pytest.mark.parametrize("doppler_hz", [math.nan, -5.0, math.inf, "fast", True])
+    def test_hop_refuses_a_bad_doppler(self, doppler_hz):
+        # Also on a single-tap channel, whose run would ignore it.
+        with pytest.raises(ValueError):
+            HopSpec("m", "s", "wireless", ProtocolConfig(), PortSpec(), PortSpec(),
+                    channel="AWGN", doppler_hz=doppler_hz)
 
     def test_ota_extra_distance_is_uncalibrated(self):
         # 10 m stay calibrated out; the extra 30 m add 100.07 ns, as on the emulator.
