@@ -16,6 +16,7 @@ them off the topology of the simulator setup that a chain name stands for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .channel import CHANNEL_CATALOG, SPEED_OF_LIGHT_M_PER_NS, build_pdp, propagation_delay_ns
@@ -117,7 +118,7 @@ def topology_budget(topo) -> list[HopBudget]:
         for port in (hop.master_port, hop.slave_port):
             if port.cdc_t_src_ns:
                 entries.append(HopBudget(HOP_CDC, t_src_ns=port.cdc_t_src_ns, label=label))
-        excess = build_pdp(hop.channel).max_excess_delay_ns if hop.channel else 0.0
+        excess = build_pdp(hop.channel).max_excess_delay_ns
         if hop.protocol.scheme == SCHEME_ONE_WAY:
             residual = abs(propagation_delay_ns(hop.geometry)
                            - hop.protocol.calibrated_delay_ns)
@@ -146,8 +147,8 @@ def chain_preset(name: str, cdc_stages: int = 2, t_ms_ns: float = 0.0) -> list[H
     """
     from .sim import ExperimentConfig, build_topology  # sim imports this module
 
-    if not t_ms_ns >= 0:
-        raise ValueError(f"t_ms_ns must be >= 0, got {t_ms_ns!r}")
+    if not 0 <= t_ms_ns < math.inf:
+        raise ValueError(f"t_ms_ns must be finite and >= 0, got {t_ms_ns!r}")
     key = name.lower().replace("_", "-")
     if key in _NAMED_CHAINS:
         preset, channel = _NAMED_CHAINS[key]

@@ -23,6 +23,7 @@ clock runs ahead.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
@@ -118,9 +119,10 @@ class PortSpec:
 
 @dataclass(frozen=True)
 class HopSpec:
-    """One synchronization hop: master disciplines slave over ethernet or a
-    wireless medium.  Only wireless hops fade (when ``channel`` is set) and
-    run one-way, as the one-way branch never quantizes the master's stamp."""
+    """One synchronization hop: master disciplines slave over ethernet or wireless.
+    A hop fades only when its channel has more than one tap, so an ethernet hop's
+    channel is AWGN; only wireless hops run one-way, as the one-way branch never
+    quantizes the master's stamp."""
 
     master: str
     slave: str
@@ -129,7 +131,7 @@ class HopSpec:
     master_port: PortSpec
     slave_port: PortSpec
     geometry: LinkGeometry = field(default_factory=LinkGeometry)
-    channel: str | None = None
+    channel: str = "AWGN"
     doppler_hz: float = 0.0
     stagger_s: float = 0.0
 
@@ -142,45 +144,43 @@ class HopSpec:
         if not (math.isfinite(self.stagger_s) and self.stagger_s >= 0):
             raise ValueError(f"stagger_s must be finite and >= 0, got {self.stagger_s!r}")
         FadingConfig(doppler_hz=self.doppler_hz)
-        if self.channel is not None:
-            build_pdp(self.channel)
+        if build_pdp(self.channel).n_taps > 1 and self.medium == "ethernet":
+            raise ValueError(f"an ethernet hop cannot take the fading channel {self.channel!r}")
 
 
 @dataclass(frozen=True)
 class Topology:
-    """Node ids and hops of a chain; the one node no hop disciplines is its gmc."""
+    """Node ids and hops of a chain; the one node no hop disciplines is its gmc.
+    The derived ``order`` is breadth first from it, slaves in hop order: masters first."""
 
     name: str
     nodes: tuple[str, ...]
     hops: tuple[HopSpec, ...]
     measured_node: str
     reference_node: str
+    order: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         if len(set(self.nodes)) != len(self.nodes):
             raise TopologyError("duplicate node ids")
-        known = set(self.nodes)
-        upstream: dict[str, int] = {}
+        known, slaves = set(self.nodes), set()
         for i, hop in enumerate(self.hops):
             if hop.master not in known or hop.slave not in known:
                 raise TopologyError(f"hop {i} references unknown nodes")
-            if hop.slave in upstream:
+            if hop.slave in slaves:
                 raise TopologyError(f"node {hop.slave} has two upstream hops")
-            upstream[hop.slave] = i
+            slaves.add(hop.slave)
         for probe in (self.measured_node, self.reference_node):
             if probe not in known:
                 raise TopologyError(f"unknown probe node {probe!r}")
-        roots = known - set(upstream)
-        if len(roots) != 1:
+        order = list(known - slaves)
+        if len(order) != 1:
             raise TopologyError("topology needs exactly one gmc: a node no hop disciplines")
-        gmc, = roots
-        for node in known - roots:
-            seen, cur = set(), node
-            while cur != gmc:
-                if cur in seen:
-                    raise TopologyError(f"node {node} is not chained to the gmc")
-                seen.add(cur)
-                cur = self.hops[upstream[cur]].master
+        for node in order:  # each node has one master at most, so is reached once
+            order += [hop.slave for hop in self.hops if hop.master == node]
+        if len(order) != len(known):
+            raise TopologyError(f"nodes {sorted(known - set(order))} are not chained to the gmc")
+        object.__setattr__(self, "order", tuple(order))
 
     def upstream_path(self, node_id: str) -> list[int]:
         """Hop indices from the node up to the gmc."""
@@ -230,11 +230,6 @@ def compute_stats(samples) -> RunStats:
     )
 
 
-def _recorded_pps_edges(duration_ps: int, warmup_ps: int, pps_ps: int) -> tuple[int, int]:
-    """First and last index k of the recorded PPS edges; edge k is at k * pps_ps."""
-    return warmup_ps // pps_ps + 1, duration_ps // pps_ps
-
-
 def _to_ps(name: str, seconds: float) -> int:
     """A time in whole picoseconds; refuses one that is no finite count."""
     if not math.isfinite(seconds * 1e12):
@@ -248,6 +243,13 @@ def _period_ps(name: str, seconds: float) -> int:
     if ps < 1:
         raise ValueError(f"{name} must be at least 1 ps, got {seconds!r}")
     return ps
+
+
+def _pps_edges(config: ExperimentConfig) -> tuple[int, int, int]:
+    """First index k, count and period (ps) of the recorded PPS edges; edge k is at k * period."""
+    pps_ps = _period_ps("pps_interval_s", config.pps_interval_s)
+    first_k = _to_ps("warmup_s", config.warmup_s) // pps_ps + 1
+    return first_k, _to_ps("duration_s", config.duration_s) // pps_ps - first_k + 1, pps_ps
 
 
 # --- Experiment configuration -------------------------------------------------
@@ -292,9 +294,8 @@ class ExperimentConfig:
         if not self.duration_s > self.warmup_s:
             raise ValueError("duration_s must exceed warmup_s")
         duration_ps = _to_ps("duration_s", self.duration_s)
-        first_k, last_k = _recorded_pps_edges(duration_ps, _to_ps("warmup_s", self.warmup_s),
-                                              _period_ps("pps_interval_s", self.pps_interval_s))
-        if last_k - first_k < 1:
+        _, count, _ = _pps_edges(self)
+        if count < 2:
             raise ValueError(f"pps_interval_s={self.pps_interval_s!r} leaves fewer "
                              "than two PPS edges after warm-up")
         if not isinstance(self.seed, Integral) or isinstance(self.seed, bool) or self.seed < 0:
@@ -302,7 +303,7 @@ class ExperimentConfig:
         if (not isinstance(self.replicas, Integral) or isinstance(self.replicas, bool)
                 or self.replicas < 1):
             raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
-        edges = (last_k - first_k + 1) * self.replicas
+        edges = count * self.replicas
         if edges > MAX_RUN_PPS_EDGES:
             raise ValueError(f"pps_interval_s, duration_s and replicas ask for {edges} PPS "
                              f"edges in all; at most {MAX_RUN_PPS_EDGES} fit")
@@ -436,9 +437,9 @@ class _HopRuntime:
     """Mutable per-replica state of one hop, laid out for the kernel.
 
     Exchange n (from 0) starts at ``first_ps + n * period_ps``; ``n`` counts
-    the exchanges run so far.  ``dmf``/``dmr`` hold one forward/reverse
-    series per burst position, indexed by period, of indices into the hop's
-    excess-delay table ``excess`` (ns): one byte per entry up to 256 taps.
+    the exchanges run so far.  ``dmf``/``dmr`` hold one forward/reverse series
+    per burst position, indexed by period, of one-byte (up to 256 taps) indices
+    into ``excess``, the channel's tap delays (ns): ``[0.0]`` on a hop that does not fade.
     """
 
     __slots__ = (
@@ -494,13 +495,8 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
     h.prop_ns = propagation_delay_ns(hop.geometry)
     h.calib_ns = hop.protocol.calibrated_delay_ns
     count, h.burst, directions = _series_shape(hop, duration_ps)
-    pdp = build_pdp(hop.channel) if hop.medium == "wireless" and hop.channel is not None else None
-    if pdp is None or pdp.n_taps == 1:
-        h.excess = np.zeros(1)
-        h.dmf = [np.zeros(count, np.uint8) for _ in range(h.burst)]
-        h.dmr = [np.zeros(count, np.uint8) for _ in range(h.burst)] if directions == 2 else []
-        return h
-    h.excess = pdp.delays_ns
+    pdp = build_pdp(hop.channel)
+    h.excess = pdp.delays_ns  # [0.0] on one tap, where the detector gives zeros
     fading = FadingConfig(doppler_hz=hop.doppler_hz)
     fwd_rng, rev_rng = fading_seeds
     period_s = hop.protocol.sync_period_s
@@ -708,9 +704,8 @@ def _run_replica(topo: Topology, config: ExperimentConfig,
     walk step, recording the node's clock where the node's readers need it."""
     hops, off, rate, walk_rng = _prepare_replica(topo, config, seed_seq)
     duration_ps = _to_ps("duration_s", config.duration_s)
-    pps_ps = _period_ps("pps_interval_s", config.pps_interval_s)
-    first_k, last_k = _recorded_pps_edges(duration_ps, _to_ps("warmup_s", config.warmup_s), pps_ps)
-    pps = (first_k * pps_ps, pps_ps, last_k - first_k + 1, 0)
+    first_k, count, pps_ps = _pps_edges(config)
+    pps = (first_k * pps_ps, pps_ps, count, 0)
     events = [(h.first_ps, h.period_ps, (duration_ps - h.first_ps) // h.period_ps + 1, 2 + i)
               for i, h in enumerate(hops)]
     sigma = 0.0 if config.drift_free else config.drift_walk_sigma_ppm_per_s
@@ -720,9 +715,7 @@ def _run_replica(topo: Topology, config: ExperimentConfig,
     walk_ppm = walk_rng.normal(0.0, sigma, size=(walk[2], len(hops)))
     walk_ns = (walk_at * 1e-3).tolist()
     writer = {h.si: i for i, h in enumerate(hops)}
-    order = [next(v for v in range(len(off)) if v not in writer)]  # the gmc
-    for v in order:
-        order += [h.si for h in hops if h.mi == v]
+    order = [topo.nodes.index(node) for node in topo.order]
     probes = [topo.nodes.index(node) for node in (topo.reference_node, topo.measured_node)]
     feeds = {}  # reader -> the clock it reads, as runs: hop index, or "pps" and a node
     for v in order:
@@ -783,10 +776,10 @@ def _replica_job(args):
 
 
 def replica_pool(workers: int, replicas: int):
-    """A process pool of ``min(workers, replicas)`` processes for runs of at
-    most ``replicas`` replicas, or a null context yielding None where one
-    process suffices.  Enter it with ``with``, which joins its children."""
-    workers = min(workers, replicas)
+    """A pool of ``workers`` processes, but no more than ``replicas`` or CPUs,
+    for runs of at most ``replicas`` replicas, or a null context yielding None
+    where one process suffices.  Enter it with ``with``, which joins its children."""
+    workers = min(workers, replicas, os.cpu_count() or 1)
     return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
@@ -806,10 +799,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     topo = build_topology(config)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
     jobs = [(topo, config, s) for s in seeds]
-    first_k, last_k = _recorded_pps_edges(_to_ps("duration_s", config.duration_s),
-                                          _to_ps("warmup_s", config.warmup_s),
-                                          _period_ps("pps_interval_s", config.pps_interval_s))
-    pooled = np.empty((config.replicas, last_k - first_k + 1))
+    _, count, _ = _pps_edges(config)
+    pooled = np.empty((config.replicas, count))
     converged = True
     # A caller's pool is left open; an own one is closed here.
     scope = replica_pool(workers, config.replicas) if pool is None else nullcontext(pool)

@@ -177,10 +177,10 @@ class TestChainPresets:
         assert chain_preset("Emulator_80211_IWLAN-A") == chain_preset("emulator-80211-iwlan_a")
         assert chain_preset("CALNEX_ETH3") == chain_preset("calnex-eth3")
 
-    @pytest.mark.parametrize("t_ms_ns", [-5.0, math.nan])
+    @pytest.mark.parametrize("t_ms_ns", [-5.0, math.nan, math.inf])
     @pytest.mark.parametrize("name", ["calnex-awgn", "emulator-wsharp-awgn"])
     def test_refuses_bad_residual(self, name, t_ms_ns):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t_ms_ns"):
             chain_preset(name, t_ms_ns=t_ms_ns)
 
     def test_unknown_preset(self):

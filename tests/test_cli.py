@@ -100,13 +100,14 @@ class TestBudgetCommand:
         code, _ = run(capsys, "budget")
         assert code == 2
 
-    @pytest.mark.parametrize("t_ms_ns", ["nan", "-5"])
+    @pytest.mark.parametrize("t_ms_ns", ["nan", "-5", "inf"])
     def test_bad_residual_exits_2(self, capsys, t_ms_ns):
         code = main(["budget", "--all", "--t-ms-ns", t_ms_ns])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("budget: ") and captured.err.count("\n") == 1
+        assert "t_ms_ns" in captured.err
 
 
 class TestSimulateCommand:
@@ -522,6 +523,7 @@ class TestSweepCommand:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)  # CPUs do not bound it here
         self.replicas_sweep(capsys, tmp_path, "2,3,1", workers=4)
         assert sizes == [3]
         self.replicas_sweep(capsys, tmp_path, "1,1", workers=4)  # one process suffices

@@ -3,7 +3,7 @@ per-exchange oracle and the engine against a time-major reference."""
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 import numpy as np
 import pytest
@@ -45,7 +45,8 @@ def make_runtime(protocol=ProtocolConfig(), medium="ethernet", **overrides) -> _
     0.5 s, with the grid phases, path delay and any other field overridden."""
     hop = HopSpec("m", "s", medium, protocol, PortSpec(), PortSpec(), stagger_s=0.5)
     config = ExperimentConfig(preset="calnex-eth3", drift_free=True)
-    h = _prepare_hop(hop, {"m": 0, "s": 1}, config, np.random.default_rng(0), None,
+    fading = [np.random.default_rng(1), np.random.default_rng(2)]  # a single tap draws none
+    h = _prepare_hop(hop, {"m": 0, "s": 1}, config, np.random.default_rng(0), fading,
                      5 * 10**11 + 64 * round(protocol.sync_period_s * 1e12))
     for key, value in {"ph_m": 0.3, "ph_s": 0.7, "prop_ns": 250.5, **overrides}.items():
         setattr(h, key, value)
@@ -317,8 +318,9 @@ def time_major_samples(topo, config, seed):
     hops, off, rate, walk_rng = sim._prepare_replica(topo, config, np.random.SeedSequence(seed))
     duration_ps = round(config.duration_s * 1e12)
     pps_ps = round(config.pps_interval_s * 1e12)
-    first_k, last_k = sim._recorded_pps_edges(duration_ps, round(config.warmup_s * 1e12), pps_ps)
-    events = [(k * pps_ps, 0, k) for k in range(first_k, last_k + 1)]
+    # The recorded edges: the first after warm-up up to the last within the run.
+    first_k = round(config.warmup_s * 1e12) // pps_ps + 1
+    events = [(k * pps_ps, 0, k) for k in range(first_k, duration_ps // pps_ps + 1)]
     sigma = 0.0 if config.drift_free else config.drift_walk_sigma_ppm_per_s
     if sigma > 0:
         events += [(t, 1, None) for t in range(10**12, duration_ps + 1, 10**12)]
@@ -401,6 +403,11 @@ class TestPrepareHop:
         assert h.burst == positions
         assert len(h.dmf) == positions
         assert len(h.dmr) == (positions if replies else 0)
+        # An ethernet hop's AWGN channel does not fade: one zero delay, zero indices.
+        eth = _prepare_hop(topo.hops[0], node_index, config, rngs[0], rngs[1:], 10**13)
+        assert eth.excess.tolist() == [0.0]
+        assert all(d.dtype == np.uint8 and not d.any() for d in (*eth.dmf, *eth.dmr))
+        assert len(eth.dmf) == len(eth.dmr) == 1
 
     def test_series_of_many_taps_widen(self):
         # A 257-tap profile's tap indices take two bytes each.
@@ -528,11 +535,40 @@ class TestTopologies:
         with pytest.raises(TopologyError):
             Topology("t", nodes, (hop("b", "c"), hop("c", "b")), "b", "a")
 
+    def test_order_is_masters_first_breadth_first(self):
+        def hop(m, s):
+            return HopSpec(m, s, "ethernet", PROTOCOL_PRESETS["wired-ptp"], PortSpec(), PortSpec())
+
+        # A branched tree declared leaves first, the gmc "g" last among the nodes.
+        pairs = [("b", "d"), ("a", "c"), ("g", "b"), ("b", "e"), ("g", "a"), ("c", "f")]
+        topo = Topology("t", ("f", "e", "d", "c", "b", "a", "g"),
+                        tuple(hop(m, s) for m, s in pairs), "f", "g")
+        assert topo.order == ("g", "b", "a", "d", "e", "c", "f")
+        position = {node: i for i, node in enumerate(topo.order)}
+        assert all(position[m] < position[s] for m, s in pairs)
+        # The reference: a breadth-first walk over node indices from the gmc.
+        index = {node: i for i, node in enumerate(topo.nodes)}
+        walk = [index["g"]]
+        for v in walk:
+            walk += [index[s] for m, s in pairs if index[m] == v]
+        assert [topo.nodes[v] for v in walk] == list(topo.order)
+        with pytest.raises(FrozenInstanceError):
+            topo.order = topo.nodes
+        with pytest.raises(TypeError):
+            Topology("t", topo.nodes, topo.hops, "f", "g", topo.order)
+        # A cycle apart from the gmc, and an orphan beside it, are still refused.
+        with pytest.raises(TopologyError, match="not chained"):
+            Topology("t", ("g", "a", "b", "c"), (hop("g", "a"), hop("b", "c"), hop("c", "b")),
+                     "a", "g")
+        with pytest.raises(TopologyError, match="exactly one gmc"):
+            Topology("t", ("g", "a", "c"), (hop("g", "a"),), "a", "g")
+
     @pytest.mark.parametrize("medium, protocol, channel", [
-        ("optical", ProtocolConfig(), None),
-        ("ethernet", ONE_WAY, None),
+        ("optical", ProtocolConfig(), "AWGN"),
+        ("ethernet", ONE_WAY, "AWGN"),
         ("wireless", ProtocolConfig(), "WLAN_Z"),
-    ], ids=["unknown_medium", "one_way_ethernet", "unknown_channel"])
+        ("ethernet", ProtocolConfig(), "IWLAN_B"),
+    ], ids=["unknown_medium", "one_way_ethernet", "unknown_channel", "fading_ethernet"])
     def test_hop_refuses_what_the_kernel_runs_wrongly(self, medium, protocol, channel):
         # Construction only: no preset builds these hops.
         with pytest.raises(ValueError):
@@ -778,8 +814,22 @@ class TestRunExperiment:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)  # CPUs do not bound it here
         run_experiment(self.quick_config(replicas=2), workers=3)
         run_experiment(self.quick_config(replicas=1), workers=3)
+        assert sizes == [2]
+
+    def test_pool_never_outnumbers_cpus(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(sim.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(min(max_workers, 2))  # never a large real pool
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        run_experiment(self.quick_config(replicas=8, duration_s=10.0), workers=64)
         assert sizes == [2]
 
     def test_sample_count_and_replica_stats(self):
