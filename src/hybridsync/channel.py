@@ -15,10 +15,11 @@ route follows from ``f_d * T`` alone: a zero Doppler freezes each tap to one
 draw, ``f_d * T >= 0.5`` gives independent draws, and every other comb is an
 inverse DFT of the Doppler spectrum run as band-sized polyphase transforms
 (Young & Beaulieu 2000; Markel 1971), one row block at a time, every tap of
-a block before the next, so that the detector holds the running best power
-of one block: whole rows of at most ``2 ** 15`` samples (512 KiB), such
-as one 32,768-point row of the one-way trend comb, or one longer row.  A
-single instant is a one-sample comb.
+a block before the next, so that the detector squares each block in its own
+memory and holds the running best power of one block: whole rows of at most
+``2 ** 15`` samples (512 KiB), such as one 32,768-point row of the one-way
+trend comb, or one longer row.  Draws are one block, a frozen tap's one
+value broadcast over its comb.  A single instant is a one-sample comb.
 """
 
 from __future__ import annotations
@@ -274,8 +275,8 @@ def realize_channel(pdp, fading, true_time_ns, rng) -> ChannelRealization:
 # --- Series synthesis for periodic sampling ----------------------------------
 
 # Most samples per inverse-DFT row block: 512 KiB, one 32,768-point row of the
-# one-way trend comb, whose block, best power, tap power and comparison are
-# then a quarter of 2 MiB blocks'; shorter rows batch up to 2 ** 15 samples.
+# one-way trend comb, whose block, best power and comparison are then a
+# quarter of 2 MiB blocks'; shorter rows batch up to 2 ** 15 samples.
 # With 2 ** 16, every trend-comb call took 76k minor faults, not 2-3k.
 _BLOCK = 2 ** 15
 
@@ -317,18 +318,21 @@ def _comb_blocks(pdp, fading, layout, offset_s, rng):
     ``T``: ``f_d = 0`` is one frozen draw, ``f_d * T >= 0.5`` (sampling far
     coarser than the coherence time) gives independent draws, and anything
     else is band-limited spectral synthesis by an inverse DFT, row ``l`` on
-    the bins turned by ``exp(2j * pi * k * l / n_fft)``.  Draws are one block;
-    inverse-DFT blocks hold at most ``_BLOCK`` samples of one buffer, reused
-    by the next yield.  Each tap draws its spectrum from ``rng`` in tap order
-    during the first block and drops it after its last.
+    the bins turned by ``exp(2j * pi * k * l / n_fft)``.  Draws are one
+    block, the array drawn: ``(1, 1)`` frozen, for the consumer to broadcast
+    over the comb, or ``(1, m)``.  Inverse-DFT blocks hold at most ``_BLOCK``
+    samples of one buffer, reused by the next yield, so a consumer may write
+    over a block.  Each tap draws its spectrum from ``rng`` in tap order
+    during the first block and drops it after its last; the bins ``k`` and
+    their masses go once the last tap has drawn.
     """
     n_fft, df, kmax, phases, m = layout
     powers = pdp.linear_powers
     if not kmax:  # one draw held over the comb if f_d = 0, else one per sample
         shape = (1, 1 if fading.doppler_hz == 0.0 else m)
         for i, power in enumerate(powers):
-            yield i, 0, np.broadcast_to(math.sqrt(power / 2.0) * (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)), (1, m))
+            yield i, 0, math.sqrt(power / 2.0) * (
+                rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         return
     # Inverse DFT of the Doppler spectrum (Young & Beaulieu 2000): the bins k,
     # their masses (the Jakes CDF step across their edges (k -+ 0.5) * df)
@@ -353,6 +357,8 @@ def _comb_blocks(pdp, fading, layout, offset_s, rng):
                 shift = np.exp(2j * math.pi * k * df * offset_s)
                 coeffs[i] = np.multiply(coeffs[i], shift, out=shift)
                 del shift
+                if i == len(powers) - 1:  # only the draws read k and the masses
+                    del k, masses
             block.fill(0.0)
             for row in block:
                 _place_bins(row, coeffs[i], kmax)
@@ -373,7 +379,8 @@ def tap_gain_series(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Complex gains of every tap on a regular comb, shape ``(n_taps, count)``,
-    each row of each block copied straight to its strided samples."""
+    each row of each block copied straight to its strided samples (a frozen
+    tap's one draw broadcast over them)."""
     layout = _comb_layout(fading.doppler_hz, period_s, count)
     phases = layout[3]
     out = np.empty((pdp.n_taps, count), dtype=complex)
@@ -398,10 +405,11 @@ def detected_excess_series(
     Synthesizes a row block at a time (one 32,768-point row, 512 KiB, on the
     one-way trend comb), every tap of it before the next, so long runs stay
     within memory: only the index (1 byte per point of the ``_comb_layout``),
-    every tap's bins and one block's gains, running best power, tap power
-    and comparison persist.  Each tap draws its spectrum once, so the
-    generator ends where ``tap_gain_series`` leaves it.  The earlier tap wins
-    a tie.
+    every tap's bins and one block's gains, squared in place, running best
+    power and comparison persist.  A frozen comb, one draw per tap, holds
+    the index, best power and comparison of the whole comb: 10 B a point.
+    Each tap draws its spectrum once, so the generator ends where
+    ``tap_gain_series`` leaves it.  The earlier tap wins a tie.
     """
     dtype = np.min_scalar_type(pdp.n_taps - 1)
     if pdp.n_taps == 1:
@@ -411,13 +419,16 @@ def detected_excess_series(
     best_tap = np.zeros((phases, m), dtype)
     # One block's scratch, reused by every block; ``np.square`` is bitwise ``** 2``.
     shape = (_block_rows(phases, m), m)
-    best_power, tap_power, better = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+    best_power, better = np.empty(shape), np.empty(shape, bool)
     for i, first, block in _comb_blocks(pdp, fading, layout, offset_s, rng):
         n = len(block)
-        q, p, b = best_power[:n], tap_power[:n], better[:n]
+        q, b = best_power[:n], better[:n]
         if not i:  # each block's contest starts afresh at its first tap
             q.fill(0.0)
-        np.square(np.abs(block, out=p), out=p)
+        # |g| ** 2 in the block's own memory, bitwise a separate array's: its
+        # real part, broadcast over the row if the block is one frozen draw.
+        p = np.abs(block, out=block).real
+        np.square(p, out=p)
         np.greater(p, q, out=b)
         np.copyto(q, p, where=b)
         np.copyto(best_tap[first:first + n], i, where=b)

@@ -79,11 +79,18 @@ WINDUP_PPM = 100.0  # anti-windup clamp on the servo's frequency integrator
 HIST_BINS = 64
 DIVERGENCE_FACTOR = 10.0
 
-# Excess-delay series entries one replica may hold: about 63 MB at the 7.5 B
-# per entry of peak RSS measured on one-way IWLAN_B (41 MB at 130 s, 46 MB at
-# 520 s, 53 MB at 1000 s, 68 MB at 2000 s, 10 km/h), and 4x the largest preset
-# default (emulator-wsharp, 2 kHz over 1000 s).
+# Excess-delay series entries one replica may hold: 4x the largest preset
+# default (emulator-wsharp, 2 kHz over 1000 s).  Priced on the costlier frozen
+# channel (one-way IWLAN_B at 0 km/h, whose detector holds a whole comb's best
+# power): 10 B of peak RSS per entry (40 MB at 130 s, 47 MB at 520 s, 56 MB
+# at 1000 s, 76 MB at 2000 s) and 117 MB for a run at the cap; at 10 km/h,
+# 7.2 B an entry and 94 MB.
 MAX_SERIES_ENTRIES = 2 ** 23
+# Largest drift-walk sigma: a 1-sigma step of 1e6 ppm each second changes a
+# clock's rate by as much as the whole rate, far past any oscillator (a
+# violent walk that diverges the servo is 5 ppm/sqrt(s)), and far below the
+# ~1e305 at which the walked clocks overflow to inf and NaN.
+MAX_WALK_PPM_PER_S = 1e6
 # Recorded PPS edges over all replicas: ~0.27 GB at the 16 B per edge a run
 # holds (tracemalloc), its samples and their deviations from the mean.
 MAX_RUN_PPS_EDGES = 2 ** 24
@@ -313,8 +320,9 @@ class ExperimentConfig:
                 or self.cdc_stages not in (1, 2)):
             raise ValueError(f"cdc_stages must be the integer 1 or 2, got {self.cdc_stages!r}")
         walk = self.drift_walk_sigma_ppm_per_s
-        if not (math.isfinite(walk) and walk >= 0):
-            raise ValueError(f"drift_walk_sigma_ppm_per_s must be finite and >= 0, got {walk!r}")
+        if not 0 <= walk <= MAX_WALK_PPM_PER_S:
+            raise ValueError(f"drift_walk_sigma_ppm_per_s must be in 0..{MAX_WALK_PPM_PER_S:g}, "
+                             f"got {walk!r}")
         # Hop settings, the channel among them, are checked where they are
         # used: in the hop specs and their protocol configs.
         topo = build_topology(self)

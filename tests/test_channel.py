@@ -351,12 +351,14 @@ class TestFadingStatistics:
         # not its float64 lookup, took it to 7.3 MB.  Called first in a
         # process, the call also holds the transform's plan: 12.4 MB with 2
         # MiB blocks, 10.8 MB with one-row blocks, 8.1 MB with the index alone.
+        # Squaring each block in its own memory and dropping the bins' draw
+        # arrays after the draws took it to 7.0 MB (7.9 MB first in a process).
         pdp = build_pdp("IWLAN_B")
         fading = FadingConfig(doppler_hz=doppler_from_speed(10.0))
         peak, index = traced_peak(lambda: detected_excess_series(
             pdp, fading, 5e-4, 1_040_002, 0.0003, np.random.default_rng(5)))
         assert hashlib.sha256(pdp.delays_ns[index].tobytes()).hexdigest() == TREND_COMB_DIGEST
-        assert peak <= 9e6
+        assert peak <= 8e6
 
     def test_trend_comb_index_series_is_small(self):
         # The series the simulator holds: the strongest tap's index, one byte
@@ -486,21 +488,27 @@ class TestDetection:
         for rows in (1, 2, 4):
             assert self.detect(monkeypatch, pdp, gains, rows).tolist() == [0, 1, 0, 2]
 
-    @pytest.mark.parametrize("doppler_hz, spectra", [(22.24, 0.57), (0.4995 / 5e-4, 6.5)],
-                             ids=["narrow", "band-filling"])
+    @pytest.mark.parametrize("doppler_hz, spectra", [
+        (22.24, 0.5), (0.4995 / 5e-4, 5.5), (0.0, 0.65), (1000.0, 3.7),
+    ], ids=["narrow", "band-filling", "frozen", "independent"])
     def test_series_memory_stays_near_one_spectrum(self, doppler_hz, spectra):
         # In units of one 16 * n_fft-byte spectrum.  Only the tap index (1 byte
-        # a point), one row block, its running best power, every tap's bins
-        # and one tap's draw temporaries live at once: 0.51 spectra on a
-        # narrow band, whose 512 KiB row blocks are a sixteenth of a spectrum
-        # (0.63 with the float64 series looked up from the index, 0.91 with
-        # 2 MiB blocks, 0.83 with half a comb's best and one tap's bins at a
-        # time), and 5.87 when the band
-        # fills the comb, a one-row comb that holds one tap's bins at a time
-        # (6.12 with an int32 place per bin, 5.62 with each tap's bins drawn
-        # after its row block was freed), where the bins, the one row and the
-        # coefficients' temporaries are each about a spectrum (2.06 and 7.06
-        # with whole-spectrum transforms).
+        # a point), one row block, squared in its own memory, its running best
+        # power and comparison, every tap's bins and one tap's draw
+        # temporaries live at once: 0.48 spectra on a narrow band, whose
+        # 512 KiB row blocks are a sixteenth of a spectrum (0.51 with a
+        # separate tap power, 0.63 with the float64 series looked up from the
+        # index, 0.91 with 2 MiB blocks, 0.83 with half a comb's best and one
+        # tap's bins at a time), and 5.37 when the band fills the comb, a
+        # one-row comb that holds one tap's bins at a time (5.87 with a
+        # separate tap power, 6.12 with an int32 place per bin, 5.62 with each
+        # tap's bins drawn after its row block was freed), where the bins, the
+        # one row and the coefficients' temporaries are each about a spectrum
+        # (2.06 and 7.06 with whole-spectrum transforms).  A frozen comb holds
+        # the index, the best power and the comparison over the whole comb,
+        # 10 B a point, 0.63 spectra (1.13 with a separate tap power, as the
+        # read-only broadcast draw could not be squared in place); independent
+        # draws add a tap's draw and its temporaries, 3.64 spectra (4.14).
         count = 1 << 19
         pdp = build_pdp("IWLAN_B")
         fading = FadingConfig(doppler_hz=doppler_hz)

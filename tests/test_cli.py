@@ -226,6 +226,7 @@ class TestSimulateCommand:
         ["--set", "burst_length=0"], ["--set", "burst_length=1.5"], ["--set", "kp=NaN"],
         ["--set", "extra_distance_m=NaN"], ["--set", "sync_period_s=NaN"],
         ["--set", "drift_walk_sigma_ppm_per_s=-1"],
+        ["--set", "drift_walk_sigma_ppm_per_s=1e305"],
         ["--preset", "emulator-wsharp", "--set", "sync_period_s=1e-6"],
         ["--preset", "calnex-eth3", "--set", "kp=NaN"],
         ["--preset", "calnex-eth3", "--set", "burst_length=0"],
@@ -250,8 +251,9 @@ class TestSimulateCommand:
     ], ids=["nan_speed", "unknown_channel", "unknown_scheme", "missing_config",
             "negative_seed", "sub_ps_pps", "sub_ps_sync", "one_pps_edge",
             "fractional_replicas", "zero_burst", "fractional_burst", "nan_kp",
-            "nan_extra_distance", "nan_sync", "negative_walk", "too_large", "eth3_nan_kp",
-            "eth3_zero_burst", "eth3_zero_sync", "string_drift_free", "bool_cdc_stages",
+            "nan_extra_distance", "nan_sync", "negative_walk", "overflowing_walk",
+            "too_large", "eth3_nan_kp", "eth3_zero_burst", "eth3_zero_sync",
+            "string_drift_free", "bool_cdc_stages",
             "float_cdc_stages", "legacy_detector_key", "pps_beyond_ps_range",
             "duration_beyond_ps_range", "sync_beyond_ps_range", "huge_negative_warmup",
             "negative_warmup", "flight_beyond_sync_period", "unstable_kp",

@@ -736,10 +736,16 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("overrides", [
         dict(drift_walk_sigma_ppm_per_s=float("nan")), dict(drift_walk_sigma_ppm_per_s=-1.0),
-    ], ids=["nan_walk", "negative_walk"])
+        dict(drift_walk_sigma_ppm_per_s=1e305),
+    ], ids=["nan_walk", "negative_walk", "overflowing_walk"])
     def test_refuses_bad_hop_and_walk_settings(self, overrides):
         with pytest.raises(ValueError):
             ExperimentConfig(**overrides)
+
+    def test_largest_walk_is_accepted(self):
+        ExperimentConfig(drift_walk_sigma_ppm_per_s=1e6)
+        with pytest.raises(ValueError, match=r"^drift_walk_sigma_ppm_per_s must be in "):
+            ExperimentConfig(drift_walk_sigma_ppm_per_s=1.000001e6)
 
     def stagger_config(self, stagger_s):
         hop = HopSpec("gmc", "s", "ethernet", PROTOCOL_PRESETS["wired-ptp"], PortSpec(),
