@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .budget import CHAIN_PRESETS, budget_report, chain_max_error, chain_preset, topology_budget
-from .sim import ExperimentConfig, SIM_PRESETS, build_topology, replica_pool, run_experiment
+from .sim import ExperimentConfig, SIM_PRESETS, build_topology, run_experiment
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -96,8 +96,14 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _make_out(out) -> None:
+    """Create the ``--out`` directory, if given, before any work is done, so
+    that a path that cannot be one is refused up front (``OSError``)."""
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+
+
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
@@ -288,13 +294,15 @@ def _cmd_budget(args) -> int:
     if not all(names):
         print("budget: give --preset NAME or --all", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        chains = [chain_preset(name, cdc_stages=args.cdc_stages, t_ms_ns=args.t_ms_ns)
+                  for name in names]
+        _make_out(args.out)
+    except (ValueError, OSError) as exc:
+        print(f"budget: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     reports = []
-    for name in names:
-        try:
-            hops = chain_preset(name, cdc_stages=args.cdc_stages, t_ms_ns=args.t_ms_ns)
-        except ValueError as exc:
-            print(f"budget: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    for name, hops in zip(names, chains):
         doc = budget_report(hops)
         doc["preset"] = name
         reports.append(doc)
@@ -325,6 +333,7 @@ def _cmd_budget(args) -> int:
 def _cmd_simulate(args) -> int:
     try:
         config = _resolve_config(args)
+        _make_out(args.out)
     except (ValueError, TypeError, OSError) as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -366,18 +375,16 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"unknown sweep parameter {param!r}")
         point_configs = [ExperimentConfig.from_dict({**base, param: value})
                          for value in values]
+        _make_out(args.out)
     except (ValueError, TypeError, OSError) as exc:
         print(f"sweep: {exc}", file=sys.stderr)
         return EXIT_USAGE
     points = []
     all_converged = True
-    # One pool, sized by the largest point, runs every point's replicas; with
-    # none, one process suffices and each point runs serially.
-    with replica_pool(args.workers, max(c.replicas for c in point_configs)) as pool:
-        for value, point_config in zip(values, point_configs):
-            stats = run_experiment(point_config, pool=pool)
-            all_converged = all_converged and stats.converged
-            points.append((value, stats))
+    for value, point_config in zip(values, point_configs):
+        stats = run_experiment(point_config, workers=args.workers)
+        all_converged = all_converged and stats.converged
+        points.append((value, stats))
     trend = {
         "axis": param,
         "base_config_sha256": _config_digest(config),

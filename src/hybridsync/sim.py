@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import pickle
+import signal
+from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral
 
@@ -67,7 +68,6 @@ __all__ = [
     "TopologyError",
     "build_topology",
     "compute_stats",
-    "replica_pool",
     "run_experiment",
 ]
 
@@ -778,42 +778,105 @@ def _pps_samples(ref, slv, first_k: int, interval_ns: float,
     return samples, converged
 
 
-def _replica_job(args):
-    topo, config, seed_seq = args
-    return _run_replica(topo, config, seed_seq)
+def _serve(jobs: list, read_fd: int, write_fd: int) -> None:
+    """In a forked child: pickle each job's result, or the first exception,
+    down the pipe in job order, then leave the process whatever happens, so
+    the child never returns into its caller's code."""
+    code = 1
+    try:
+        os.close(read_fd)  # else a dead caller leaves the child blocked on a full pipe
+        with open(write_fd, "wb") as out:
+            for job in jobs:
+                try:
+                    result = _run_replica(*job)
+                except Exception as exc:  # sent on for the caller to raise
+                    result = exc
+                pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                out.flush()
+                if isinstance(result, Exception):
+                    break
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def replica_pool(workers: int, replicas: int):
-    """A pool of ``workers`` processes, but no more than ``replicas`` or CPUs,
-    for runs of at most ``replicas`` replicas, or a null context yielding None
-    where one process suffices.  Enter it with ``with``, which joins its children."""
-    workers = min(workers, replicas, os.cpu_count() or 1)
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+def _receive(children: dict, k: int, i: int):
+    """Job ``i``'s result from child ``k``, raising what the child raised.
+    A child that ended without it is reaped and dropped from ``children``."""
+    pid, reader = children[k]
+    try:
+        result = pickle.load(reader)
+    except (EOFError, pickle.UnpicklingError):
+        del children[k]
+        reader.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        raise RuntimeError(f"replica worker {pid} ended before sending replica {i} "
+                           f"(exit status {status})") from None
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _replica_results(jobs: list, workers: int):
+    """Yield ``_run_replica(*job)`` for each job, in job order.
+
+    n = min(workers, jobs, CPUs this process may use) processes share the
+    jobs, job i running in process i mod n.  Process 0 is the caller;
+    1..n-1 are forked here, each sending its results down a pipe of its own.
+    At n = 1, as where the platform cannot fork, nothing forks.  A child's
+    exception is raised here, and a child that ends without its results
+    raises RuntimeError.  Once the generator finishes or is closed, every
+    child has been killed and reaped.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    n = min(workers, len(jobs), cpus) if hasattr(os, "fork") else 1
+    children = {}  # process index -> (pid, read end of its pipe)
+    try:
+        for k in range(1, n):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _serve(jobs[k::n], read_fd, write_fd)
+            os.close(write_fd)
+            children[k] = pid, open(read_fd, "rb")
+        for i, job in enumerate(jobs):
+            yield _run_replica(*job) if i % n == 0 else _receive(children, i % n, i)
+    finally:
+        for pid, reader in children.values():
+            os.kill(pid, signal.SIGKILL)  # done, or no longer needed
+            os.waitpid(pid, 0)
+            reader.close()
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1,
-                   return_samples: bool = False, pool=None):
+                   return_samples: bool = False):
     """Run every replica and pool the PPS error statistics.
 
     Replica seed streams are pre-split from the experiment seed, so the
-    result is identical whatever ``workers`` is.  The replicas run on
-    ``pool`` when one is given (as from ``replica_pool``, which the caller
-    closes), else on a pool of their own.  Each replica's samples are copied
-    as they arrive into one ``replicas x edges`` array; the statistics, and
-    with ``return_samples`` the per-replica arrays, are views of its rows.
-    Sets ``converged=False`` if any post-warmup sample exceeds ten times the
-    chain budget.
+    result is identical whatever ``workers`` is.  The replicas run on at
+    most ``workers`` processes, this one and children forked for this call,
+    and never on more than there are replicas or CPUs this process may use.
+    Each replica's samples are copied as they arrive into one
+    ``replicas x edges`` array; the statistics, and with ``return_samples``
+    the per-replica arrays, are views of its rows.  Sets ``converged=False``
+    if any post-warmup sample exceeds ten times the chain budget.
     """
+    if not isinstance(workers, Integral) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     topo = build_topology(config)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
-    jobs = [(topo, config, s) for s in seeds]
     _, count, _ = _pps_edges(config)
     pooled = np.empty((config.replicas, count))
     converged = True
-    # A caller's pool is left open; an own one is closed here.
-    scope = replica_pool(workers, config.replicas) if pool is None else nullcontext(pool)
-    with scope as pool:
-        results = pool.map(_replica_job, jobs) if pool else map(_replica_job, jobs)
+    with closing(_replica_results([(topo, config, s) for s in seeds], workers)) as results:
         for row in pooled:  # no reference to a replica's samples outlives its copy
             row[:], ok = next(results)
             converged &= ok

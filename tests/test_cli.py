@@ -12,12 +12,13 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from hybridsync import channel, cli, sim
+from hybridsync import channel, cli
 from hybridsync.budget import HOP_WIRELESS_ONE_WAY, HOP_WIRELESS_TWO_WAY, wireless_link_budget
 from hybridsync.channel import CHANNEL_CATALOG
 from hybridsync.cli import _write_samples_csv, main
 from footprint import traced_peak
 from test_protocol import GAIN_EDGE_IDS, GAIN_EDGES
+from test_sim import record_forks
 
 FAST = [
     "--set", "duration_s=20",
@@ -108,6 +109,26 @@ class TestBudgetCommand:
         assert captured.out == ""
         assert captured.err.startswith("budget: ") and captured.err.count("\n") == 1
         assert "t_ms_ns" in captured.err
+
+
+@pytest.mark.parametrize("command", ["budget", "simulate", "sweep"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_that_cannot_be_a_directory_exits_2(capsys, monkeypatch, tmp_path, command, under):
+    monkeypatch.setattr(cli, "run_experiment", None)
+    monkeypatch.setattr(cli, "budget_report", None)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / "out" if under else blocker
+    axis = ["--axis", "seed=1,2"] if command == "sweep" else []
+    code = main([command, "--preset", "calnex-eth3", *axis, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    reason = "Not a directory" if under else "File exists"
+    assert captured.err.startswith(f"{command}: [Errno ")
+    assert captured.err.endswith(f"] {reason}: {str(out)!r}\n")
+    assert captured.err.count("\n") == 1
+    assert blocker.read_text() == "kept"
 
 
 class TestSimulateCommand:
@@ -516,20 +537,13 @@ class TestSweepCommand:
         assert code == 0
         return [(tmp_path / name).read_bytes() for name in ("trend.json", "sweep.csv")]
 
-    def test_one_pool_sized_by_the_largest_point(self, capsys, monkeypatch, tmp_path):
-        sizes = []
-
-        class RecordingPool(sim.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr("os.cpu_count", lambda: 4)  # CPUs do not bound it here
+    def test_each_point_forks_fewer_workers_than_its_replicas(self, capsys, monkeypatch,
+                                                              tmp_path):
+        forks = record_forks(monkeypatch, cpus=4)  # CPUs do not bound it here
         self.replicas_sweep(capsys, tmp_path, "2,3,1", workers=4)
-        assert sizes == [3]
+        assert len(forks) == 1 + 2 + 0  # the caller runs one replica of each point
         self.replicas_sweep(capsys, tmp_path, "1,1", workers=4)  # one process suffices
-        assert sizes == [3]
+        assert len(forks) == 3
 
     def test_output_bytes_stable_across_workers(self, capsys, tmp_path):
         serial = self.replicas_sweep(capsys, tmp_path / "serial", "1,3", workers=1)

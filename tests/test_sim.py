@@ -3,6 +3,8 @@ per-exchange oracle and the engine against a time-major reference."""
 
 import copy
 import math
+import os
+import signal
 from dataclasses import FrozenInstanceError, dataclass, replace
 
 import numpy as np
@@ -38,6 +40,28 @@ from hybridsync.sim import (
 )
 from footprint import traced_peak
 from test_budget import run_with_package
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def record_forks(monkeypatch, cpus: int) -> list:
+    """Let this process use ``cpus`` CPUs; returns the list that each replica
+    worker's pid is appended to as ``os.fork`` starts it."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 def make_runtime(protocol=ProtocolConfig(), medium="ethernet", **overrides) -> _HopRuntime:
@@ -812,31 +836,88 @@ class TestRunExperiment:
             assert np.array_equal(x, y)
 
     def test_pool_never_outnumbers_replicas(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool(sim.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr("os.cpu_count", lambda: 4)  # CPUs do not bound it here
+        forks = record_forks(monkeypatch, cpus=4)  # CPUs do not bound it here
         run_experiment(self.quick_config(replicas=2), workers=3)
+        assert len(forks) == 1  # the caller runs replica 0, one child replica 1
         run_experiment(self.quick_config(replicas=1), workers=3)
-        assert sizes == [2]
+        assert len(forks) == 1
 
     def test_pool_never_outnumbers_cpus(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool(sim.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(min(max_workers, 2))  # never a large real pool
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        forks = record_forks(monkeypatch, cpus=2)
         run_experiment(self.quick_config(replicas=8, duration_s=10.0), workers=64)
-        assert sizes == [2]
+        assert len(forks) == 1
+
+    def test_cpu_count_bounds_the_pool_without_an_affinity_mask(self, monkeypatch):
+        forks = record_forks(monkeypatch, cpus=4)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+        run_experiment(self.quick_config(replicas=3), workers=3)
+        assert forks == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_experiment(self.quick_config(replicas=3), workers=3)
+        assert len(forks) == 1
+
+    def test_without_fork_the_caller_runs_every_replica(self, monkeypatch):
+        config = self.quick_config(replicas=3)
+        record_forks(monkeypatch, cpus=4)
+        forked = run_experiment(config, workers=3, return_samples=True)
+        monkeypatch.delattr(os, "fork")
+        stats, samples = run_experiment(config, workers=3, return_samples=True)
+        assert stats == forked[0]
+        assert all(np.array_equal(x, y) for x, y in zip(samples, forked[1], strict=True))
+
+    @pytest.mark.parametrize("workers", [0, 2.5, True, "2"])
+    def test_refuses_workers_but_a_positive_integer(self, monkeypatch, workers):
+        forks = record_forks(monkeypatch, cpus=1)  # nothing forks either way
+        with pytest.raises(ValueError, match="^workers must be an integer >= 1, got "):
+            run_experiment(self.quick_config(), workers=workers)
+        assert forks == []
+
+    def fail_replica(self, monkeypatch, replica: int, fail) -> None:
+        """Patch ``_run_replica`` so that ``fail(pid)`` runs first in ``replica``."""
+        real = sim._run_replica
+
+        def run_replica(topo, config, seed_seq):
+            if seed_seq.spawn_key == (replica,):
+                fail(os.getpid())
+            return real(topo, config, seed_seq)
+
+        monkeypatch.setattr(sim, "_run_replica", run_replica)
+
+    @staticmethod
+    def raise_lookup_error(pid):
+        raise LookupError(f"replica failed in process {pid}")
+
+    def test_a_replica_error_in_a_child_is_raised_in_the_caller(self, monkeypatch):
+        forks = record_forks(monkeypatch, cpus=2)
+        self.fail_replica(monkeypatch, 1, self.raise_lookup_error)
+        with pytest.raises(LookupError) as exc:
+            run_experiment(self.quick_config(replicas=3), workers=2)
+        assert str(exc.value) == f"replica failed in process {forks[0]}"
+        assert_no_child_left()
+
+    def test_a_killed_child_raises_runtime_error(self, monkeypatch):
+        forks = record_forks(monkeypatch, cpus=2)
+        self.fail_replica(monkeypatch, 1, lambda pid: os.kill(pid, signal.SIGKILL))
+        with pytest.raises(RuntimeError) as exc:
+            run_experiment(self.quick_config(replicas=3), workers=2)
+        assert str(exc.value) == (f"replica worker {forks[0]} ended before sending "
+                                  "replica 1 (exit status -9)")
+        assert_no_child_left()
+
+    def test_no_child_outlives_a_run(self, monkeypatch):
+        forks = record_forks(monkeypatch, cpus=3)
+        run_experiment(self.quick_config(replicas=3), workers=3)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_a_failing_caller_kills_its_children(self, monkeypatch):
+        forks = record_forks(monkeypatch, cpus=3)
+        self.fail_replica(monkeypatch, 0, self.raise_lookup_error)
+        with pytest.raises(LookupError, match=f"^replica failed in process {os.getpid()}$"):
+            run_experiment(self.quick_config(replicas=3), workers=3)
+        assert len(forks) == 2
+        assert_no_child_left()
 
     def test_sample_count_and_replica_stats(self):
         config = self.quick_config()
@@ -1004,3 +1085,14 @@ class TestFootprint:
                 "                     np.random.SeedSequence(0))\n"
                 "print('numpy.ma' in sys.modules)\n")
         assert run_with_package(["-c", code]) == "False\n"
+
+    def test_replicas_never_import_multiprocessing(self):
+        # multiprocessing costs about 1.5 MB and 17 ms to import.
+        code = ("import sys\n"
+                "import hybridsync.cli\n"
+                "from hybridsync import sim\n"
+                "config = sim.ExperimentConfig(preset='calnex-eth3', duration_s=12.0,\n"
+                "                              warmup_s=2.0, replicas=2)\n"
+                "sim.run_experiment(config, workers=2)\n"
+                "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n")
+        assert run_with_package(["-c", code]) == "False False\n"
