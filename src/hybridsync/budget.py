@@ -16,11 +16,10 @@ them off the topology of the simulator setup that a chain name stands for.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .channel import CHANNEL_CATALOG, SPEED_OF_LIGHT_M_PER_NS, build_pdp, propagation_delay_ns
-from .protocol import SCHEME_ONE_WAY
+from .protocol import SCHEME_ONE_WAY, refuse, refuse_bad_fields
 
 __all__ = [
     "CHAIN_PRESETS",
@@ -64,9 +63,8 @@ class HopBudget:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown hop kind {self.kind!r}")
-        for value in (self.ts_ns, self.max_excess_ns, self.t_ms_ns, self.t_src_ns):
-            if not value >= 0:
-                raise ValueError(f"hop parameters must be >= 0, got {value!r}")
+        refuse_bad_fields(self, ts_ns=(0, None), max_excess_ns=(0, None), t_ms_ns=(0, None),
+                          t_src_ns=(0, None))
 
 
 def hop_max_error(hop: HopBudget) -> float:
@@ -147,8 +145,7 @@ def chain_preset(name: str, cdc_stages: int = 2, t_ms_ns: float = 0.0) -> list[H
     """
     from .sim import ExperimentConfig, build_topology  # sim imports this module
 
-    if not 0 <= t_ms_ns < math.inf:
-        raise ValueError(f"t_ms_ns must be finite and >= 0, got {t_ms_ns!r}")
+    refuse("t_ms_ns", t_ms_ns, float, 0)
     key = name.lower().replace("_", "-")
     if key in _NAMED_CHAINS:
         preset, channel = _NAMED_CHAINS[key]

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .protocol import POSITIVE, refuse_bad_fields
+
 __all__ = [
     "CdcConfig",
     "CdcFeasibilityError",
@@ -52,10 +54,8 @@ class CdcConfig:
     dst_phase: float = 0.0
 
     def __post_init__(self):
-        if self.t_src_ns <= 0 or self.t_dst_ns <= 0:
-            raise ValueError("periods must be positive")
-        if not 0.0 <= self.dst_phase < 1.0:
-            raise ValueError("dst_phase must lie in [0, 1)")
+        refuse_bad_fields(self, t_src_ns=(POSITIVE, None), t_dst_ns=(POSITIVE, None),
+                          dst_phase=(0.0, 1 - 2 ** -53))  # the float below 1
         if self.t_src_ns < MIN_PERIOD_RATIO * self.t_dst_ns:
             raise CdcFeasibilityError(
                 f"t_src_ns must be at least {MIN_PERIOD_RATIO:g} x t_dst_ns "

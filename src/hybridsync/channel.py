@@ -27,9 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Real
 
 import numpy as np
+
+from .protocol import refuse, refuse_bad_fields
 
 __all__ = [
     "CHANNEL_CATALOG",
@@ -110,8 +111,7 @@ class FadingConfig:
     def __post_init__(self):
         if self.spectrum != "jakes":
             raise ChannelSpecError(f"unknown Doppler spectrum {self.spectrum!r}")
-        if not 0 <= self.doppler_hz < math.inf:
-            raise ChannelSpecError(f"doppler_hz must be finite and >= 0, got {self.doppler_hz!r}")
+        refuse_bad_fields(self, ChannelSpecError, doppler_hz=(0, None))
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,7 @@ class LinkGeometry:
     base_delay_ns: float = 0.0
 
     def __post_init__(self):
-        if not (0 <= self.distance_m < math.inf and 0 <= self.base_delay_ns < math.inf):
-            raise ChannelSpecError("distance and base delay must be finite and >= 0")
+        refuse_bad_fields(self, ChannelSpecError, distance_m=(0, None), base_delay_ns=(0, None))
 
 
 def propagation_delay_ns(geometry: LinkGeometry) -> float:
@@ -140,8 +139,7 @@ def propagation_delay_ns(geometry: LinkGeometry) -> float:
 
 def doppler_from_speed(speed_kmh: float) -> float:
     """Maximum Doppler shift for a scatterer speed in km/h at the 2.4 GHz carrier."""
-    if not 0 <= speed_kmh < math.inf:
-        raise ChannelSpecError(f"speed_kmh must be finite and >= 0, got {speed_kmh!r}")
+    refuse("speed_kmh", speed_kmh, float, 0, None, ChannelSpecError)
     c_m_per_s = SPEED_OF_LIGHT_M_PER_NS * 1e9
     return speed_kmh / 3.6 * CARRIER_HZ / c_m_per_s
 
@@ -247,12 +245,12 @@ def build_pdp(spec) -> PowerDelayProfile:
     if isinstance(spec, str):
         _, rms, excess = CHANNEL_CATALOG[canonical_channel_name(spec)]
         return _cached_pdp(rms, excess)
-    if not (isinstance(spec, (tuple, list)) and len(spec) == 2 and all(
-            isinstance(x, Real) and not isinstance(x, bool) and 0 <= x < math.inf
-            for x in spec)):
+    if not (isinstance(spec, (tuple, list)) and len(spec) == 2):
         raise ChannelSpecError(
             f"channel must be a catalog name ({', '.join(CHANNEL_CATALOG)}) or an "
             f"[rms_ns, max_excess_ns] pair of finite numbers >= 0, got {spec!r}")
+    for name, x in zip(("rms_ns", "max_excess_ns"), spec):
+        refuse(f"channel {name}", x, float, 0, None, ChannelSpecError)
     return _cached_pdp(*map(float, spec))
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .budget import CHAIN_PRESETS, budget_report, chain_max_error, chain_preset, topology_budget
+from .protocol import refuse
 from .sim import ExperimentConfig, SIM_PRESETS, build_topology, run_experiment
 
 EXIT_OK = 0
@@ -63,8 +64,7 @@ def _parse_sets(pairs: list[str]) -> dict:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    refuse("--workers", args.workers, int, 1)
     doc: dict = {}
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:

@@ -14,11 +14,16 @@ since transmissions launch on the modem's own grid.  Ports that read their
 PHC across a clock domain boundary add the translation error of that stage.
 The simulator's exchange kernel stamps and estimates inline; the estimators
 here state the same arithmetic on one ``SyncSample``.
+
+Every config of the package checks its fields with ``refuse_bad_fields``: one
+rule, stated in ``refuse``, over each field's annotated kind and a per-class
+table of ranges.  Checks across fields stay with their configs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
@@ -44,13 +49,47 @@ class UnsupportedSchemeError(ValueError):
     """Raised when an estimator is asked for something its scheme lacks."""
 
 
-def refuse_non_reals(config) -> None:
-    """Refuse a float field holding a string, a bool, or a None it does not allow."""
+# The longest time a config may hold, just under 2**62 ps (4.61e6 s).  The
+# simulator counts time in int64 picoseconds, and its widest sums add two such
+# times: ``sim._before`` adds a period to an instant of the run, and
+# ``sim._stamps`` and ``sim._runs`` add whole periods to a hop's first instant,
+# up to the run's end plus one period.  Two bounded times sum below 2**63.
+MAX_TIME_S = 4.6e6
+POSITIVE = math.ulp(0.0)  # the least positive float: as a low bound, "> 0"
+_KINDS = {"float": float, "int": int, "bool": bool}
+
+
+def refuse(name: str, value, kind: type, low=None, high=None, error=ValueError) -> None:
+    """Raise ``error`` unless ``value`` is a ``kind`` with ``low <= value <= high``
+    (a bound of None is open).  A float is a finite real, an int an ``Integral``
+    compared as an int, a bool a bool, and neither number kind takes a bool."""
+    at_least = "" if low is None else f" >= {low!r}"
+    if kind is bool:
+        need, bad = "true or false", not isinstance(value, bool)
+    elif kind is int:
+        need = "an integer" + at_least
+        bad = (isinstance(value, bool) or not isinstance(value, Integral)
+               or low is not None and value < low)
+    elif isinstance(value, bool) or not isinstance(value, Real):
+        need, bad = "a real number", True
+    else:  # compared, never converted: an int too large for a float is no finite float
+        need = "finite" + (at_least and " and" + at_least)
+        bad = not abs(value) <= sys.float_info.max or low is not None and value < low
+    if not bad and high is not None and value > high:
+        need, bad = f"in {low!r}..{high!r}", True
+    if bad:
+        raise error(f"{name} must be {need}, got {value!r}")
+
+
+def refuse_bad_fields(config, error=ValueError, **ranges) -> None:
+    """``refuse`` each float, int and bool field of a dataclass, of the kind its
+    annotation names, in the ``(low, high)`` range given under its name.  A
+    field annotated ``| None`` may also hold None."""
     for f in fields(config):
+        kind, _, rest = f.type.partition(" | ")
         value = getattr(config, f.name)
-        if (f.type == "float" or f.type == "float | None" and value is not None) and (
-                not isinstance(value, Real) or isinstance(value, bool)):
-            raise ValueError(f"{f.name} must be a real number, got {value!r}")
+        if kind in _KINDS and (value is not None or rest != "None"):
+            refuse(f.name, value, _KINDS[kind], *ranges.get(f.name, (None, None)), error)
 
 
 @dataclass(frozen=True)
@@ -81,18 +120,9 @@ class ProtocolConfig:
     ki: float = 0.3
 
     def __post_init__(self):
-        refuse_non_reals(self)
+        refuse_bad_fields(self, sync_period_s=(1e-12, MAX_TIME_S), burst_length=(1, None))
         if self.scheme not in _SCHEMES:
             raise UnsupportedSchemeError(f"unknown scheme {self.scheme!r}")
-        if not (math.isfinite(self.sync_period_s) and self.sync_period_s >= 1e-12):
-            raise ValueError(f"sync_period_s must be finite and at least 1 ps, "
-                             f"got {self.sync_period_s!r}")
-        if not math.isfinite(self.calibrated_delay_ns):
-            raise ValueError(f"calibrated_delay_ns must be finite, "
-                             f"got {self.calibrated_delay_ns!r}")
-        if (not isinstance(self.burst_length, Integral) or isinstance(self.burst_length, bool)
-                or self.burst_length < 1):
-            raise ValueError(f"burst_length must be an integer >= 1, got {self.burst_length!r}")
         for rule, holds in (("0 < kp < 2", 0 < self.kp < 2), ("ki >= 0", self.ki >= 0),
                             ("2*kp + ki < 4", 2 * self.kp + self.ki < 4)):
             if not holds:

@@ -13,6 +13,8 @@ clock only where child hops' exchanges or PPS edges read it.  Every event
 stream is an arithmetic progression, so who reads which state is counted
 by integer division.  Each replica draws from its own spawned seed streams,
 so results do not depend on how replicas are distributed over workers.
+Configs refuse a time beyond ``MAX_TIME_S``, just under 2**62 ps, so two
+counts sum within int64.
 
 The per-sample synchronization error follows PPS semantics: it is the
 difference of the true times at which the reference and the measured node's
@@ -28,7 +30,6 @@ import pickle
 import signal
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -50,12 +51,15 @@ from .channel import (
 )
 from .clocks import quantize_value
 from .protocol import (
+    MAX_TIME_S,
+    POSITIVE,
     PROTOCOL_PRESETS,
     SCHEME_FTM_BURST,
     SCHEME_ONE_WAY,
     SCHEME_TWO_WAY,
     ProtocolConfig,
-    refuse_non_reals,
+    refuse,
+    refuse_bad_fields,
 )
 
 __all__ = [
@@ -119,9 +123,7 @@ class PortSpec:
     cdc_t_src_ns: float = 0.0  # 0 means the port reads its PHC natively
 
     def __post_init__(self):
-        if not (0 < self.sample_period_ns < math.inf and 0 <= self.cdc_t_src_ns < math.inf):
-            raise ValueError("sample_period_ns must be finite and positive, "
-                             "cdc_t_src_ns finite and >= 0")
+        refuse_bad_fields(self, sample_period_ns=(POSITIVE, None), cdc_t_src_ns=(0, None))
 
 
 @dataclass(frozen=True)
@@ -147,10 +149,7 @@ class HopSpec:
             raise ValueError(f"unknown medium {self.medium!r}")
         if self.medium == "ethernet" and self.protocol.scheme == SCHEME_ONE_WAY:
             raise ValueError("an ethernet hop cannot run the one-way scheme")
-        refuse_non_reals(self)
-        if not (math.isfinite(self.stagger_s) and self.stagger_s >= 0):
-            raise ValueError(f"stagger_s must be finite and >= 0, got {self.stagger_s!r}")
-        FadingConfig(doppler_hz=self.doppler_hz)
+        refuse_bad_fields(self, doppler_hz=(0, None), stagger_s=(0, MAX_TIME_S))
         if build_pdp(self.channel).n_taps > 1 and self.medium == "ethernet":
             raise ValueError(f"an ethernet hop cannot take the fading channel {self.channel!r}")
 
@@ -237,26 +236,16 @@ def compute_stats(samples) -> RunStats:
     )
 
 
-def _to_ps(name: str, seconds: float) -> int:
-    """A time in whole picoseconds; refuses one that is no finite count."""
-    if not math.isfinite(seconds * 1e12):
-        raise ValueError(f"{name}={seconds!r} is not a finite number of picoseconds")
+def _to_ps(seconds: float) -> int:
+    """A time in whole picoseconds: a period's count is at least 1, any time's fits int64."""
     return round(seconds * 1e12)
-
-
-def _period_ps(name: str, seconds: float) -> int:
-    """A period in whole picoseconds; refuses one that rounds below 1 ps."""
-    ps = _to_ps(name, seconds)
-    if ps < 1:
-        raise ValueError(f"{name} must be at least 1 ps, got {seconds!r}")
-    return ps
 
 
 def _pps_edges(config: ExperimentConfig) -> tuple[int, int, int]:
     """First index k, count and period (ps) of the recorded PPS edges; edge k is at k * period."""
-    pps_ps = _period_ps("pps_interval_s", config.pps_interval_s)
-    first_k = _to_ps("warmup_s", config.warmup_s) // pps_ps + 1
-    return first_k, _to_ps("duration_s", config.duration_s) // pps_ps - first_k + 1, pps_ps
+    pps_ps = _to_ps(config.pps_interval_s)
+    first_k = _to_ps(config.warmup_s) // pps_ps + 1
+    return first_k, _to_ps(config.duration_s) // pps_ps - first_k + 1, pps_ps
 
 
 # --- Experiment configuration -------------------------------------------------
@@ -295,34 +284,20 @@ class ExperimentConfig:
     topology: Topology | None = None
 
     def __post_init__(self):
-        refuse_non_reals(self)
-        if not (math.isfinite(self.warmup_s) and self.warmup_s >= 0):
-            raise ValueError(f"warmup_s must be finite and >= 0, got {self.warmup_s!r}")
+        refuse_bad_fields(self, duration_s=(0, MAX_TIME_S), pps_interval_s=(1e-12, MAX_TIME_S),
+                          warmup_s=(0, MAX_TIME_S), replicas=(1, None), seed=(0, None),
+                          cdc_stages=(1, 2), drift_walk_sigma_ppm_per_s=(0, MAX_WALK_PPM_PER_S))
         if not self.duration_s > self.warmup_s:
             raise ValueError("duration_s must exceed warmup_s")
-        duration_ps = _to_ps("duration_s", self.duration_s)
+        duration_ps = _to_ps(self.duration_s)
         _, count, _ = _pps_edges(self)
         if count < 2:
             raise ValueError(f"pps_interval_s={self.pps_interval_s!r} leaves fewer "
                              "than two PPS edges after warm-up")
-        if not isinstance(self.seed, Integral) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if (not isinstance(self.replicas, Integral) or isinstance(self.replicas, bool)
-                or self.replicas < 1):
-            raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
         edges = count * self.replicas
         if edges > MAX_RUN_PPS_EDGES:
             raise ValueError(f"pps_interval_s, duration_s and replicas ask for {edges} PPS "
                              f"edges in all; at most {MAX_RUN_PPS_EDGES} fit")
-        if not isinstance(self.drift_free, bool):
-            raise ValueError(f"drift_free must be true or false, got {self.drift_free!r}")
-        if (not isinstance(self.cdc_stages, Integral) or isinstance(self.cdc_stages, bool)
-                or self.cdc_stages not in (1, 2)):
-            raise ValueError(f"cdc_stages must be the integer 1 or 2, got {self.cdc_stages!r}")
-        walk = self.drift_walk_sigma_ppm_per_s
-        if not 0 <= walk <= MAX_WALK_PPM_PER_S:
-            raise ValueError(f"drift_walk_sigma_ppm_per_s must be in 0..{MAX_WALK_PPM_PER_S:g}, "
-                             f"got {walk!r}")
         # Hop settings, the channel among them, are checked where they are
         # used: in the hop specs and their protocol configs.
         topo = build_topology(self)
@@ -332,7 +307,7 @@ class ExperimentConfig:
                              f"{MAX_SERIES_ENTRIES}; shorten duration_s or lengthen sync_period_s")
         for i, hop in enumerate(topo.hops):
             name = f"hop {i} ({hop.master}->{hop.slave})"
-            if _to_ps("stagger_s", hop.stagger_s) > duration_ps:
+            if _to_ps(hop.stagger_s) > duration_ps:
                 raise ValueError(f"{name} starts at stagger_s={hop.stagger_s!r}, "
                                  f"after duration_s={self.duration_s!r}")
             # A beacon still in flight when the next is sent would land out of order.
@@ -473,8 +448,7 @@ def _series_shape(hop: HopSpec, duration_ps: int) -> tuple[int, int, int]:
 
     Only FTM repeats the exchange within a period; only one-way sends no reply.
     """
-    period_ps = _period_ps("sync_period_s", hop.protocol.sync_period_s)
-    count = int((duration_ps - _to_ps("stagger_s", hop.stagger_s)) // period_ps) + 2
+    count = int((duration_ps - _to_ps(hop.stagger_s)) // _to_ps(hop.protocol.sync_period_s)) + 2
     burst = hop.protocol.burst_length if hop.protocol.scheme == SCHEME_FTM_BURST else 1
     return count, burst, 1 if hop.protocol.scheme == SCHEME_ONE_WAY else 2
 
@@ -486,8 +460,8 @@ def _prepare_hop(hop: HopSpec, node_index: dict, config: ExperimentConfig,
     h.si = node_index[hop.slave]
     h.scheme = hop.protocol.scheme
     h.egress_quant = hop.medium == "ethernet"
-    h.period_ps = _period_ps("sync_period_s", hop.protocol.sync_period_s)
-    h.first_ps = _to_ps("stagger_s", hop.stagger_s)
+    h.period_ps = _to_ps(hop.protocol.sync_period_s)
+    h.first_ps = _to_ps(hop.stagger_s)
     h.n = 0
     h.kp = hop.protocol.kp
     h.ki = hop.protocol.ki
@@ -699,7 +673,7 @@ def _prepare_replica(topo: Topology, config: ExperimentConfig,
         rate.append(1.0 + (0.0 if config.drift_free else drift) * 1e-6)
     hops = [_prepare_hop(hop, node_index, config, init_rng,
                          [np.random.default_rng(seq) for seq in streams[1 + 2 * i:3 + 2 * i]],
-                         _to_ps("duration_s", config.duration_s))
+                         _to_ps(config.duration_s))
             for i, hop in enumerate(topo.hops)]
     return hops, off, rate, np.random.default_rng(streams[-1])
 
@@ -711,12 +685,13 @@ def _run_replica(topo: Topology, config: ExperimentConfig,
     Each node takes its turn after its master: its hop runs every exchange and
     walk step, recording the node's clock where the node's readers need it."""
     hops, off, rate, walk_rng = _prepare_replica(topo, config, seed_seq)
-    duration_ps = _to_ps("duration_s", config.duration_s)
+    duration_ps = _to_ps(config.duration_s)
     first_k, count, pps_ps = _pps_edges(config)
     pps = (first_k * pps_ps, pps_ps, count, 0)
     events = [(h.first_ps, h.period_ps, (duration_ps - h.first_ps) // h.period_ps + 1, 2 + i)
               for i, h in enumerate(hops)]
-    sigma = 0.0 if config.drift_free else config.drift_walk_sigma_ppm_per_s
+    # abs: -0.0 walks as 0.0 does, but Generator.normal would refuse its sign.
+    sigma = 0.0 if config.drift_free else abs(config.drift_walk_sigma_ppm_per_s)
     walk = (10 ** 12, 10 ** 12, duration_ps // 10 ** 12 if sigma > 0 else 0, 1)
     walk_at = np.arange(1, walk[2] + 1) * 10 ** 12
     # Every node but the gmc walks: per step one draw per node, in node order.
@@ -869,8 +844,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1,
     the per-replica arrays, are views of its rows.  Sets ``converged=False``
     if any post-warmup sample exceeds ten times the chain budget.
     """
-    if not isinstance(workers, Integral) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    refuse("workers", workers, int, 1)
     topo = build_topology(config)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
     _, count, _ = _pps_edges(config)

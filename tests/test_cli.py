@@ -1,11 +1,15 @@
 """Command line interface: subcommands, precedence, exit codes, determinism."""
 
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from hybridsync import channel, cli
 from hybridsync.budget import HOP_WIRELESS_ONE_WAY, HOP_WIRELESS_TWO_WAY, wireless_link_budget
 from hybridsync.channel import CHANNEL_CATALOG
 from hybridsync.cli import _write_samples_csv, main
+from hybridsync.protocol import MAX_TIME_S
+from hybridsync.sim import ExperimentConfig
 from footprint import traced_peak
 from test_protocol import GAIN_EDGE_IDS, GAIN_EDGES
 from test_sim import record_forks
@@ -173,7 +179,7 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"{command}: --workers must be at least 1, got {workers}\n"
+        assert captured.err == f"{command}: --workers must be an integer >= 1, got {workers}\n"
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '"calnex"', "null"])
     def test_config_file_not_an_object_exits_2(self, capsys, tmp_path, text):
@@ -191,9 +197,14 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith(
-            "simulate: channel must be a catalog name (AWGN, WLAN_A, WLAN_C, IWLAN_A, "
-            "IWLAN_B) or an [rms_ns, max_excess_ns] pair of finite numbers >= 0, got ")
+        at_fault = {"[NaN,200]": "rms_ns", "[40,-200]": "max_excess_ns"}  # pairs
+        if spec in at_fault:
+            assert captured.err.startswith(
+                f"simulate: channel {at_fault[spec]} must be finite and >= 0, got ")
+        else:
+            assert captured.err.startswith(
+                "simulate: channel must be a catalog name (AWGN, WLAN_A, WLAN_C, IWLAN_A, "
+                "IWLAN_B) or an [rms_ns, max_excess_ns] pair of finite numbers >= 0, got ")
         assert captured.err.count("\n") == 1
 
     def test_custom_channel_profile_runs(self, capsys):
@@ -577,3 +588,72 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --- the config boundary ---------------------------------------------------------
+
+# Accepted cases stay tiny: 32 exchanges on the radio hop, six PPS edges.
+BOUNDARY_BASE = ["--preset", "emulator-80211", "--set", "duration_s=4", "--set", "warmup_s=1",
+                 "--set", "pps_interval_s=0.5"]
+CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "topology"]
+# The ends of the ranges and of int64 picoseconds, numbers no float holds, and
+# each JSON kind that is no number, with names that make the drawn fields meet.
+EDGE_VALUES = [0, -0.0, 1e-12, MAX_TIME_S, 1e18, 2 ** 63, 10 ** 400, math.nan, math.inf,
+               -math.inf, None, True, False, "", "one_way", "ftm_burst", "emulator-wsharp",
+               "IWLAN_B", [], [40, 200]]
+field_values = st.sampled_from(EDGE_VALUES) | st.floats(-10.0, 10.0).map(lambda x: round(x, 3))
+set_documents = st.dictionaries(st.sampled_from(CONFIG_KEYS), field_values,
+                                min_size=1, max_size=3)
+BOUNDARY_SETTINGS = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+HOLES = [{"sync_period_s": 1e18}, {"sync_period_s": 1e7}, {"drift_walk_sigma_ppm_per_s": -0.0}]
+
+
+def refused_in_one_line_or_run(command: str, argv: list, artifact: str) -> None:
+    """Run ``command`` on the boundary base and ``argv``: it exits 2 with one
+    stderr line and a tracemalloc peak under 1 MB, or exits 0 or 1 having
+    written a ``artifact`` that parses.  Any other exception fails the test."""
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            peak, code = traced_peak(
+                lambda: main([command, *BOUNDARY_BASE, *argv, "--out", out]))
+        if code == 2:
+            assert err.getvalue().startswith(f"{command}: ") and err.getvalue().count("\n") == 1
+            assert peak < 2 ** 20
+        else:
+            assert code in (0, 1)
+            json.loads((Path(out) / artifact).read_text())
+
+
+def set_args(doc: dict) -> list:
+    return [arg for key, value in doc.items() for arg in ("--set", f"{key}={json.dumps(value)}")]
+
+
+@BOUNDARY_SETTINGS
+@given(doc=set_documents)
+@example(doc=HOLES[0])
+@example(doc=HOLES[1])
+@example(doc=HOLES[2])
+def test_simulate_refuses_in_one_line_or_runs(doc):
+    refused_in_one_line_or_run("simulate", set_args(doc), "summary.json")
+
+
+@BOUNDARY_SETTINGS
+@given(doc=set_documents)
+@example(doc=HOLES[0])
+@example(doc=HOLES[1])
+@example(doc=HOLES[2])
+def test_sweep_refuses_in_one_line_or_runs(doc):
+    # The first field drawn is the axis, with one point; --set gives the rest.
+    (axis, value), *rest = doc.items()
+    refused_in_one_line_or_run("sweep", ["--axis", f"{axis}={json.dumps(value)}",
+                                         *set_args(dict(rest))], "trend.json")
+
+
+def test_negative_zero_walk_runs_as_no_walk(capsys, tmp_path):
+    for walk in ("-0.0", "0.0"):
+        code, _ = run(capsys, "simulate", *BOUNDARY_BASE, "--preset", "calnex-eth3",
+                      "--set", f"drift_walk_sigma_ppm_per_s={walk}", "--out", str(tmp_path / walk))
+        assert code in (0, 1)
+    assert (tmp_path / "-0.0" / "samples.csv").read_bytes() == \
+        (tmp_path / "0.0" / "samples.csv").read_bytes()

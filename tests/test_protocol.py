@@ -1,5 +1,6 @@
 """Offset/delay estimators, and the exchanges as the kernel stamps them."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hybridsync
+from hybridsync.budget import HopBudget
 from hybridsync.channel import (
     FadingConfig,
     LinkGeometry,
@@ -25,9 +28,24 @@ from hybridsync.protocol import (
     estimate_offset,
     estimate_path_delay,
 )
-from hybridsync.sim import ExperimentConfig
+from hybridsync.sim import ExperimentConfig, HopSpec, PortSpec, RunStats
 from test_sim import make_runtime, set_excess, step
 
+# Records of what was measured or computed, which may hold NaN: the
+# estimators check a sample's timestamps where they use them.
+RECORDS = (RunStats, SyncSample)
+NUMBER_FIELDS = [
+    (cls, f)
+    for cls in (getattr(hybridsync, name) for name in hybridsync.__all__)
+    if dataclasses.is_dataclass(cls) and cls not in RECORDS
+    for f in dataclasses.fields(cls) if f.type.partition(" | ")[0] in ("float", "int", "bool")
+]
+# The fields without a default, for the classes that have any.
+REQUIRED = {
+    HopBudget: dict(kind="ethernet"),
+    HopSpec: dict(master="m", slave="s", medium="ethernet", protocol=ProtocolConfig(),
+                  master_port=PortSpec(), slave_port=PortSpec()),
+}
 FINE = 1e-6  # effectively quantization-free timestamping grid
 ONE_WAY = ProtocolConfig(SCHEME_ONE_WAY)
 
@@ -195,21 +213,28 @@ class TestPresets:
         with pytest.raises(ValueError, match="^calibrated_delay_ns must be finite"):
             ProtocolConfig(calibrated_delay_ns=delay)
 
-    @pytest.mark.parametrize("cls, name", [
-        (ProtocolConfig, "sync_period_s"), (ProtocolConfig, "calibrated_delay_ns"),
-        (ProtocolConfig, "kp"), (ProtocolConfig, "ki"),
-        (ExperimentConfig, "speed_kmh"), (ExperimentConfig, "duration_s"),
-        (ExperimentConfig, "pps_interval_s"), (ExperimentConfig, "warmup_s"),
-        (ExperimentConfig, "extra_distance_m"), (ExperimentConfig, "kp"),
-        (ExperimentConfig, "ki"), (ExperimentConfig, "sync_period_s"),
-        (ExperimentConfig, "drift_walk_sigma_ppm_per_s"),
-    ], ids=lambda x: getattr(x, "__name__", x))
-    def test_float_fields_refuse_non_reals(self, cls, name):
-        # None is the "take the preset's value" of the optional experiment knobs
-        optional = cls is ExperimentConfig and name in ("kp", "ki", "sync_period_s")
-        for value in ["1", True, *([] if optional else [None])]:
-            with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
-                cls(**{name: value})
+    @pytest.mark.parametrize("cls, field", NUMBER_FIELDS,
+                             ids=lambda x: getattr(x, "__name__", None) or x.name)
+    def test_float_fields_refuse_non_reals(self, cls, field):
+        # Every float, int and bool field of every exported config, found by
+        # its annotation: each refuses what is not of its kind by one rule.
+        name = field.name
+        kind, _, rest = field.type.partition(" | ")
+        bad = [math.nan, math.inf, -math.inf, "1", *([] if rest == "None" else [None])]
+        bad += {"bool": [1], "int": [True, 1.5], "float": [True]}[kind]
+        for value in bad:
+            if kind != "float":
+                message = f"^{name} must be {'true or false' if kind == 'bool' else 'an integer'}"
+            elif isinstance(value, float):
+                message = f"^{name} must be finite"
+            else:
+                message = f"^{name} must be a real number, got {value!r}$"
+            with pytest.raises(ValueError, match=message):
+                cls(**{**REQUIRED.get(cls, {}), name: value})
+
+    def test_a_400_digit_seed_is_accepted(self):
+        # An int is compared as an int: it never passes through a float.
+        assert ExperimentConfig(seed=10 ** 400).seed == 10 ** 400
 
     @pytest.mark.parametrize("kp, ki, inside", GAIN_EDGES, ids=GAIN_EDGE_IDS)
     def test_refuses_gains_outside_the_stable_region(self, kp, ki, inside):
