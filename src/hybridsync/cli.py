@@ -276,7 +276,6 @@ def _write_samples_csv(path: Path, sample_arrays, chunk: int = 8192) -> None:
     Samples are formatted ``chunk`` at a time, never a whole replica: by
     ``_grid_rows`` where it applies, else by the general ``_repr_rows``.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(b"replica,index,error_ns\n")
         for r, arr in enumerate(sample_arrays):

@@ -28,7 +28,6 @@ import math
 import os
 import pickle
 import signal
-from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -251,7 +250,7 @@ def _pps_edges(config: ExperimentConfig) -> tuple[int, int, int]:
 # --- Experiment configuration -------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs of one Monte Carlo experiment.
 
@@ -262,6 +261,7 @@ class ExperimentConfig:
     propagation delay.  ``drift_free`` zeroes every oscillator frequency
     error, the regime the analytic budgets are stated for.  On the ``ota-*``
     presets the extra distance adds to a calibrated ``OTA_LINK_M`` link.
+    A built config is frozen; ``dataclasses.replace`` makes a checked copy.
     """
 
     preset: str = "emulator-80211"
@@ -761,15 +761,12 @@ def _serve(jobs: list, read_fd: int, write_fd: int) -> None:
     try:
         os.close(read_fd)  # else a dead caller leaves the child blocked on a full pipe
         with open(write_fd, "wb") as out:
-            for job in jobs:
-                try:
-                    result = _run_replica(*job)
-                except Exception as exc:  # sent on for the caller to raise
-                    result = exc
-                pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
-                out.flush()
-                if isinstance(result, Exception):
-                    break
+            try:
+                for job in jobs:
+                    pickle.dump(_run_replica(*job), out, pickle.HIGHEST_PROTOCOL)
+                    out.flush()
+            except Exception as exc:  # sent on for the caller to raise
+                pickle.dump(exc, out, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
@@ -792,16 +789,17 @@ def _receive(children: dict, k: int, i: int):
     return result
 
 
-def _replica_results(jobs: list, workers: int):
-    """Yield ``_run_replica(*job)`` for each job, in job order.
+def _run_replicas(jobs: list, rows: np.ndarray, workers: int) -> bool:
+    """Copy ``_run_replica(*job)``'s samples into ``rows[i]`` for each job i,
+    in job order; returns whether every replica converged.
 
     n = min(workers, jobs, CPUs this process may use) processes share the
     jobs, job i running in process i mod n.  Process 0 is the caller;
     1..n-1 are forked here, each sending its results down a pipe of its own.
     At n = 1, as where the platform cannot fork, nothing forks.  A child's
     exception is raised here, and a child that ends without its results
-    raises RuntimeError.  Once the generator finishes or is closed, every
-    child has been killed and reaped.
+    raises RuntimeError.  On return or raise, every child has been killed
+    and reaped.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -809,6 +807,7 @@ def _replica_results(jobs: list, workers: int):
         cpus = os.cpu_count() or 1
     n = min(workers, len(jobs), cpus) if hasattr(os, "fork") else 1
     children = {}  # process index -> (pid, read end of its pipe)
+    converged = True
     try:
         for k in range(1, n):
             read_fd, write_fd = os.pipe()
@@ -822,8 +821,11 @@ def _replica_results(jobs: list, workers: int):
                 _serve(jobs[k::n], read_fd, write_fd)
             os.close(write_fd)
             children[k] = pid, open(read_fd, "rb")
-        for i, job in enumerate(jobs):
-            yield _run_replica(*job) if i % n == 0 else _receive(children, i % n, i)
+        for i, (job, row) in enumerate(zip(jobs, rows)):
+            # No reference to a replica's samples outlives its copy.
+            row[:], ok = _run_replica(*job) if i % n == 0 else _receive(children, i % n, i)
+            converged &= ok
+        return converged
     finally:
         for pid, reader in children.values():
             os.kill(pid, signal.SIGKILL)  # done, or no longer needed
@@ -833,27 +835,23 @@ def _replica_results(jobs: list, workers: int):
 
 def run_experiment(config: ExperimentConfig, workers: int = 1,
                    return_samples: bool = False):
-    """Run every replica and pool the PPS error statistics.
+    """Run every replica of the checked, frozen ``config``; pool the PPS error statistics.
 
     Replica seed streams are pre-split from the experiment seed, so the
     result is identical whatever ``workers`` is.  The replicas run on at
     most ``workers`` processes, this one and children forked for this call,
     and never on more than there are replicas or CPUs this process may use.
-    Each replica's samples are copied as they arrive into one
-    ``replicas x edges`` array; the statistics, and with ``return_samples``
-    the per-replica arrays, are views of its rows.  Sets ``converged=False``
-    if any post-warmup sample exceeds ten times the chain budget.
+    ``_run_replicas`` copies each replica's samples as they arrive into its
+    row of one ``replicas x edges`` array; the statistics, and with
+    ``return_samples`` the per-replica arrays, are views of its rows.  Sets
+    ``converged=False`` if any post-warmup sample exceeds ten times the chain budget.
     """
     refuse("workers", workers, int, 1)
     topo = build_topology(config)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replicas)
     _, count, _ = _pps_edges(config)
     pooled = np.empty((config.replicas, count))
-    converged = True
-    with closing(_replica_results([(topo, config, s) for s in seeds], workers)) as results:
-        for row in pooled:  # no reference to a replica's samples outlives its copy
-            row[:], ok = next(results)
-            converged &= ok
+    converged = _run_replicas([(topo, config, s) for s in seeds], pooled, workers)
     stats = compute_stats(pooled.reshape(-1))
     per_replica = tuple(compute_stats(row) for row in pooled)
     stats = replace(stats, per_replica=per_replica, converged=converged)

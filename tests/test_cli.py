@@ -405,6 +405,7 @@ def test_samples_writer_matches_csv_module(tmp_path):
         for i, value in enumerate(arr):
             writer.writerow([r, i, repr(float(value))])
     path = tmp_path / "out" / "samples.csv"
+    path.parent.mkdir()
     for chunk in (8192, 3):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

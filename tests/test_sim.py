@@ -9,16 +9,26 @@ from dataclasses import FrozenInstanceError, dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridsync import sim
-from hybridsync.budget import HOP_CDC, HOP_WIRELESS_ONE_WAY, chain_max_error, topology_budget
+from hybridsync.budget import (
+    CDC_T_SRC_NS,
+    HOP_CDC,
+    HOP_WIRELESS_ONE_WAY,
+    WIRELESS_TS_NS,
+    chain_max_error,
+    topology_budget,
+)
 from hybridsync.cdc import cdc_read_error
-from hybridsync.channel import PowerDelayProfile, propagation_delay_ns
+from hybridsync.channel import LinkGeometry, PowerDelayProfile, propagation_delay_ns
 from hybridsync.clocks import quantize_value
 from hybridsync.protocol import (
     PROTOCOL_PRESETS,
     SCHEME_FTM_BURST,
     SCHEME_ONE_WAY,
+    SCHEME_TWO_WAY,
     ProtocolConfig,
     SyncSample,
     estimate_offset,
@@ -368,6 +378,41 @@ def time_major_samples(topo, config, seed):
     return samples
 
 
+@st.composite
+def tie_chains(draw) -> Topology:
+    """1-4 hops forming a random tree, hops and nodes declared in random order,
+    any two distinct probes.  Periods, staggers and PPS intervals are drawn
+    from short lists, so exchanges, walk steps and PPS edges often coincide."""
+    geometry = LinkGeometry(base_delay_ns=sim.EMULATOR_BASE_DELAY_NS)
+    radio = PortSpec(WIRELESS_TS_NS, CDC_T_SRC_NS)
+    hops = []
+    for slave in range(1, draw(st.integers(1, 4)) + 1):
+        master = draw(st.integers(0, slave - 1))
+        period = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        stagger = draw(st.sampled_from([0.0, 0.25, 0.5, 0.0003]))
+        kind = draw(st.sampled_from(["ethernet", SCHEME_TWO_WAY, SCHEME_FTM_BURST,
+                                     SCHEME_ONE_WAY]))
+        if kind == "ethernet":
+            medium, protocol, ports = "ethernet", PROTOCOL_PRESETS["wired-ptp"], (PortSpec(),) * 2
+        elif kind == SCHEME_ONE_WAY:
+            medium, period, ports = "wireless", period / 100, (radio,) * 2
+            protocol = replace(PROTOCOL_PRESETS["wsharp-beacon"],
+                               calibrated_delay_ns=propagation_delay_ns(geometry))
+        else:
+            medium, ports = "wireless", (radio,) * 2
+            burst = draw(st.integers(1, 3)) if kind == SCHEME_FTM_BURST else 1
+            protocol = replace(PROTOCOL_PRESETS["80211-ptp"], scheme=kind, burst_length=burst)
+        hops.append(HopSpec(f"n{master}", f"n{slave}", medium,
+                            replace(protocol, sync_period_s=period), *ports,
+                            geometry=geometry if medium == "wireless" else LinkGeometry(),
+                            stagger_s=stagger))
+    nodes = draw(st.permutations([f"n{i}" for i in range(len(hops) + 1)]))
+    measured, reference = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2,
+                                        unique=True))
+    return Topology("generated", tuple(nodes), tuple(draw(st.permutations(hops))),
+                    measured, reference)
+
+
 class TestTieOrder:
     """The engine reproduces the time-major reference bitwise, ties included:
     at one instant the PPS edge reads first, then the walk steps, then the
@@ -401,6 +446,17 @@ class TestTieOrder:
                                   drift_walk_sigma_ppm_per_s=walk)
         samples, _ = sim._run_replica(build_topology(config), config, np.random.SeedSequence(7))
         assert samples.tolist() == time_major_samples(build_topology(config), config, 7)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(topo=tie_chains(), pps=st.sampled_from([0.3, 0.5, 1.0]),
+           walk=st.sampled_from([0.0, 2.0]), drift_free=st.booleans())
+    def test_generated_chains_match_per_event_evaluation_bitwise(self, topo, pps, walk,
+                                                                 drift_free):
+        config = ExperimentConfig(topology=topo, duration_s=12.0, warmup_s=2.0,
+                                  pps_interval_s=pps, drift_walk_sigma_ppm_per_s=walk,
+                                  drift_free=drift_free)
+        samples, _ = sim._run_replica(topo, config, np.random.SeedSequence(7))
+        assert samples.tolist() == time_major_samples(topo, config, 7)
 
     def test_branched_one_way_chain_with_walk(self):
         # Two probes on branches of the switch, 2 kHz beacons and a PPS grid
@@ -797,6 +853,16 @@ class TestExperimentConfig:
         stats = run_experiment(config)
         assert stats.n_samples == 2
 
+    def test_a_built_config_cannot_be_changed_past_its_checks(self):
+        # Each assignment would make a config the checks refuse.
+        config = ExperimentConfig(preset="calnex-eth3", duration_s=12.0, warmup_s=2.0)
+        for name, value in (("warmup_s", 50.0), ("replicas", 0),
+                            ("pps_interval_s", float("nan"))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, name, value)
+        with pytest.raises(ValueError, match="^duration_s must exceed warmup_s$"):
+            replace(config, warmup_s=50.0)
+
     def test_dict_round_trip_rejects_unknown_keys(self):
         config = ExperimentConfig(preset="calnex", channel="WLAN_A", seed=9)
         doc = config.as_dict()
@@ -917,6 +983,21 @@ class TestRunExperiment:
         with pytest.raises(LookupError, match=f"^replica failed in process {os.getpid()}$"):
             run_experiment(self.quick_config(replicas=3), workers=3)
         assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_no_run_leaks_a_descriptor(self, monkeypatch):
+        before = len(os.listdir("/proc/self/fd"))
+        record_forks(monkeypatch, cpus=3)
+        run_experiment(self.quick_config(replicas=3), workers=3)
+        for replica, fail, error in ((1, self.raise_lookup_error, LookupError),
+                                     (1, lambda pid: os.kill(pid, signal.SIGKILL), RuntimeError),
+                                     (0, self.raise_lookup_error, LookupError)):
+            with monkeypatch.context() as patch:
+                self.fail_replica(patch, replica, fail)
+                with pytest.raises(error):
+                    run_experiment(self.quick_config(replicas=3), workers=3)
+        assert len(os.listdir("/proc/self/fd")) == before
         assert_no_child_left()
 
     def test_sample_count_and_replica_stats(self):
